@@ -215,7 +215,10 @@ def run_worker(
         try:
             spec = operators.build_neighborhood(op, ctx, model)
         except (operators.EmptyNeighborhood, operators.MissingRelaxation):
+            # a skip teaches the policy like a reject; otherwise cold start
+            # keeps re-picking the same unpulled arm until the deadline
             skipped += 1
+            policy.update(arm, REJECT, config.rewards)
             continue
         sub = apply_neighborhood(model, spec)
         warm = None

@@ -17,9 +17,6 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def charge(self, seconds: float) -> None:
-        pass
-
     def charge_nodes(self, count: int = 1) -> None:
         pass
 
@@ -35,9 +32,6 @@ class SimulatedClock:
 
     def now(self) -> float:
         return self._t
-
-    def charge(self, seconds: float) -> None:
-        self._t += seconds
 
     def charge_nodes(self, count: int = 1) -> None:
         self._t += count * self.node_seconds

@@ -1,13 +1,25 @@
-"""Bounded-variable primal simplex for LP relaxations.
+"""Bounded-variable simplex for LP relaxations.
 
-Dense two-phase simplex: phase 1 drives artificial variables out of an
-all-artificial start basis, phase 2 optimizes the real costs. Nonbasic
-variables sit exactly at a bound (free ones at zero), the ratio test allows
-bound flips, and the entering rule switches from Dantzig to Bland's rule
-after 1000 degenerate pivots so the method terminates.
+Dense revised simplex over ``[A, I]``, one slack column per row. A cold solve
+starts from a crash basis: every variable sits at a finite bound (free ones
+at zero), a row's slack is basic wherever it can absorb the row's residual
+there, and only the other rows get an artificial variable. Phase 1 drives
+those artificials out, phase 2 optimizes the real costs. Nonbasic variables
+sit exactly at a bound, the ratio test allows bound flips, and the entering
+rule switches from Dantzig to Bland's rule after 1000 degenerate pivots so
+the method terminates.
+
+A warm solve starts from an earlier optimal basis over the same matrix, as a
+branch-and-bound child starts from its parent's. Each nonbasic variable goes
+to the bound its reduced cost prefers, a bounded dual simplex restores
+primal feasibility under the new bounds, and a primal pass cleans up. A
+basis that is singular, not dual feasible, leaves a nonbasic variable at an
+infinite bound, runs past the iteration limit, or claims infeasibility
+without a certificate that holds on the original rows falls back to a cold
+solve.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +33,7 @@ LP_ITERATION_LIMIT = "iteration_limit"
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _DEGENERATE_TOL = 1e-9
+_PRIMAL_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _BLAND_AFTER = 1000
 _REFACTOR_EVERY = 200
@@ -35,6 +48,10 @@ class LpResult:
     values: tuple[float, ...] | None = None
     objective: float | None = None
     iterations: int = 0
+    # an optimum's basis (column per row) and column positions, to warm-start
+    # a solve with other bounds over the same relaxation
+    basis: np.ndarray | None = field(default=None, compare=False, repr=False)
+    pos: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,11 +119,14 @@ def solve_relaxation(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     iteration_limit: int = 10000,
+    warm: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LpResult:
     """Solve a relaxation, optionally overriding the structural bounds.
 
     Bound overrides let a branch-and-bound caller reuse the constraint matrix
-    across nodes.
+    across nodes. ``warm`` is the ``(basis, pos)`` of an earlier optimum of
+    the same relaxation; the solve then starts from that basis. Each start
+    gets ``iteration_limit`` pivots, and ``iterations`` counts them all.
     """
     n = relax.n_structural
     m = relax.A_full.shape[0]
@@ -122,13 +142,28 @@ def solve_relaxation(
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
 
-    status, x, iterations = _two_phase(
-        c_full, relax.A_full, relax.b, lower_full, upper_full, iteration_limit
-    )
+    state = _new_state(0)
+    status, tab = None, None
+    if warm is not None:
+        tab = _warm_tableau(relax.A_full, relax.b, c_full, lower_full, upper_full, *warm)
+    if tab is not None:
+        status = _dual_optimize(tab, c_full, state, iteration_limit)
+        if status == LP_OPTIMAL:
+            status = _optimize(tab, c_full, tab.n_cols, state, iteration_limit)
+        if status in (None, LP_ITERATION_LIMIT):
+            tab = None
+    if tab is None:
+        state = _new_state(state["iterations"])
+        status, tab = _two_phase(
+            c_full, relax.A_full, relax.b, lower_full, upper_full, state,
+            state["iterations"] + iteration_limit,
+        )
+    iterations = state["iterations"]
     if status != LP_OPTIMAL:
         return LpResult(status, iterations=iterations)
 
     # sanity: a reported optimum must actually satisfy the system
+    x = tab.x
     residual = float(np.max(np.abs(relax.A_full @ x - relax.b)))
     off_bounds = max(
         float(np.max(np.maximum(lower_full - x, 0.0), initial=0.0)),
@@ -139,7 +174,19 @@ def solve_relaxation(
 
     values = tuple(float(v) for v in x[:n])
     objective = float(relax.c @ x[:n] + relax.offset)
-    return LpResult(LP_OPTIMAL, values=values, objective=objective, iterations=iterations)
+    full_basis = tab.m == m
+    return LpResult(
+        LP_OPTIMAL,
+        values=values,
+        objective=objective,
+        iterations=iterations,
+        basis=tab.basis.copy() if full_basis else None,
+        pos=tab.pos.copy() if full_basis else None,
+    )
+
+
+def _new_state(iterations):
+    return {"iterations": iterations, "degenerate": 0, "since_refactor": 0}
 
 
 def _solve_box_only(c, offset, lo, up):
@@ -193,7 +240,7 @@ class _Tableau:
 
     def refactor(self):
         B = self.A[:, self.basis]
-        self.binv = np.linalg.inv(B)
+        self.binv = _invert(B)
         nonbasic_part = self.b - self.A @ self.x + B @ self.x[self.basis]
         self.x[self.basis] = self.binv @ nonbasic_part
 
@@ -201,30 +248,69 @@ class _Tableau:
         return float(c @ self.x)
 
 
-def _two_phase(c, A, b, lower, upper, iteration_limit):
+def _invert(B):
+    """Inverse of a basis matrix whose columns are mostly unit vectors.
+
+    Slack and artificial columns have one nonzero each. Ordering their rows
+    and columns last makes B block lower triangular, [[P, 0], [Q, D]] with D
+    diagonal, so only the square block P of the other columns needs a dense
+    inverse. Raises LinAlgError when B is singular.
+    """
+    m = B.shape[0]
+    is_unit = np.count_nonzero(B, axis=0) == 1
+    unit_cols = np.flatnonzero(is_unit)
+    unit_rows = np.argmax(B[:, unit_cols] != 0, axis=0)
+    row_taken = np.zeros(m, dtype=bool)
+    row_taken[unit_rows] = True
+    if np.count_nonzero(row_taken) < unit_rows.size:
+        raise np.linalg.LinAlgError("two basic unit columns share a row")
+    other_cols = np.flatnonzero(~is_unit)
+    other_rows = np.flatnonzero(~row_taken)
+    diag = B[unit_rows, unit_cols]
+    binv = np.zeros((m, m))
+    binv[unit_cols, unit_rows] = 1.0 / diag
+    if other_cols.size:
+        p_inv = np.linalg.inv(B[np.ix_(other_rows, other_cols)])
+        binv[np.ix_(other_cols, other_rows)] = p_inv
+        q = B[np.ix_(unit_rows, other_cols)]
+        binv[np.ix_(unit_cols, other_rows)] = -(q @ p_inv) / diag[:, None]
+    return binv
+
+
+def _two_phase(c, A, b, lower, upper, state, iteration_limit):
+    """Cold solve from the slack crash basis; returns (status, tableau)."""
     m, n_real = A.shape
-    finite_lower = lower > -INF
-    finite_upper = upper < INF
-    x0 = np.where(finite_lower, lower, np.where(finite_upper, upper, 0.0))
-    residual = b - A @ x0
+    slacks = np.arange(n_real - m, n_real)
+    tab = _Tableau(A, b, lower, upper)
+    # the slack block of A is the identity: row i's residual with its slack
+    # at zero is what slack i would have to take as a basic variable
+    residual = b - A @ tab.x + tab.x[slacks]
+    crash = (residual >= lower[slacks]) & (residual <= upper[slacks])
+    basis = slacks.copy()
+    art_rows = np.flatnonzero(~crash)
+    if art_rows.size == 0:
+        tab.set_basis(basis)
+        return _optimize(tab, c, n_real, state, iteration_limit), tab
 
-    art_signs = np.where(residual >= 0, 1.0, -1.0)
-    A1 = np.hstack([A, np.diag(art_signs)])
-    lower1 = np.concatenate([lower, np.zeros(m)])
-    upper1 = np.concatenate([upper, np.full(m, INF)])
-    c1 = np.concatenate([np.zeros(n_real), np.ones(m)])
+    k = art_rows.size
+    art = np.zeros((m, k))
+    art_residual = residual[art_rows] - tab.x[slacks[art_rows]]
+    art[art_rows, np.arange(k)] = np.where(art_residual >= 0, 1.0, -1.0)
+    A1 = np.hstack([A, art])
+    lower1 = np.concatenate([lower, np.zeros(k)])
+    upper1 = np.concatenate([upper, np.full(k, INF)])
+    c1 = np.concatenate([np.zeros(n_real), np.ones(k)])
+    basis[art_rows] = n_real + np.arange(k)
 
-    tab = _Tableau(A1, b, lower1, upper1)
-    tab.set_basis(np.arange(n_real, n_real + m))
-
-    state = {"iterations": 0, "degenerate": 0, "since_refactor": 0}
-    status = _optimize(tab, c1, n_real, state, iteration_limit)
+    tab1 = _Tableau(A1, b, lower1, upper1)
+    tab1.set_basis(basis)
+    status = _optimize(tab1, c1, n_real, state, iteration_limit)
     if status == LP_ITERATION_LIMIT:
-        return status, tab.x[:n_real], state["iterations"]
-    if tab.solution_value(c1) > _FEAS_TOL:
-        return LP_INFEASIBLE, tab.x[:n_real], state["iterations"]
+        return status, None
+    if tab1.solution_value(c1) > _FEAS_TOL:
+        return LP_INFEASIBLE, None
 
-    keep_rows = _evict_artificials(tab, n_real)
+    keep_rows = _evict_artificials(tab1, n_real)
     if len(keep_rows) < m:
         A = A[keep_rows]
         b = b[keep_rows]
@@ -233,18 +319,17 @@ def _two_phase(c, A, b, lower, upper, iteration_limit):
             # every row was redundant; optimize over bounds alone
             box = _solve_box_only(c, 0.0, lower, upper)
             if box.status != LP_OPTIMAL:
-                return box.status, x0, state["iterations"]
-            return LP_OPTIMAL, np.array(box.values), state["iterations"]
+                return box.status, None
+            tab = _Tableau(A, b, lower, upper)
+            tab.x[:] = box.values
+            return LP_OPTIMAL, tab
+        tab = _Tableau(A, b, lower, upper)
 
-    tab2 = _Tableau(A, b, lower, upper)
-    tab2.x[:] = tab.x[:n_real]
-    tab2.pos[:] = tab.pos[:n_real]
-    basis2 = [j for j in tab.basis if j < n_real]
-    tab2.basis = np.asarray(basis2, dtype=int)
-    tab2.refactor()
-
-    status = _optimize(tab2, c, n_real, state, iteration_limit)
-    return status, tab2.x, state["iterations"]
+    tab.x[:] = tab1.x[:n_real]
+    tab.pos[:] = tab1.pos[:n_real]
+    tab.basis = np.asarray([j for j in tab1.basis if j < n_real], dtype=int)
+    tab.refactor()
+    return _optimize(tab, c, n_real, state, iteration_limit), tab
 
 
 def _evict_artificials(tab, n_real):
@@ -265,6 +350,121 @@ def _evict_artificials(tab, n_real):
         _pivot(tab, j, r, w, entering_value=tab.x[j])
         keep.append(r)
     return keep
+
+
+def _warm_tableau(A, b, c, lower, upper, basis, pos):
+    """Tableau on an earlier basis, each nonbasic column at the bound its
+    reduced cost prefers; None if the basis is singular or not dual feasible."""
+    tab = _Tableau(A, b, lower, upper)
+    tab.basis = np.array(basis, dtype=int)
+    try:
+        tab.binv = _invert(A[:, tab.basis])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(tab.binv)):
+        return None
+    d = c - (c[tab.basis] @ tab.binv) @ A
+    # a zero reduced cost keeps the earlier bound while that bound is finite
+    at_upper = np.where(
+        np.abs(d) <= _COST_TOL,
+        ((pos == _AT_UPPER) & (upper < INF)) | (lower == -INF),
+        d < 0,
+    )
+    nonbasic = np.ones(tab.n_cols, dtype=bool)
+    nonbasic[tab.basis] = False
+    bound = np.where(at_upper, upper, lower)[nonbasic]
+    if not np.all(np.isfinite(bound)):
+        return None
+    tab.x[nonbasic] = bound
+    tab.pos[nonbasic] = np.where(at_upper[nonbasic], _AT_UPPER, _AT_LOWER)
+    tab.pos[tab.basis] = _BASIC
+    tab.x[tab.basis] = 0.0
+    tab.x[tab.basis] = tab.binv @ (b - A @ tab.x)
+    return tab
+
+
+def _dual_optimize(tab, c, state, iteration_limit):
+    """Bounded dual simplex from a dual feasible basis until primal feasible.
+
+    Returns None when a row looks infeasible but its certificate does not
+    hold on the original system.
+    """
+    A = tab.A
+    d = c - (c[tab.basis] @ tab.binv) @ A
+    while True:
+        if state["iterations"] >= iteration_limit:
+            return LP_ITERATION_LIMIT
+        if state["since_refactor"] >= _REFACTOR_EVERY:
+            tab.refactor()
+            state["since_refactor"] = 0
+            d = c - (c[tab.basis] @ tab.binv) @ A
+
+        xb = tab.x[tab.basis]
+        below = tab.lower[tab.basis] - xb
+        above = xb - tab.upper[tab.basis]
+        infeasibility = np.maximum(below, above)
+        bland = state["degenerate"] >= _BLAND_AFTER
+        if bland:
+            rows = np.flatnonzero(infeasibility > _PRIMAL_TOL)
+            if rows.size == 0:
+                return LP_OPTIMAL
+            r = int(rows[np.argmin(tab.basis[rows])])
+        else:
+            r = int(np.argmax(infeasibility))
+            if infeasibility[r] <= _PRIMAL_TOL:
+                return LP_OPTIMAL
+        rise = below[r] > 0  # the leaving variable goes up to its lower bound
+
+        # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
+        # its bound without leaving their own bound the wrong way
+        alpha = tab.binv[r] @ A
+        toward = -alpha if rise else alpha
+        candidates = tab.enterable & (
+            ((tab.pos == _AT_LOWER) & (toward > _PIVOT_TOL))
+            | ((tab.pos == _AT_UPPER) & (toward < -_PIVOT_TOL))
+        )
+        idx = np.flatnonzero(candidates)
+        if idx.size == 0:
+            return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
+        ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+        t = float(ratios.min())
+        ties = idx[ratios <= t + _PIVOT_TOL]
+        j = int(ties[0]) if bland else int(ties[int(np.argmax(np.abs(alpha[ties])))])
+
+        leaving = tab.basis[r]
+        target = tab.lower[leaving] if rise else tab.upper[leaving]
+        w = tab.binv @ A[:, j]
+        step = (xb[r] - target) / w[r]
+        tab.x[tab.basis] -= step * w
+        entering_value = tab.x[j] + step
+        tab.x[leaving] = target
+        tab.pos[leaving] = _AT_LOWER if rise else _AT_UPPER
+        _pivot(tab, j, r, w, entering_value)
+        d -= (d[j] / alpha[j]) * alpha
+        d[j] = 0.0
+
+        if t <= _DEGENERATE_TOL:
+            state["degenerate"] += 1
+        state["iterations"] += 1
+        state["since_refactor"] += 1
+
+
+def _certifies_infeasible(tab, r):
+    """Row r of the basis inverse as multipliers y: the rows are infeasible
+    if y @ A @ x cannot reach y @ b anywhere in the variable box."""
+    y = tab.binv[r]
+    alpha = y @ tab.A
+    # other basic columns read rounding noise here, not coefficients
+    nonzero = np.abs(alpha) > _PIVOT_TOL
+    a = alpha[nonzero]
+    lo = tab.lower[nonzero]
+    up = tab.upper[nonzero]
+    least = float(np.sum(np.where(a > 0, a * lo, a * up)))
+    most = float(np.sum(np.where(a > 0, a * up, a * lo)))
+    rhs = float(y @ tab.b)
+    # a margin well above the cold phase 1 tolerance, so both agree
+    tol = 10 * _FEAS_TOL * max(1.0, float(np.max(np.abs(y))))
+    return rhs > most + tol or rhs < least - tol
 
 
 def _pivot(tab, j_enter, r_leave, w, entering_value):
@@ -347,12 +547,11 @@ def _ratio_test(tab, j_enter, direction, w, bland):
     lb = tab.lower[tab.basis]
     ub = tab.upper[tab.basis]
     limits = np.full(tab.m, INF)
-    dec = delta < -_PIVOT_TOL
-    inc = delta > _PIVOT_TOL
-    with np.errstate(invalid="ignore"):
-        limits[dec] = (xb[dec] - lb[dec]) / (-delta[dec])
-        limits[inc] = (ub[inc] - xb[inc]) / delta[inc]
-    np.nan_to_num(limits, copy=False, nan=INF, posinf=INF)
+    # a basic variable only limits the step toward a finite bound
+    dec = (delta < -_PIVOT_TOL) & (lb > -INF)
+    inc = (delta > _PIVOT_TOL) & (ub < INF)
+    limits[dec] = (xb[dec] - lb[dec]) / (-delta[dec])
+    limits[inc] = (ub[inc] - xb[inc]) / delta[inc]
     np.maximum(limits, 0.0, out=limits)
 
     flip = tab.upper[j_enter] - tab.lower[j_enter]

@@ -3,8 +3,9 @@
 The reference backend is a deterministic single-threaded best-bound search
 with depth-first plunging until the first incumbent, most-fractional
 branching (ties to the lowest index), and cooperative cancellation checked
-at node boundaries. ``thread_hint`` is carried for core accounting by the
-orchestrator; the reference backend ignores it.
+at node boundaries. A child node's LP starts from its parent's optimal basis
+(dual simplex warm start). A node whose LP still fails after a cold retry is
+dropped and counted, and the search goes on without claiming a proof.
 """
 
 import heapq
@@ -31,7 +32,6 @@ class SolveBudget:
     wall_seconds: float = INF
     node_limit: int | None = None
     gap_limit: float = 1e-6
-    thread_hint: int = 1
 
     def __post_init__(self):
         if self.wall_seconds < 0:
@@ -42,8 +42,6 @@ class SolveBudget:
             raise ValueError("node_limit must be >= 0")
         if self.gap_limit < 0:
             raise ValueError("gap_limit must be >= 0")
-        if self.thread_hint < 1:
-            raise ValueError("thread_hint must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,7 @@ class MipResult:
     dual_bound: float
     nodes: int
     elapsed: float
+    dropped_nodes: int = 0  # nodes whose LP failed even when solved cold
 
 
 def solve_mip(
@@ -127,20 +126,24 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
 
     seq = 0
     stack = []  # LIFO plunge while no incumbent exists
-    heap = []  # (estimate, seq, lower, upper) best-bound afterwards
-    root = (-INF, seq, relax.lower.copy(), relax.upper.copy())
+    heap = []  # (estimate, seq, lower, upper, warm basis) best-bound afterwards
+    root = (-INF, seq, relax.lower.copy(), relax.upper.copy(), None)
     if incumbent is None:
         stack.append(root)
     else:
         heapq.heappush(heap, root)
 
     nodes = 0
+    dropped = 0
+    dropped_bound = INF  # a dropped node's subtree stays open for the dual bound
     interrupted = False
     proven = False
     proven_dual = INF
 
     def open_dual():
         cands = [entry[0] for entry in heap] + [entry[0] for entry in stack]
+        if dropped:
+            cands.append(dropped_bound)
         return min(cands) if cands else None
 
     def gap_met():
@@ -165,19 +168,22 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
             node = heapq.heappop(heap)
         else:
             break
-        estimate, _, lower, upper = node
+        estimate, _, lower, upper, warm = node
         if estimate >= best_obj - _PRUNE_TOL:
             continue
 
-        res = solve_relaxation(relax, lower, upper)
+        res = solve_relaxation(relax, lower, upper, warm=warm)
+        if warm is not None and res.status not in (LP_OPTIMAL, LP_INFEASIBLE):
+            res = solve_relaxation(relax, lower, upper)
         nodes += 1
         clock.charge_nodes(1)
         if res.status == LP_INFEASIBLE:
             continue
         if res.status != LP_OPTIMAL:
             # unbounded or numerically stuck relaxation: nothing provable here
-            interrupted = True
-            break
+            dropped += 1
+            dropped_bound = min(dropped_bound, estimate)
+            continue
         if res.objective >= best_obj - _PRUNE_TOL:
             continue
 
@@ -208,14 +214,15 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
             continue
 
         x = res.values[branch_j]
+        child_warm = None if res.basis is None else (res.basis, res.pos)
         floor_child_upper = upper.copy()
         floor_child_upper[branch_j] = math.floor(x)
         ceil_child_lower = lower.copy()
         ceil_child_lower[branch_j] = math.ceil(x)
         seq += 1
-        floor_child = (res.objective, seq, lower, floor_child_upper)
+        floor_child = (res.objective, seq, lower, floor_child_upper, child_warm)
         seq += 1
-        ceil_child = (res.objective, seq, ceil_child_lower, upper)
+        ceil_child = (res.objective, seq, ceil_child_lower, upper, child_warm)
         prefer_ceil = (x - math.floor(x)) >= 0.5
         if incumbent is None:
             first, second = (floor_child, ceil_child) if prefer_ceil else (ceil_child, floor_child)
@@ -226,18 +233,16 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
             heapq.heappush(heap, ceil_child)
 
     elapsed = clock.now() - start
-    open_empty = not stack and not heap
-    if incumbent is not None:
-        if proven:
-            return MipResult(OPTIMAL, incumbent, proven_dual, nodes, elapsed)
-        if open_empty and not interrupted:
-            return MipResult(OPTIMAL, incumbent, best_obj, nodes, elapsed)
-        dual = open_dual()
-        return MipResult(FEASIBLE, incumbent, -INF if dual is None else dual, nodes, elapsed)
-    if open_empty and not interrupted:
-        return MipResult(INFEASIBLE, None, INF, nodes, elapsed)
-    dual = open_dual()
-    return MipResult(UNKNOWN, None, -INF if dual is None else dual, nodes, elapsed)
+    exhausted = not stack and not heap and not interrupted
+    if dropped == 0 and (proven or exhausted):
+        if incumbent is None:
+            return MipResult(INFEASIBLE, None, INF, nodes, elapsed)
+        bound = proven_dual if proven else best_obj
+        return MipResult(OPTIMAL, incumbent, bound, nodes, elapsed)
+    dual = proven_dual if proven else open_dual()
+    status = UNKNOWN if incumbent is None else FEASIBLE
+    dual = -INF if dual is None else dual
+    return MipResult(status, incumbent, dual, nodes, elapsed, dropped_nodes=dropped)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from parlns.alns import (
 from parlns.bandit import OUTCOMES, RewardVector
 from parlns.clock import SimulatedClock
 from parlns.configspace import DEFAULT_CONFIG, Configuration, PolicyDescriptor
-from parlns.instances import knapsack
+from parlns.instances import knapsack, set_cover
 from parlns.model import (
     BINARY,
     GE,
@@ -190,3 +190,13 @@ def test_reference_objective_scales_gaps():
         assert result.trace.final_gap() == 0.0
     else:
         assert result.trace.final_gap() > 0.0
+
+
+def test_skipped_arms_do_not_livelock_the_worker():
+    # the set cover's LP is integral, so rens fixes every variable and skips;
+    # unless a skip updates the policy, cold start re-picks that arm forever
+    model = set_cover(30, 40, seed=7)
+    result = run_worker(model, DEFAULT_CONFIG, 20.0, seed=1, clock=SimulatedClock(0.002))
+    assert result.status == STATUS_OK
+    assert result.iterations > result.skipped
+    assert sum(result.pulls) == result.iterations

@@ -14,10 +14,13 @@ from parlns.model import (
     evaluate,
     make_model,
 )
+import parlns.subsolver
+from parlns.lp import LP_ITERATION_LIMIT, LpResult
 from parlns.subsolver import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
+    UNKNOWN,
     SolveBudget,
     find_first_feasible,
     get_backend,
@@ -210,3 +213,65 @@ def test_cancellation_stops_search():
     res = solve_mip(model, budget=SolveBudget(wall_seconds=60.0), cancel=event)
     assert res.nodes == 0
     assert res.status == "unknown"
+
+
+def _failing_lp(monkeypatch, failing_calls):
+    """Make the given solve_relaxation calls (1-based) hit the iteration limit."""
+    real = parlns.subsolver.solve_relaxation
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(kwargs.get("warm") is not None)
+        if len(calls) in failing_calls:
+            return LpResult(LP_ITERATION_LIMIT, iterations=1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parlns.subsolver, "solve_relaxation", solve)
+    return calls
+
+
+def test_failed_warm_node_lp_is_retried_cold(monkeypatch):
+    model = knapsack(12, seed=9)
+    expected = solve_mip(model, budget=SolveBudget(wall_seconds=30.0))
+    calls = _failing_lp(monkeypatch, {2})
+    res = solve_mip(model, budget=SolveBudget(wall_seconds=30.0))
+    assert calls[1] and not calls[2]  # the warm child, then its cold retry
+    assert res.status == OPTIMAL
+    assert res.dropped_nodes == 0
+    assert res.incumbent.objective == expected.incumbent.objective
+    assert res.nodes == expected.nodes
+
+
+def test_node_lp_failing_once_is_dropped_and_the_search_goes_on(monkeypatch):
+    model = knapsack(12, seed=9)
+    calls = _failing_lp(monkeypatch, {1})  # the root, solved cold
+    res = solve_mip(model, budget=SolveBudget(wall_seconds=30.0))
+    assert res.dropped_nodes == 1
+    assert res.status == UNKNOWN
+    assert res.dual_bound == -float("inf")
+
+    warm = evaluate(model, tuple(0.0 for _ in model.variables))
+    calls = _failing_lp(monkeypatch, {2, 3})  # a child, warm and cold
+    res = solve_mip(model, warm_start=warm, budget=SolveBudget(wall_seconds=30.0))
+    assert len(calls) > 3
+    assert res.nodes > 2
+    assert res.dropped_nodes == 1
+    assert res.status == FEASIBLE
+    assert res.dual_bound <= binary_optimum(model) + 1e-9
+
+
+def test_dropped_node_never_claims_infeasibility(monkeypatch):
+    model = make_model(
+        "inf",
+        MINIMIZE,
+        [Variable("x", BINARY)],
+        [
+            LinearConstraint("ge", {0: 1.0}, GE, 1.0),
+            LinearConstraint("le", {0: 1.0}, LE, 0.0),
+        ],
+        {0: 1.0},
+    )
+    _failing_lp(monkeypatch, {1})
+    res = solve_mip(model, budget=SolveBudget(wall_seconds=10.0))
+    assert res.status == UNKNOWN
+    assert res.dropped_nodes == 1
