@@ -1,11 +1,12 @@
 """One bandit-guided LNS worker: select-destroy, repair, accept, learn.
 
-The worker finds an initial incumbent with the sub-solver, then loops until
-its wall budget expires: the bandit picks a destroy arm, the resulting
-sub-MIP is repaired under a small per-iteration budget, the candidate is
-scored on the original model, classified into exactly one of
-best/better/accept/reject, and the bandit is updated. Every new global best
-appends a trace point.
+The worker solves the model's LP relaxation once, finds an initial incumbent
+with the sub-solver, then loops until its wall budget expires: the bandit
+picks a destroy arm, the resulting sub-MIP is repaired under a small
+per-iteration budget, the candidate is scored on the original model,
+classified into exactly one of best/better/accept/reject, and the bandit is
+updated. Every new global best appends a trace point. Every sub-MIP's root
+LP starts from the optimal basis of the worker's relaxation.
 """
 
 import math
@@ -168,8 +169,17 @@ def run_worker(
     def cancelled():
         return cancel is not None and cancel.is_set()
 
+    # one root relaxation per worker: it feeds rens/rins, and its optimal
+    # basis starts the root LP of every sub-MIP, whose rows extend the model's
+    root = solve_lp(model)
+    clock.charge_nodes(1)
+    lp_values = root.values if root.status == LP_OPTIMAL else None
+    root_basis = None if root.basis is None else (root.basis, root.pos)
+
     initial_budget = SolveBudget(wall_seconds=min(0.2 * wall_seconds, 60.0))
-    first = backend.find_first_feasible(model, initial_budget, seed=seed, clock=clock, cancel=cancel)
+    first = backend.find_first_feasible(
+        model, initial_budget, seed=seed, clock=clock, cancel=cancel, root_basis=root_basis
+    )
     if first.incumbent is None:
         return WorkerResult(
             config_id=config.id,
@@ -188,11 +198,6 @@ def run_worker(
     raw_points = [(clock.now() - start, best.objective)]
     if collector is not None:
         collector.append(config.id, raw_points[-1][0], best.objective)
-
-    # one root relaxation per worker feeds rens/rins
-    root = solve_lp(model)
-    clock.charge_nodes(1)
-    lp_values = root.values if root.status == LP_OPTIMAL else None
 
     policy = _make_policy(config.policy, n_arms)
     criterion = initial_criterion(config.acceptance)
@@ -233,7 +238,8 @@ def run_worker(
             node_limit=PER_ITERATION_NODE_CAP,
         )
         repair = backend.solve_mip(
-            sub, warm, budget, seed=rng.randrange(2**31), clock=clock, cancel=cancel
+            sub, warm, budget, seed=rng.randrange(2**31), clock=clock, cancel=cancel,
+            root_basis=root_basis,
         )
         iterations += 1
         pulls[arm] += 1

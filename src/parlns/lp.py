@@ -9,19 +9,30 @@ sit exactly at a bound, the ratio test allows bound flips, and the entering
 rule switches from Dantzig to Bland's rule after 1000 degenerate pivots so
 the method terminates.
 
-A warm solve starts from an earlier optimal basis over the same matrix, as a
-branch-and-bound child starts from its parent's. Each nonbasic variable goes
-to the bound its reduced cost prefers, a bounded dual simplex restores
-primal feasibility under the new bounds, and a primal pass cleans up. A
-basis that is singular, not dual feasible, leaves a nonbasic variable at an
-infinite bound, runs past the iteration limit, or claims infeasibility
-without a certificate that holds on the original rows falls back to a cold
-solve.
+A warm solve starts from an earlier optimal basis, as a branch-and-bound
+child starts from its parent's. The earlier relaxation may have fewer rows:
+a sub-MIP appends its local-branching or proximity row to the worker's base
+rows, so the base rows keep their slack columns' indices and the appended
+rows' slacks join the basis. With the appended slacks basic, the duals of
+the base rows and so every reduced cost are those of the earlier optimum.
+Each nonbasic variable goes to the bound its reduced cost prefers, a bounded
+dual simplex restores primal feasibility under the new bounds and rows, and
+a primal pass cleans up. A basis that is singular, not dual feasible (as
+after a swapped cost vector), leaves a nonbasic variable at an infinite
+bound, runs past the iteration limit, or claims infeasibility without a
+certificate that holds on the original rows falls back to a cold solve.
+
+Each pivot updates the basis inverse in place with one BLAS rank-1 update
+(``dger``) instead of building an m-by-m outer product. A caller's ``stop``
+callable is checked before every pivot; when it returns true the solve ends
+with status ``stopped``.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .model import EQ, GE, INF, LE, MipModel
 
@@ -29,6 +40,7 @@ LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
 LP_UNBOUNDED = "unbounded"
 LP_ITERATION_LIMIT = "iteration_limit"
+LP_STOPPED = "stopped"
 
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-9
@@ -120,13 +132,17 @@ def solve_relaxation(
     upper: np.ndarray | None = None,
     iteration_limit: int = 10000,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> LpResult:
     """Solve a relaxation, optionally overriding the structural bounds.
 
     Bound overrides let a branch-and-bound caller reuse the constraint matrix
     across nodes. ``warm`` is the ``(basis, pos)`` of an earlier optimum of
-    the same relaxation; the solve then starts from that basis. Each start
-    gets ``iteration_limit`` pivots, and ``iterations`` counts them all.
+    this relaxation, or of one with the same variables and only a prefix of
+    its rows; the solve then starts from that basis. Each start gets
+    ``iteration_limit`` pivots, and ``iterations`` counts them all. ``stop``
+    is called before every pivot; once it returns true the solve returns
+    ``LP_STOPPED`` without a fallback.
     """
     n = relax.n_structural
     m = relax.A_full.shape[0]
@@ -142,7 +158,7 @@ def solve_relaxation(
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
 
-    state = _new_state(0)
+    state = _new_state(0, stop)
     status, tab = None, None
     if warm is not None:
         tab = _warm_tableau(relax.A_full, relax.b, c_full, lower_full, upper_full, *warm)
@@ -152,8 +168,8 @@ def solve_relaxation(
             status = _optimize(tab, c_full, tab.n_cols, state, iteration_limit)
         if status in (None, LP_ITERATION_LIMIT):
             tab = None
-    if tab is None:
-        state = _new_state(state["iterations"])
+    if tab is None and status != LP_STOPPED:
+        state = _new_state(state["iterations"], stop)
         status, tab = _two_phase(
             c_full, relax.A_full, relax.b, lower_full, upper_full, state,
             state["iterations"] + iteration_limit,
@@ -185,8 +201,17 @@ def solve_relaxation(
     )
 
 
-def _new_state(iterations):
-    return {"iterations": iterations, "degenerate": 0, "since_refactor": 0}
+def _new_state(iterations, stop):
+    return {"iterations": iterations, "degenerate": 0, "since_refactor": 0, "stop": stop}
+
+
+def _halted(state, iteration_limit):
+    """The status that ends a pivot loop before its next pivot, or None."""
+    if state["iterations"] >= iteration_limit:
+        return LP_ITERATION_LIMIT
+    if state["stop"] is not None and state["stop"]():
+        return LP_STOPPED
+    return None
 
 
 def _solve_box_only(c, offset, lo, up):
@@ -305,7 +330,7 @@ def _two_phase(c, A, b, lower, upper, state, iteration_limit):
     tab1 = _Tableau(A1, b, lower1, upper1)
     tab1.set_basis(basis)
     status = _optimize(tab1, c1, n_real, state, iteration_limit)
-    if status == LP_ITERATION_LIMIT:
+    if status in (LP_ITERATION_LIMIT, LP_STOPPED):
         return status, None
     if tab1.solution_value(c1) > _FEAS_TOL:
         return LP_INFEASIBLE, None
@@ -354,9 +379,17 @@ def _evict_artificials(tab, n_real):
 
 def _warm_tableau(A, b, c, lower, upper, basis, pos):
     """Tableau on an earlier basis, each nonbasic column at the bound its
-    reduced cost prefers; None if the basis is singular or not dual feasible."""
+    reduced cost prefers; None if the basis is singular or not dual feasible.
+
+    A basis of a relaxation with fewer rows is extended by the slacks of the
+    appended rows, which are the last columns of ``A``.
+    """
     tab = _Tableau(A, b, lower, upper)
-    tab.basis = np.array(basis, dtype=int)
+    appended = tab.m - len(basis)
+    if appended < 0:
+        return None
+    tab.basis = np.concatenate([basis, np.arange(tab.n_cols - appended, tab.n_cols)])
+    pos = np.concatenate([pos, np.full(appended, _BASIC, dtype=np.int8)])
     try:
         tab.binv = _invert(A[:, tab.basis])
     except np.linalg.LinAlgError:
@@ -392,8 +425,9 @@ def _dual_optimize(tab, c, state, iteration_limit):
     A = tab.A
     d = c - (c[tab.basis] @ tab.binv) @ A
     while True:
-        if state["iterations"] >= iteration_limit:
-            return LP_ITERATION_LIMIT
+        halted = _halted(state, iteration_limit)
+        if halted is not None:
+            return halted
         if state["since_refactor"] >= _REFACTOR_EVERY:
             tab.refactor()
             state["since_refactor"] = 0
@@ -468,11 +502,15 @@ def _certifies_infeasible(tab, r):
 
 
 def _pivot(tab, j_enter, r_leave, w, entering_value):
-    wr = w[r_leave]
-    tab.binv[r_leave] /= wr
+    tab.binv[r_leave] /= w[r_leave]
+    row = tab.binv[r_leave].copy()  # BLAS must not read a row it writes
     others = w.copy()
     others[r_leave] = 0.0
-    tab.binv -= np.outer(others, tab.binv[r_leave])
+    # binv -= outer(others, row), in place: binv is C-ordered, so its
+    # transpose is the Fortran-ordered matrix BLAS updates without a copy
+    updated = dger(-1.0, row, others, a=tab.binv.T, overwrite_a=1)
+    if not np.shares_memory(updated, tab.binv):
+        tab.binv = updated.T  # binv was not contiguous and BLAS worked on a copy
     tab.basis[r_leave] = j_enter
     tab.pos[j_enter] = _BASIC
     tab.x[j_enter] = entering_value
@@ -482,8 +520,9 @@ def _optimize(tab, c, n_eligible, state, iteration_limit):
     """Run pivots until optimal; columns >= n_eligible never enter."""
     neg_inf = -INF
     while True:
-        if state["iterations"] >= iteration_limit:
-            return LP_ITERATION_LIMIT
+        halted = _halted(state, iteration_limit)
+        if halted is not None:
+            return halted
         if state["since_refactor"] >= _REFACTOR_EVERY:
             tab.refactor()
             state["since_refactor"] = 0

@@ -290,6 +290,11 @@ def write_mps(model: MipModel) -> str:
     for con in model.constraints:
         lines.append(f" {relation_kind[con.relation]}  {con.name}")
     lines.append("COLUMNS")
+    # each column's row entries in constraint order, from one pass over the rows
+    column_rows = [[] for _ in model.variables]
+    for con in model.constraints:
+        for j, coef in con.coefficients.items():
+            column_rows[j].append((con.name, coef))
     in_integer_block = False
     for j, var in enumerate(model.variables):
         wants_int = var.kind != CONTINUOUS
@@ -302,9 +307,7 @@ def write_mps(model: MipModel) -> str:
         entries = []
         if j in model.objective:
             entries.append(("OBJ", sign * model.objective[j]))
-        for con in model.constraints:
-            if j in con.coefficients:
-                entries.append((con.name, con.coefficients[j]))
+        entries.extend(column_rows[j])
         if not entries:
             entries.append(("OBJ", 0.0))
         for row, value in entries:

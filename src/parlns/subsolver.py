@@ -3,8 +3,10 @@
 The reference backend is a deterministic single-threaded best-bound search
 with depth-first plunging until the first incumbent, most-fractional
 branching (ties to the lowest index), and cooperative cancellation checked
-at node boundaries. A child node's LP starts from its parent's optimal basis
-(dual simplex warm start). A node whose LP still fails after a cold retry is
+at node boundaries and before every simplex pivot. The root LP starts from
+the caller's ``root_basis`` when one is given (the worker's base-model
+optimum), and a child node's LP from its parent's optimal basis (dual
+simplex warm start). A node whose LP still fails after a cold retry is
 dropped and counted, and the search goes on without claiming a proof.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clock import WallClock
-from .lp import LP_INFEASIBLE, LP_OPTIMAL, build_relaxation, solve_relaxation
+from .lp import LP_INFEASIBLE, LP_OPTIMAL, LP_STOPPED, build_relaxation, solve_relaxation
 from .model import INF, INTEGRALITY_TOL, DimensionMismatch, MipModel, Solution, evaluate
 
 OPTIMAL = "optimal"
@@ -63,16 +65,19 @@ def solve_mip(
     clock=None,
     cancel=None,
     on_incumbent: Callable[[float, Solution], None] | None = None,
+    root_basis=None,
 ) -> MipResult:
     """Branch-and-bound solve within a budget.
 
     Never returns an incumbent worse than the warm start. ``seed`` is part of
     the backend interface; the reference implementation is deterministic and
-    does not consume it.
+    does not consume it. ``root_basis`` is the ``(basis, pos)`` of an LP
+    optimum over the same variables and a prefix of the model's rows; the
+    root LP starts from it.
     """
     return _branch_and_bound(
         model, warm_start, budget, clock=clock, cancel=cancel,
-        on_incumbent=on_incumbent, stop_at_first=False,
+        on_incumbent=on_incumbent, stop_at_first=False, root_basis=root_basis,
     )
 
 
@@ -84,11 +89,12 @@ def find_first_feasible(
     clock=None,
     cancel=None,
     on_incumbent: Callable[[float, Solution], None] | None = None,
+    root_basis=None,
 ) -> MipResult:
     """Like solve_mip but stops at the first integral feasible solution."""
     return _branch_and_bound(
         model, None, budget, clock=clock, cancel=cancel,
-        on_incumbent=on_incumbent, stop_at_first=True,
+        on_incumbent=on_incumbent, stop_at_first=True, root_basis=root_basis,
     )
 
 
@@ -106,7 +112,9 @@ def _most_fractional(values, int_indices):
     return best_j
 
 
-def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent, stop_at_first):
+def _branch_and_bound(
+    model, warm_start, budget, *, clock, cancel, on_incumbent, stop_at_first, root_basis
+):
     if budget is None:
         raise ValueError("a SolveBudget is required")
     clock = clock or WallClock()
@@ -127,7 +135,7 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
     seq = 0
     stack = []  # LIFO plunge while no incumbent exists
     heap = []  # (estimate, seq, lower, upper, warm basis) best-bound afterwards
-    root = (-INF, seq, relax.lower.copy(), relax.upper.copy(), None)
+    root = (-INF, seq, relax.lower.copy(), relax.upper.copy(), root_basis)
     if incumbent is None:
         stack.append(root)
     else:
@@ -146,6 +154,9 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
             cands.append(dropped_bound)
         return min(cands) if cands else None
 
+    def out_of_time():
+        return (cancel is not None and cancel.is_set()) or clock.now() >= deadline
+
     def gap_met():
         dual = open_dual()
         if dual is None:
@@ -153,10 +164,7 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
         return best_obj - dual <= budget.gap_limit * max(abs(best_obj), 1e-10)
 
     while True:
-        if cancel is not None and cancel.is_set():
-            interrupted = True
-            break
-        if clock.now() >= deadline:
+        if out_of_time():
             interrupted = True
             break
         if budget.node_limit is not None and nodes >= budget.node_limit:
@@ -172,9 +180,17 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
         if estimate >= best_obj - _PRUNE_TOL:
             continue
 
-        res = solve_relaxation(relax, lower, upper, warm=warm)
-        if warm is not None and res.status not in (LP_OPTIMAL, LP_INFEASIBLE):
-            res = solve_relaxation(relax, lower, upper)
+        res = solve_relaxation(relax, lower, upper, warm=warm, stop=out_of_time)
+        if warm is not None and res.status not in (LP_OPTIMAL, LP_INFEASIBLE, LP_STOPPED):
+            res = solve_relaxation(relax, lower, upper, stop=out_of_time)
+        if res.status == LP_STOPPED:
+            # the node stays open, so its estimate still bounds the search
+            if incumbent is None:
+                stack.append(node)
+            else:
+                heapq.heappush(heap, node)
+            interrupted = True
+            break
         nodes += 1
         clock.charge_nodes(1)
         if res.status == LP_INFEASIBLE:
@@ -248,7 +264,8 @@ def _branch_and_bound(model, warm_start, budget, *, clock, cancel, on_incumbent,
 @dataclass(frozen=True)
 class Backend:
     """A sub-MIP solver pair; implementations must be safe to run in
-    separate workers and honor cooperative cancellation."""
+    separate workers and honor cooperative cancellation. Both calls take a
+    ``root_basis`` keyword, which a backend without LP warm starts ignores."""
 
     name: str
     solve_mip: Callable

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import parlns.alns
+import parlns.subsolver
 from parlns.alns import (
     HILL_CLIMBING,
     SIMULATED_ANNEALING,
@@ -16,7 +18,7 @@ from parlns.alns import (
 from parlns.bandit import OUTCOMES, RewardVector
 from parlns.clock import SimulatedClock
 from parlns.configspace import DEFAULT_CONFIG, Configuration, PolicyDescriptor
-from parlns.instances import knapsack, set_cover
+from parlns.instances import independent_set, knapsack, set_cover
 from parlns.model import (
     BINARY,
     GE,
@@ -27,6 +29,7 @@ from parlns.model import (
     make_model,
 )
 from parlns.operators import OperatorSpec
+from parlns.subsolver import Backend, get_backend
 
 from support import binary_optimum, tiny_cover_model
 
@@ -200,3 +203,49 @@ def test_skipped_arms_do_not_livelock_the_worker():
     assert result.status == STATUS_OK
     assert result.iterations > result.skipped
     assert sum(result.pulls) == result.iterations
+
+
+def test_root_lp_is_solved_once_per_worker(monkeypatch):
+    lp_solves = []
+    real_solve_lp = parlns.alns.solve_lp
+
+    def solve_lp(model):
+        lp_solves.append(model)
+        return real_solve_lp(model)
+
+    node_lps = []
+    real_relaxation = parlns.subsolver.solve_relaxation
+
+    def solve_relaxation(*args, **kwargs):
+        res = real_relaxation(*args, **kwargs)
+        node_lps.append((kwargs.get("warm"), res.iterations))
+        return res
+
+    roots = []
+    reference = get_backend()
+
+    def recording(solve):
+        def call(*args, **kwargs):
+            roots.append(kwargs["root_basis"])
+            return solve(*args, **kwargs)
+
+        return call
+
+    backend = Backend(
+        "recording", recording(reference.solve_mip), recording(reference.find_first_feasible)
+    )
+    monkeypatch.setattr(parlns.alns, "solve_lp", solve_lp)
+    monkeypatch.setattr(parlns.subsolver, "solve_relaxation", solve_relaxation)
+    model = independent_set(30, 0.2, seed=5)
+    result = run_worker(
+        model, DEFAULT_CONFIG, 0.5, seed=1, clock=SimulatedClock(0.01), backend=backend
+    )
+    assert result.iterations > 0
+    assert len(lp_solves) == 1
+    # find_first_feasible's root re-solves the worker's root LP from its own
+    # optimal basis, so it takes no pivot
+    warm, pivots = node_lps[0]
+    assert warm is not None and pivots == 0
+    assert len(roots) == result.iterations + 1
+    assert all(root is roots[0] for root in roots)
+    assert roots[0][0] is warm[0]

@@ -5,7 +5,8 @@ upper-only and negative-bounded variables and with equality rows. A free or
 upper-only variable is kept inside a box by explicit rows, so the vertex
 oracle can be handed the same region with finite bounds. A sequence of
 branching-style bound tightenings then re-solves each node from its parent's
-optimal basis.
+optimal basis; an appended row or a swapped cost vector re-solves a sub-MIP
+root from the base model's optimal basis.
 """
 
 import math
@@ -14,10 +15,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from parlns import lp
 from parlns.instances import independent_set
 from parlns.lp import (
     LP_INFEASIBLE,
     LP_OPTIMAL,
+    LP_STOPPED,
     build_relaxation,
     solve_lp,
     solve_relaxation,
@@ -30,7 +33,9 @@ from parlns.model import (
     LE,
     MINIMIZE,
     LinearConstraint,
+    NeighborhoodSpec,
     Variable,
+    apply_neighborhood,
     make_model,
 )
 
@@ -222,3 +227,131 @@ def test_packing_lp_cold_start_skips_phase_one():
     res = solve_lp(model)
     assert res.status == LP_OPTIMAL
     assert res.iterations < len(model.constraints)
+
+
+@st.composite
+def sub_mip_root_cases(draw):
+    """A base LP plus its sub-problem: one appended random row, a swapped
+    cost vector, or both, as local branching and proximity build them."""
+    base, box, _ = draw(lp_cases())
+    n = base.n_vars
+    change = draw(st.sampled_from(("row", "cost", "both")))
+    constraints = list(base.constraints)
+    objective = dict(base.objective)
+    if change in ("row", "both"):
+        coefs = {j: float(draw(st.integers(-5, 5))) for j in range(n)}
+        coefs = {j: v for j, v in coefs.items() if v != 0.0} or {0: 1.0}
+        relation = draw(st.sampled_from((LE, GE)))
+        center = sum(v * (box[j][0] + box[j][1]) / 2 for j, v in coefs.items())
+        rhs = round(center + _tenths(draw, -30, 30), 6)
+        constraints.append(LinearConstraint("appended", coefs, relation, rhs))
+    if change in ("cost", "both"):
+        objective = {j: float(draw(st.integers(-5, 5))) for j in range(n)}
+    sub = make_model("sub", MINIMIZE, list(base.variables), constraints, objective)
+    return base, sub, box
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sub_mip_root_cases())
+def test_warm_start_from_a_smaller_relaxation_matches_cold_and_oracle(case):
+    base, sub, box = case
+    root = solve_relaxation(build_relaxation(base))
+    if root.status != LP_OPTIMAL or root.basis is None:
+        return
+    relax = build_relaxation(sub)
+    expected = _oracle(sub, relax.lower, relax.upper, box)
+    _assert_matches(solve_relaxation(relax), *expected)
+    _assert_matches(solve_relaxation(relax, warm=(root.basis, root.pos)), *expected)
+
+
+def test_appended_row_keeps_the_base_optimum_without_pivots():
+    # a row the base optimum already satisfies changes nothing: the base
+    # basis plus the row's slack is optimal as it stands
+    base = independent_set(20, 0.3, seed=4)
+    root = solve_lp(base)
+    loose = LinearConstraint("loose", {j: 1.0 for j in range(base.n_vars)}, LE, base.n_vars)
+    sub = apply_neighborhood(base, NeighborhoodSpec(extra_constraints=(loose,)))
+    res = solve_relaxation(build_relaxation(sub), warm=(root.basis, root.pos))
+    assert res.status == LP_OPTIMAL
+    assert res.iterations == 0
+    assert abs(res.objective - root.objective) <= 1e-9
+
+
+def _packing_tableau(seed):
+    relax = build_relaxation(independent_set(30, 0.2, seed=seed))
+    m = relax.A_full.shape[0]
+    c = np.concatenate([relax.c, np.zeros(m)])
+    tab = lp._Tableau(
+        relax.A_full,
+        relax.b,
+        np.concatenate([relax.lower, relax.slack_lower]),
+        np.concatenate([relax.upper, relax.slack_upper]),
+    )
+    tab.set_basis(np.arange(relax.n_structural, tab.n_cols))  # x = 0 is feasible
+    return tab, c
+
+
+def _assert_inverse(tab):
+    product = tab.binv @ tab.A[:, tab.basis]
+    assert np.max(np.abs(product - np.eye(tab.m))) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 50), st.integers(1, 150))
+def test_pivots_update_the_basis_inverse_in_place(seed, pivots):
+    tab, c = _packing_tableau(seed)
+    buffer = tab.binv
+    state = lp._new_state(0, None)
+    # fewer pivots than a refactorization interval, which replaces binv
+    assert pivots < lp._REFACTOR_EVERY
+    lp._optimize(tab, c, tab.n_cols, state, pivots)
+    assert state["iterations"] > 0
+    assert tab.binv is buffer
+    _assert_inverse(tab)
+
+
+def test_pivot_on_a_non_contiguous_inverse_keeps_the_update():
+    tab, c = _packing_tableau(3)
+    tab.binv = np.asfortranarray(tab.binv)
+    state = lp._new_state(0, None)
+    lp._optimize(tab, c, tab.n_cols, state, 5)
+    assert state["iterations"] == 5
+    assert tab.binv.flags.c_contiguous
+    _assert_inverse(tab)
+
+
+def _stop_after(k):
+    """A stop callable that trips on its (k+1)-th call, i.e. after k pivots."""
+    calls = []
+
+    def stop():
+        calls.append(None)
+        return len(calls) > k
+
+    return stop
+
+
+def test_stop_ends_a_cold_solve_within_k_pivots():
+    relax = build_relaxation(independent_set(60, 0.1, seed=7))
+    full = solve_relaxation(relax)
+    assert full.iterations > 10
+    for k in (0, 1, 4, 10):
+        res = solve_relaxation(relax, stop=_stop_after(k))
+        assert res.status == LP_STOPPED
+        assert res.iterations <= k
+
+
+def test_stop_ends_a_warm_solve_without_a_cold_fallback():
+    relax = build_relaxation(independent_set(30, 0.2, seed=5))
+    root = solve_relaxation(relax)
+    fractional = [j for j, v in enumerate(root.values) if abs(v - round(v)) > 1e-6]
+    upper = relax.upper.copy()
+    upper[fractional] = 0.0
+    full = solve_relaxation(relax, upper=upper, warm=(root.basis, root.pos))
+    assert full.status == LP_OPTIMAL and full.iterations > 2
+    res = solve_relaxation(
+        relax, upper=upper, warm=(root.basis, root.pos), stop=_stop_after(2)
+    )
+    assert res.status == LP_STOPPED
+    assert res.iterations <= 2

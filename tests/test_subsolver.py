@@ -275,3 +275,62 @@ def test_dropped_node_never_claims_infeasibility(monkeypatch):
     res = solve_mip(model, budget=SolveBudget(wall_seconds=10.0))
     assert res.status == UNKNOWN
     assert res.dropped_nodes == 1
+
+
+class _CancelAfter:
+    """An event that reads as set from its (k+1)-th check on."""
+
+    def __init__(self, k):
+        self.checks = 0
+        self.k = k
+
+    def is_set(self):
+        self.checks += 1
+        return self.checks > self.k
+
+
+def test_cancel_inside_a_node_lp_stops_the_search():
+    model = independent_set(60, 0.1, seed=7)
+    # the first check passes the loop head and the next two a pivot each
+    cancel = _CancelAfter(3)
+    res = solve_mip(model, budget=SolveBudget(wall_seconds=60.0), cancel=cancel)
+    assert cancel.checks == 4  # the fourth stopped the LP before its third pivot
+    assert res.nodes == 0
+    assert res.dropped_nodes == 0
+    assert res.status == UNKNOWN
+    assert res.dual_bound == -float("inf")
+
+    warm = evaluate(model, tuple(0.0 for _ in model.variables))
+    res = solve_mip(
+        model, warm_start=warm, budget=SolveBudget(wall_seconds=60.0), cancel=_CancelAfter(3)
+    )
+    assert res.status == FEASIBLE
+    assert res.incumbent.objective == warm.objective
+    assert res.dual_bound == -float("inf")  # the open root still bounds it
+
+
+class _TickingClock:
+    """Wall-like clock that moves a fixed step every time it is read."""
+
+    def __init__(self, step):
+        self.step = step
+        self.t = 0.0
+
+    def now(self):
+        self.t += self.step
+        return self.t
+
+    def charge_nodes(self, count=1):
+        pass
+
+
+def test_deadline_inside_a_node_lp_stops_the_search():
+    model = independent_set(60, 0.1, seed=7)
+    clock = _TickingClock(1.0)
+    res = solve_mip(model, budget=SolveBudget(wall_seconds=5.5), clock=clock)
+    # reads: start 1.0 (deadline 6.5), loop head 2.0, pivot checks 3.0 to
+    # 6.0, the stop at 7.0, and the final elapsed time 8.0
+    assert clock.t == 8.0
+    assert res.nodes == 0
+    assert res.dropped_nodes == 0
+    assert res.status == UNKNOWN
