@@ -6,7 +6,8 @@ picks a destroy arm, the resulting sub-MIP is repaired under a small
 per-iteration budget, the candidate is scored on the original model,
 classified into exactly one of best/better/accept/reject, and the bandit is
 updated. Every new global best appends a trace point. Every sub-MIP's root
-LP starts from the optimal basis of the worker's relaxation.
+LP starts from the optimal basis of the worker's relaxation. The root LP,
+like every sub-MIP, stops once the worker is cancelled or past its deadline.
 """
 
 import math
@@ -147,7 +148,6 @@ def run_worker(
     *,
     reference_objective: float | None = None,
     backend: Backend | None = None,
-    collector=None,
     cancel=None,
 ) -> WorkerResult:
     """Run one configured worker until its wall budget is spent.
@@ -166,12 +166,12 @@ def run_worker(
     pulls = [0] * n_arms
     outcome_counts = [dict.fromkeys(bandit.OUTCOMES, 0) for _ in range(n_arms)]
 
-    def cancelled():
-        return cancel is not None and cancel.is_set()
+    def out_of_time():
+        return (cancel is not None and cancel.is_set()) or clock.now() >= deadline
 
     # one root relaxation per worker: it feeds rens/rins, and its optimal
     # basis starts the root LP of every sub-MIP, whose rows extend the model's
-    root = solve_lp(model)
+    root = solve_lp(model, stop=out_of_time)
     clock.charge_nodes(1)
     lp_values = root.values if root.status == LP_OPTIMAL else None
     root_basis = None if root.basis is None else (root.basis, root.pos)
@@ -196,8 +196,6 @@ def run_worker(
 
     current = best = first.incumbent
     raw_points = [(clock.now() - start, best.objective)]
-    if collector is not None:
-        collector.append(config.id, raw_points[-1][0], best.objective)
 
     policy = _make_policy(config.policy, n_arms)
     criterion = initial_criterion(config.acceptance)
@@ -207,7 +205,7 @@ def run_worker(
     iterations = 0
     skipped = 0
 
-    while clock.now() < deadline and not cancelled():
+    while not out_of_time():
         arm = policy.select_arm(rng)
         op = config.destroy_ops[arm]
         clock.charge_nodes(1)  # iteration overhead; guarantees progress on skips
@@ -268,8 +266,6 @@ def run_worker(
                 if outcome == bandit.BEST:
                     best = candidate
                     raw_points.append((clock.now() - start, best.objective))
-                    if collector is not None:
-                        collector.append(config.id, raw_points[-1][0], best.objective)
         outcome_counts[arm][outcome] += 1
         policy.update(arm, outcome, config.rewards)
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import configspace, instances, metrics, orchestrator, simulator
-from .alns import STATUS_OK, build_trace, run_worker
+from .alns import STATUS_OK, run_worker
 from .clock import SimulatedClock
 from .configspace import DEFAULT_CONFIG, PoolExhausted
 from .model import MipModel
@@ -223,31 +223,7 @@ def cmd_simulate(args, parser) -> int:
     out = Path(args.out)
     if args.exhaustive:
         report = simulator.exhaustive(db, args.n, window)
-        payload = {
-            "mode": "exhaustive",
-            "n": report.n,
-            "window": list(report.window),
-            "subsets": len(report.ranking),
-            "final_gap": {
-                "mean": report.expected_final_gap,
-                "variance": report.variance_final_gap,
-            },
-            "primal_integral": {"mean": report.expected_primal_integral},
-            "best": {
-                "config_ids": list(report.best.config_ids),
-                "final_gap": report.best.final_gap,
-                "primal_integral": report.best.primal_integral,
-            },
-            "ranking": [
-                {
-                    "config_ids": list(r.config_ids),
-                    "final_gap": r.final_gap,
-                    "primal_integral": r.primal_integral,
-                }
-                for r in report.ranking
-            ],
-        }
-        _write_json(out, payload)
+        _write_json(out, {"mode": "exhaustive", **report.to_dict()})
         print(f"enumerated {len(report.ranking)} subsets; wrote {out}")
         return EXIT_OK
     report = simulator.simulate(
@@ -286,33 +262,27 @@ def cmd_repro(args) -> int:
     out_dir = Path(args.out_dir)
     trace_dir = out_dir / "traces"
     pool = configspace.generate_pool(pool_size, args.seed)
-    configspace.write_pool(pool, _ensure_parent(out_dir / "pool.json"))
-    models = _repro_instances(args.seed)
-
-    raw: dict[str, dict[str, object]] = {c.id: {} for c in pool}
-    for model in models:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    configspace.write_pool(pool, out_dir / "pool.json")
+    # the whole pool on each instance; simulated workers run one after another
+    plan = PortfolioPlan(
+        configs=tuple(pool),
+        threads_per_worker=1,
+        core_cap=len(pool),
+        wall_seconds=wall,
+        master_seed=args.seed,
+    )
+    for model in _repro_instances(args.seed):
+        result = orchestrator.run_portfolio(
+            model, plan, clock_mode=orchestrator.SIMULATED, node_seconds=args.node_seconds
+        )
         for config in pool:
-            clock = SimulatedClock(args.node_seconds)
-            seed = orchestrator.worker_seed(args.seed, f"{config.id}:{model.name}")
-            raw[config.id][model.name] = run_worker(model, config, wall, seed, clock)
-    for model in models:
-        finals = [
-            raw[c.id][model.name].best.objective
-            for c in pool
-            if raw[c.id][model.name].status == STATUS_OK
-        ]
-        if not finals:
-            print(f"every worker failed on {model.name}", file=sys.stderr)
-            return EXIT_EMPTY
-        reference = min(finals)
-        for config in pool:
-            worker = raw[config.id][model.name]
+            worker = result.workers[config.id]
             if worker.status != STATUS_OK:
                 continue
-            trace = build_trace(model, worker.raw_points, reference, wall)
             path = trace_dir / config.id / f"{model.name}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
-            metrics.write_trace_csv(trace, path)
+            metrics.write_trace_csv(worker.trace, path)
 
     db = simulator.load_trace_db(trace_dir, horizon=wall)
     window = (wall / 10.0, wall)  # warmup mirrors the minute-6-of-60 convention
@@ -350,11 +320,6 @@ def cmd_repro(args) -> int:
     _write_json(out_dir / "reduced_pools.json", plans)
     print(f"repro artifacts in {out_dir} (pool {pool_size}, runs {runs}, wall {wall}s)")
     return EXIT_OK
-
-
-def _ensure_parent(path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -408,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    sub_parser = parser  # for parser.error in handlers
 
     if args.command == "gen-configs":
         if args.size < 1:
@@ -431,7 +395,7 @@ def main(argv=None) -> int:
         if args.command == "portfolio":
             return cmd_portfolio(args)
         if args.command == "simulate":
-            return cmd_simulate(args, sub_parser)
+            return cmd_simulate(args, parser)
         if args.command == "repro":
             return cmd_repro(args)
         parser.error(f"unknown command {args.command!r}")

@@ -121,9 +121,11 @@ def build_relaxation(model: MipModel) -> LpRelaxation:
     )
 
 
-def solve_lp(model: MipModel, iteration_limit: int = 10000) -> LpResult:
-    """Solve the LP relaxation of a model."""
-    return solve_relaxation(build_relaxation(model), iteration_limit=iteration_limit)
+def solve_lp(
+    model: MipModel, iteration_limit: int = 10000, stop: Callable[[], bool] | None = None
+) -> LpResult:
+    """Solve the LP relaxation of a model; ``stop`` as in ``solve_relaxation``."""
+    return solve_relaxation(build_relaxation(model), iteration_limit=iteration_limit, stop=stop)
 
 
 def solve_relaxation(

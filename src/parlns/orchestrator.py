@@ -2,9 +2,10 @@
 
 Total parallelism is the product of worker count and per-worker solver
 threads and must stay within the core cap. Under the wall clock, workers run
-on a thread pool with cooperative cancellation and report improvements to a
-lock-protected collector; under the simulated clock they run sequentially in
-config order, which makes whole portfolio runs reproducible bit for bit.
+on a thread pool and share one cancellation event, set when the wall budget
+runs out; under the simulated clock they run one after another in config
+order, which makes whole portfolio runs reproducible bit for bit. The CLI's
+``portfolio`` and ``repro`` commands both launch their workers here.
 """
 
 import hashlib
@@ -68,22 +69,6 @@ def worker_seed(master_seed: int, config_id: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-class TraceCollector:
-    """Thread-safe sink for timestamped best-objective updates."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._events: list[tuple[str, float, float]] = []
-
-    def append(self, config_id: str, t: float, objective: float) -> None:
-        with self._lock:
-            self._events.append((config_id, t, objective))
-
-    def events(self) -> list[tuple[str, float, float]]:
-        with self._lock:
-            return list(self._events)
-
-
 @dataclass(frozen=True)
 class PortfolioResult:
     workers: dict[str, WorkerResult]
@@ -136,7 +121,6 @@ def run_portfolio(
     clock_mode: str = WALL,
     node_seconds: float = 0.001,
     backend: Backend | None = None,
-    collector: TraceCollector | None = None,
 ) -> PortfolioResult:
     """Run every planned worker and aggregate gaps by pointwise minimum.
 
@@ -146,7 +130,6 @@ def run_portfolio(
     validate_plan(plan)
     if clock_mode not in (WALL, SIMULATED):
         raise ValueError(f"unknown clock mode {clock_mode!r}")
-    collector = collector if collector is not None else TraceCollector()
     reference_internal = (
         model.to_internal_objective(reference_objective)
         if reference_objective is not None
@@ -163,7 +146,6 @@ def run_portfolio(
             clock,
             reference_objective=reference_internal,
             backend=backend,
-            collector=collector,
             cancel=cancel,
         )
 
@@ -189,7 +171,7 @@ def run_portfolio(
 
     ok_ids = [c.id for c in plan.configs if results[c.id].status == STATUS_OK]
     if not ok_ids:
-        raise AllWorkersInfeasible("no worker found a feasible solution")
+        raise AllWorkersInfeasible(f"every worker failed on {model.name}")
 
     if reference_internal is None:
         reference_internal = min(results[i].best.objective for i in ok_ids)

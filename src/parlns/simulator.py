@@ -158,6 +158,13 @@ class RunRecord:
     final_gap: float  # averaged over instances
     primal_integral: float
 
+    def to_dict(self) -> dict:
+        return {
+            "config_ids": list(self.config_ids),
+            "final_gap": self.final_gap,
+            "primal_integral": self.primal_integral,
+        }
+
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -184,26 +191,11 @@ class SimulationReport:
                 "mean": self.mean_primal_integral,
                 "std": self.std_primal_integral,
             },
-            "best": {
-                "config_ids": list(self.best.config_ids),
-                "final_gap": self.best.final_gap,
-                "primal_integral": self.best.primal_integral,
-            },
-            "worst": {
-                "config_ids": list(self.worst.config_ids),
-                "final_gap": self.worst.final_gap,
-                "primal_integral": self.worst.primal_integral,
-            },
+            "best": self.best.to_dict(),
+            "worst": self.worst.to_dict(),
         }
         if include_records:
-            out["records"] = [
-                {
-                    "config_ids": list(r.config_ids),
-                    "final_gap": r.final_gap,
-                    "primal_integral": r.primal_integral,
-                }
-                for r in self.records
-            ]
+            out["records"] = [r.to_dict() for r in self.records]
         return out
 
 
@@ -270,6 +262,20 @@ class ExhaustiveReport:
     @property
     def best(self) -> RunRecord:
         return self.ranking[0]
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "window": list(self.window),
+            "subsets": len(self.ranking),
+            "final_gap": {
+                "mean": self.expected_final_gap,
+                "variance": self.variance_final_gap,
+            },
+            "primal_integral": {"mean": self.expected_primal_integral},
+            "best": self.best.to_dict(),
+            "ranking": [r.to_dict() for r in self.ranking],
+        }
 
 
 def exhaustive(db: TraceDb, n: int, window: tuple[float, float]) -> ExhaustiveReport:

@@ -1,13 +1,17 @@
-"""Pluggable sub-MIP backend with a reference branch-and-bound implementation.
+"""Sub-MIP backend interface and the reference branch-and-bound solver.
 
-The reference backend is a deterministic single-threaded best-bound search
-with depth-first plunging until the first incumbent, most-fractional
-branching (ties to the lowest index), and cooperative cancellation checked
-at node boundaries and before every simplex pivot. The root LP starts from
-the caller's ``root_basis`` when one is given (the worker's base-model
-optimum), and a child node's LP from its parent's optimal basis (dual
-simplex warm start). A node whose LP still fails after a cold retry is
-dropped and counted, and the search goes on without claiming a proof.
+A backend is a ``Backend`` pair of calls, ``solve_mip`` and
+``find_first_feasible``. A real solver plugs in as a ``Backend`` passed to
+``run_worker`` or ``run_portfolio``; ``get_backend`` knows only the
+reference one. The reference backend is a deterministic single-threaded
+best-bound search with depth-first plunging until the first incumbent,
+most-fractional branching (ties to the lowest index), and cooperative
+cancellation checked at node boundaries and before every simplex pivot. The
+root LP starts from the caller's ``root_basis`` when one is given (the
+worker's base-model optimum), and a child node's LP from its parent's
+optimal basis (dual simplex warm start). A node whose LP still fails after a
+cold retry is dropped and counted, and the search goes on without claiming
+a proof.
 """
 
 import heapq
@@ -56,48 +60,6 @@ class MipResult:
     dropped_nodes: int = 0  # nodes whose LP failed even when solved cold
 
 
-def solve_mip(
-    model: MipModel,
-    warm_start: Solution | None = None,
-    budget: SolveBudget | None = None,
-    seed: int = 0,
-    *,
-    clock=None,
-    cancel=None,
-    on_incumbent: Callable[[float, Solution], None] | None = None,
-    root_basis=None,
-) -> MipResult:
-    """Branch-and-bound solve within a budget.
-
-    Never returns an incumbent worse than the warm start. ``seed`` is part of
-    the backend interface; the reference implementation is deterministic and
-    does not consume it. ``root_basis`` is the ``(basis, pos)`` of an LP
-    optimum over the same variables and a prefix of the model's rows; the
-    root LP starts from it.
-    """
-    return _branch_and_bound(
-        model, warm_start, budget, clock=clock, cancel=cancel,
-        on_incumbent=on_incumbent, stop_at_first=False, root_basis=root_basis,
-    )
-
-
-def find_first_feasible(
-    model: MipModel,
-    budget: SolveBudget,
-    seed: int = 0,
-    *,
-    clock=None,
-    cancel=None,
-    on_incumbent: Callable[[float, Solution], None] | None = None,
-    root_basis=None,
-) -> MipResult:
-    """Like solve_mip but stops at the first integral feasible solution."""
-    return _branch_and_bound(
-        model, None, budget, clock=clock, cancel=cancel,
-        on_incumbent=on_incumbent, stop_at_first=True, root_basis=root_basis,
-    )
-
-
 def _most_fractional(values, int_indices):
     best_j = None
     best_score = None
@@ -112,9 +74,26 @@ def _most_fractional(values, int_indices):
     return best_j
 
 
-def _branch_and_bound(
-    model, warm_start, budget, *, clock, cancel, on_incumbent, stop_at_first, root_basis
-):
+def solve_mip(
+    model: MipModel,
+    warm_start: Solution | None = None,
+    budget: SolveBudget | None = None,
+    seed: int = 0,
+    *,
+    clock=None,
+    cancel=None,
+    root_basis=None,
+    stop_at_first: bool = False,
+) -> MipResult:
+    """Branch-and-bound solve within a budget.
+
+    Never returns an incumbent worse than the warm start. ``seed`` is part of
+    the backend interface; the reference implementation is deterministic and
+    does not consume it. ``root_basis`` is the ``(basis, pos)`` of an LP
+    optimum over the same variables and a prefix of the model's rows; the
+    root LP starts from it. ``stop_at_first`` ends the search at the first
+    improving integral solution.
+    """
     if budget is None:
         raise ValueError("a SolveBudget is required")
     clock = clock or WallClock()
@@ -214,8 +193,6 @@ def _branch_and_bound(
             if candidate.feasible and candidate.integral and candidate.objective < best_obj:
                 incumbent = candidate
                 best_obj = candidate.objective
-                if on_incumbent is not None:
-                    on_incumbent(clock.now() - start, candidate)
                 if stack:
                     for entry in stack:
                         heapq.heappush(heap, entry)
@@ -261,6 +238,22 @@ def _branch_and_bound(
     return MipResult(status, incumbent, dual, nodes, elapsed, dropped_nodes=dropped)
 
 
+def find_first_feasible(
+    model: MipModel,
+    budget: SolveBudget,
+    seed: int = 0,
+    *,
+    clock=None,
+    cancel=None,
+    root_basis=None,
+) -> MipResult:
+    """Like solve_mip but stops at the first integral feasible solution."""
+    return solve_mip(
+        model, None, budget, seed, clock=clock, cancel=cancel, root_basis=root_basis,
+        stop_at_first=True,
+    )
+
+
 @dataclass(frozen=True)
 class Backend:
     """A sub-MIP solver pair; implementations must be safe to run in
@@ -272,19 +265,11 @@ class Backend:
     find_first_feasible: Callable
 
 
-_BACKENDS: dict[str, Backend] = {
-    "reference": Backend("reference", solve_mip, find_first_feasible),
-}
+_REFERENCE = Backend("reference", solve_mip, find_first_feasible)
 
 
 def get_backend(name: str = "reference") -> Backend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
-        ) from None
-
-
-def register_backend(backend: Backend) -> None:
-    _BACKENDS[backend.name] = backend
+    """The built-in backend of that name; only ``reference`` exists."""
+    if name != _REFERENCE.name:
+        raise ValueError(f"unknown backend {name!r}; available: ['reference']")
+    return _REFERENCE

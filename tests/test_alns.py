@@ -209,9 +209,9 @@ def test_root_lp_is_solved_once_per_worker(monkeypatch):
     lp_solves = []
     real_solve_lp = parlns.alns.solve_lp
 
-    def solve_lp(model):
+    def solve_lp(model, **kwargs):
         lp_solves.append(model)
-        return real_solve_lp(model)
+        return real_solve_lp(model, **kwargs)
 
     node_lps = []
     real_relaxation = parlns.subsolver.solve_relaxation
@@ -249,3 +249,25 @@ def test_root_lp_is_solved_once_per_worker(monkeypatch):
     assert len(roots) == result.iterations + 1
     assert all(root is roots[0] for root in roots)
     assert roots[0][0] is warm[0]
+
+
+def test_cancelled_worker_stops_its_root_lp(monkeypatch):
+    import threading
+
+    root_lps = []
+    real_solve_lp = parlns.alns.solve_lp
+
+    def solve_lp(model, **kwargs):
+        res = real_solve_lp(model, **kwargs)
+        root_lps.append(res)
+        return res
+
+    monkeypatch.setattr(parlns.alns, "solve_lp", solve_lp)
+    cancel = threading.Event()
+    cancel.set()
+    model = independent_set(30, 0.2, seed=5)
+    result = run_worker(model, DEFAULT_CONFIG, 60.0, seed=1, cancel=cancel)
+    assert result.status == STATUS_NO_FEASIBLE
+    assert len(root_lps) == 1
+    assert root_lps[0].iterations == 0
+    assert root_lps[0].values is None and root_lps[0].basis is None

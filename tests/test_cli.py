@@ -302,3 +302,68 @@ def test_repro_smoke(tmp_path):
     assert len(sweep) >= 3  # n = 2 and 4 at least
     pools = json.loads((out_dir / "reduced_pools.json").read_text())
     assert set(pools) == {"4", "8", "16"}
+
+
+REPRO_ARGS = ["--seed", "5", "--pool-size", "6", "--runs", "10", "--wall", "0.5",
+              "--node-seconds", "0.002"]
+
+
+@pytest.fixture(scope="module")
+def repro_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("repro")
+    assert main(["repro", "--out-dir", str(out_dir), *REPRO_ARGS]) == EXIT_OK
+    return out_dir
+
+
+def _files(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_repro_rerun_is_byte_identical(repro_run, tmp_path):
+    again = tmp_path / "again"
+    assert main(["repro", "--out-dir", str(again), *REPRO_ARGS]) == EXIT_OK
+    first, second = _files(repro_run), _files(again)
+    for name in ("pool.json", "ranking.json", "portfolio_sweep.csv", "reduced_pools.json"):
+        assert name in first
+    assert any(name.startswith("traces/") for name in first)
+    assert first == second
+
+
+def test_repro_traces_are_the_portfolio_worker_traces(repro_run, tmp_path):
+    from parlns.alns import STATUS_OK
+    from parlns.configspace import read_pool
+    from parlns.instances import independent_set, set_cover
+    from parlns.metrics import write_trace_csv
+    from parlns.orchestrator import SIMULATED, PortfolioPlan, run_portfolio
+
+    pool = read_pool(repro_run / "pool.json")
+    plan = PortfolioPlan(
+        configs=tuple(pool),
+        threads_per_worker=1,
+        core_cap=len(pool),
+        wall_seconds=0.5,
+        master_seed=5,
+    )
+    models = [
+        knapsack(40, seed=5, name="knapsack"),
+        set_cover(30, 40, seed=5, name="setcover"),
+        independent_set(32, 0.1, seed=5, name="indepset"),
+    ]
+    written = 0
+    for model in models:
+        result = run_portfolio(model, plan, clock_mode=SIMULATED, node_seconds=0.002)
+        for config in pool:
+            worker = result.workers[config.id]
+            path = repro_run / "traces" / config.id / f"{model.name}.csv"
+            if worker.status != STATUS_OK:
+                assert not path.exists()
+                continue
+            expected = tmp_path / f"{config.id}_{model.name}.csv"
+            write_trace_csv(worker.trace, expected)
+            assert path.read_bytes() == expected.read_bytes()
+            written += 1
+    assert written == len(list((repro_run / "traces").rglob("*.csv")))

@@ -1,5 +1,6 @@
 import pytest
 
+from parlns.alns import STATUS_OK
 from parlns.clock import SimulatedClock
 from parlns.configspace import generate_pool
 from parlns.instances import knapsack
@@ -10,7 +11,6 @@ from parlns.orchestrator import (
     PlanInvalid,
     PortfolioPlan,
     PortfolioResult,
-    TraceCollector,
     plan_for_threads,
     run_portfolio,
     validate_plan,
@@ -125,7 +125,7 @@ def test_all_workers_infeasible_raises():
         {0: 1.0},
     )
     pool = generate_pool(2, seed=1)
-    with pytest.raises(AllWorkersInfeasible):
+    with pytest.raises(AllWorkersInfeasible, match="failed on inf$"):
         run_portfolio(model, _plan(pool, wall=0.5), clock_mode="simulated")
 
 
@@ -144,32 +144,10 @@ def test_self_reference_uses_portfolio_best():
 def test_wall_clock_mode_runs_threads():
     model = knapsack(10, seed=2)
     pool = generate_pool(3, seed=12)
-    collector = TraceCollector()
-    result = run_portfolio(
-        model,
-        _plan(pool, wall=0.5, seed=6),
-        clock_mode="wall",
-        collector=collector,
-    )
+    result = run_portfolio(model, _plan(pool, wall=0.5, seed=6), clock_mode="wall")
     assert isinstance(result, PortfolioResult)
     assert set(result.workers) == {c.id for c in pool}
-    assert len(collector.events()) >= 1
-    ids = {event[0] for event in collector.events()}
-    assert ids <= {c.id for c in pool}
-
-
-def test_collector_accepts_concurrent_appends():
-    import threading
-
-    collector = TraceCollector()
-
-    def writer(tag):
-        for k in range(500):
-            collector.append(tag, float(k), float(k))
-
-    threads = [threading.Thread(target=writer, args=(f"w{i}",)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(collector.events()) == 4000
+    assert any(
+        worker.status == STATUS_OK and len(worker.raw_points) >= 1
+        for worker in result.workers.values()
+    )

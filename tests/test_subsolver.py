@@ -165,18 +165,6 @@ def test_oracle_equivalence_and_dual_bounds():
         assert optimum <= res.incumbent.objective
 
 
-def test_monotone_anytime_incumbents():
-    model = knapsack(14, seed=31)
-    seen = []
-    solve_mip(
-        model,
-        budget=SolveBudget(wall_seconds=60.0),
-        on_incumbent=lambda t, sol: seen.append(sol.objective),
-    )
-    assert seen == sorted(seen, reverse=True)
-    assert len(seen) >= 1
-
-
 def test_seed_determinism_with_node_limit():
     model = independent_set(14, 0.3, seed=6)
     budget = SolveBudget(node_limit=50)
