@@ -89,7 +89,7 @@ class WorkerResult:
     config_id: str
     status: str
     best: Solution | None
-    trace: GapTrace
+    trace: GapTrace | None  # None only from run_worker(..., with_trace=False)
     iterations: int
     skipped: int
     pulls: tuple[int, ...]
@@ -149,11 +149,15 @@ def run_worker(
     reference_objective: float | None = None,
     backend: Backend | None = None,
     cancel=None,
+    with_trace: bool = True,
 ) -> WorkerResult:
     """Run one configured worker until its wall budget is spent.
 
     ``reference_objective`` is in internal (minimization) scale; when absent
-    the worker's own final best is used for gap reporting.
+    the worker's own final best is used for gap reporting. Without
+    ``with_trace`` a worker that found a solution returns ``trace=None``, for
+    a caller that learns the reference only later and builds the trace from
+    ``raw_points`` itself.
     """
     if wall_seconds <= 0:
         raise ValueError("wall_seconds must be positive")
@@ -269,7 +273,9 @@ def run_worker(
         outcome_counts[arm][outcome] += 1
         policy.update(arm, outcome, config.rewards)
 
-    trace = build_trace(model, raw_points, reference_objective, wall_seconds)
+    trace = None
+    if with_trace:
+        trace = build_trace(model, raw_points, reference_objective, wall_seconds)
     return WorkerResult(
         config_id=config.id,
         status=STATUS_OK,

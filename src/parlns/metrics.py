@@ -139,13 +139,18 @@ def trace_to_csv(trace: GapTrace) -> str:
     return buf.getvalue()
 
 
-def read_trace_csv(path, horizon: float | None = None) -> GapTrace:
+def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
+    """The (t, objective, gap) rows of a trace CSV, not yet validated."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t_seconds", "objective", "gap"]:
             raise ValueError(f"{path}: expected header t_seconds,objective,gap")
-        points = tuple((float(t), float(obj), float(gap)) for t, obj, gap in reader)
+        return tuple((float(t), float(obj), float(gap)) for t, obj, gap in reader)
+
+
+def read_trace_csv(path, horizon: float | None = None) -> GapTrace:
+    points = read_trace_points(path)
     if horizon is None:
         horizon = points[-1][0] if points else 0.0
     return GapTrace(points=points, horizon=horizon)

@@ -144,9 +144,9 @@ def run_portfolio(
             plan.wall_seconds,
             worker_seed(plan.master_seed, config.id),
             clock,
-            reference_objective=reference_internal,
             backend=backend,
             cancel=cancel,
+            with_trace=False,
         )
 
     results: dict[str, WorkerResult] = {}
@@ -173,16 +173,15 @@ def run_portfolio(
     if not ok_ids:
         raise AllWorkersInfeasible(f"every worker failed on {model.name}")
 
+    # each trace is built once, here, where the reference is known
     if reference_internal is None:
         reference_internal = min(results[i].best.objective for i in ok_ids)
-        for config_id in ok_ids:
-            worker = results[config_id]
-            results[config_id] = replace(
-                worker,
-                trace=build_trace(
-                    model, worker.raw_points, reference_internal, plan.wall_seconds
-                ),
-            )
+    for config_id in ok_ids:
+        worker = results[config_id]
+        results[config_id] = replace(
+            worker,
+            trace=build_trace(model, worker.raw_points, reference_internal, plan.wall_seconds),
+        )
 
     aggregate = aggregate_min([results[i].trace for i in ok_ids])
     best_id = ok_ids[0]

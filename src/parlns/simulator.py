@@ -6,6 +6,11 @@ replacement, aggregating each subset's traces by pointwise minimum, and
 averaging final gap and primal integral across instances. An exhaustive
 enumerator provides the exact expectation for small pools, and a ranking
 operation orders configurations for reduced-pool planning.
+
+All three build one array grid per call: every configuration's gap on every
+instance, one column per event time inside the window, with each point
+placed by ``np.searchsorted`` and carried forward. A subset is then a
+columnwise minimum over its rows and one dot product per instance.
 """
 
 import itertools
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import GapTrace, read_trace_csv
+from .metrics import GapTrace, read_trace_points
 
 
 class NotRectangular(ValueError):
@@ -64,91 +69,86 @@ def load_trace_db(root, horizon: float | None = None) -> TraceDb:
     configurations.
     """
     root = Path(root)
-    traces: dict[str, dict[str, GapTrace]] = {}
-    for config_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        per_instance = {}
-        for csv_path in sorted(config_dir.glob("*.csv")):
-            per_instance[csv_path.stem] = read_trace_csv(csv_path)
-        traces[config_dir.name] = per_instance
-    if not traces:
+    points = {
+        folder.name: {path.stem: read_trace_points(path) for path in sorted(folder.glob("*.csv"))}
+        for folder in sorted(p for p in root.iterdir() if p.is_dir())
+    }
+    if not points:
         raise ValueError(f"no trace directories under {root}")
-    db = build_trace_db(traces)
-    leveled: dict[str, dict[str, GapTrace]] = {c: {} for c in db.config_ids}
-    for instance in db.instance_ids:
-        level = horizon
-        if level is None:
-            level = max(
-                db.traces[c][instance].horizon
-                for c in db.config_ids
-                if instance in db.traces[c]
-            )
-        for c in db.config_ids:
-            if instance in db.traces[c]:
-                trace = db.traces[c][instance]
-                leveled[c][instance] = GapTrace(points=trace.points, horizon=level)
-    return build_trace_db(leveled)
+    latest: dict[str, float] = {}
+    for per in points.values():
+        for instance, pts in per.items():
+            latest[instance] = max(latest.get(instance, 0.0), pts[-1][0] if pts else 0.0)
+    traces: dict[str, dict[str, GapTrace]] = {c: {} for c in points}
+    for c, per in points.items():
+        for instance, pts in per.items():
+            level = latest[instance] if horizon is None else horizon
+            try:
+                traces[c][instance] = GapTrace(pts, level)
+            except ValueError:
+                # a file that is bad on its own says why, as when read alone
+                GapTrace(pts, pts[-1][0] if pts else 0.0)
+                raise
+    return build_trace_db(traces)
 
 
-class _InstanceGrid:
-    """Step-function view of all configs on one instance over a window.
+@dataclass(frozen=True)
+class _Grid:
+    """Every config's gap on every instance over a window, as one matrix.
 
-    Column i holds each config's gap on [grid[i], grid[i+1]); a subset's
-    aggregate is the columnwise minimum over its rows, so its primal integral
-    is that minimum dotted with the segment durations. Equivalence with
-    metrics.aggregate_min/primal_integral is pinned by tests.
+    Instance i owns columns lo..hi of ``gaps``, for ``(lo, hi, d) = spans[i]``.
+    Column lo + j holds the gap on [start_j, start_j+1), where the starts are
+    t0 and each event time of any config strictly inside (t0, t1), and ``d``
+    holds their durations; column hi holds the gap at t1. Points at or before
+    t0 set column lo, points after t1 no column. Equivalence with
+    metrics.aggregate_min and primal_integral is pinned by tests.
     """
 
-    def __init__(self, db: TraceDb, instance_id: str, window: tuple[float, float]):
-        t0, t1 = window
-        events = sorted(
-            {
-                t
-                for c in db.config_ids
-                for (t, _, _) in db.traces[c][instance_id].points
-                if t0 < t < t1
-            }
-        )
-        grid = [t0] + events
-        edges = grid + [t1]
-        self.durations = np.array([edges[i + 1] - edges[i] for i in range(len(grid))])
-        self.gaps = np.array(
-            [
-                [db.traces[c][instance_id].gap_at(t) for t in grid]
-                for c in db.config_ids
-            ]
-        )
-        self.finals = np.array(
-            [db.traces[c][instance_id].gap_at(t1) for c in db.config_ids]
-        )
-
-    def evaluate(self, rows: np.ndarray) -> tuple[float, float]:
-        """(final gap, primal integral) of the subset given by row indices."""
-        sub = self.gaps[rows]
-        pi = float(sub.min(axis=0) @ self.durations)
-        final = float(self.finals[rows].min())
-        return final, pi
+    gaps: np.ndarray  # (configs, columns of every instance)
+    spans: tuple[tuple[int, int, np.ndarray], ...]
 
 
-def _grids(db: TraceDb, window) -> list[_InstanceGrid]:
+def _grids(db: TraceDb, window) -> _Grid:
     db.require_rectangular()
     t0, t1 = window
     if not 0 <= t0 <= t1:
         raise ValueError(f"bad window [{t0}, {t1}]")
     for instance in db.instance_ids:
         if t1 > db.horizon(instance) + 1e-9:
-            raise ValueError(
-                f"window end {t1} beyond horizon of instance {instance!r}"
-            )
-    return [_InstanceGrid(db, instance, window) for instance in db.instance_ids]
+            raise ValueError(f"window end {t1} beyond horizon of instance {instance!r}")
+    spans, owners, columns, values = [], [], [], []
+    lo = 0
+    for instance in db.instance_ids:
+        traces = [db.traces[c][instance].points for c in db.config_ids]
+        flat = np.array([p for pts in traces for p in pts], dtype=float).reshape(-1, 3)
+        owner = np.repeat(np.arange(len(traces)), [len(pts) for pts in traces])
+        events = np.unique(flat[:, 0])
+        edges = np.concatenate(([t0], events[(t0 < events) & (events < t1)], [t1]))
+        # a point sets the column of the first edge at or after it, and on
+        column = np.searchsorted(edges, flat[:, 0], side="left")
+        seen = column < len(edges)
+        # every config enters the instance at a gap of 1, ahead of its points
+        owners += [np.arange(len(traces)), owner[seen]]
+        columns += [np.full(len(traces), lo), lo + column[seen]]
+        values += [np.ones(len(traces)), flat[seen, 2]]
+        spans.append((lo, lo + len(edges) - 1, np.diff(edges)))
+        lo += len(edges)
+    values = np.concatenate(values)
+    # position in values of the latest entry in effect, per config and column
+    last = np.zeros((len(db.config_ids), lo), dtype=np.intp)
+    np.maximum.at(last, (np.concatenate(owners), np.concatenate(columns)), np.arange(len(values)))
+    np.maximum.accumulate(last, axis=1, out=last)
+    return _Grid(values[last], tuple(spans))
 
 
-def _subset_performance(grids, rows: np.ndarray) -> tuple[float, float]:
-    finals = []
-    pis = []
-    for grid in grids:
-        final, pi = grid.evaluate(rows)
-        finals.append(final)
-        pis.append(pi)
+def _subset_performance(grid: _Grid, rows) -> tuple[float, float]:
+    """(final gap, primal integral) of the subset given by row indices,
+    each averaged over instances."""
+    low = grid.gaps[rows[0]].copy()
+    for row in rows[1:]:
+        np.minimum(low, grid.gaps[row], out=low)
+    finals = [float(low[hi]) for _, hi, _ in grid.spans]
+    pis = [float(low[lo:hi] @ durations) for lo, hi, durations in grid.spans]
     return sum(finals) / len(finals), sum(pis) / len(pis)
 
 
@@ -222,13 +222,13 @@ def simulate(
         raise ValueError("runs must be >= 1")
     if stratified and (n != 1 or runs != len(db.config_ids)):
         raise ValueError("stratified mode needs n == 1 and runs == pool size")
-    grids = _grids(db, window)
+    grid = _grids(db, window)
     rng = random.Random(seed)
     indices = list(range(len(db.config_ids)))
     records = []
     for run in range(runs):
         rows = [run] if stratified else sorted(rng.sample(indices, n))
-        final, pi = _subset_performance(grids, np.array(rows))
+        final, pi = _subset_performance(grid, rows)
         ids = tuple(db.config_ids[r] for r in rows)
         records.append(RunRecord(ids, final, pi))
     finals = np.array([r.final_gap for r in records])
@@ -285,10 +285,10 @@ def exhaustive(db: TraceDb, n: int, window: tuple[float, float]) -> ExhaustiveRe
     count = math.comb(len(db.config_ids), n)
     if count > EXHAUSTIVE_CAP:
         raise TooManySubsets(f"{count} subsets exceed the cap of {EXHAUSTIVE_CAP}")
-    grids = _grids(db, window)
+    grid = _grids(db, window)
     records = []
     for combo in itertools.combinations(range(len(db.config_ids)), n):
-        final, pi = _subset_performance(grids, np.array(combo))
+        final, pi = _subset_performance(grid, combo)
         ids = tuple(db.config_ids[r] for r in combo)
         records.append(RunRecord(ids, final, pi))
     finals = np.array([r.final_gap for r in records])
@@ -306,10 +306,10 @@ def exhaustive(db: TraceDb, n: int, window: tuple[float, float]) -> ExhaustiveRe
 
 def rank_configs(db: TraceDb, window: tuple[float, float]) -> list[str]:
     """Config ids sorted by average final gap, ties by primal integral then id."""
-    grids = _grids(db, window)
+    grid = _grids(db, window)
     scored = []
     for k, config_id in enumerate(db.config_ids):
-        final, pi = _subset_performance(grids, np.array([k]))
+        final, pi = _subset_performance(grid, [k])
         scored.append((final, pi, config_id))
     scored.sort()
     return [config_id for _, _, config_id in scored]

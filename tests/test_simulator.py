@@ -1,13 +1,18 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parlns.metrics import GapTrace, aggregate_min, primal_integral
 from parlns.simulator import (
     NotRectangular,
     TooManySubsets,
+    _grids,
+    _subset_performance,
     build_trace_db,
     exhaustive,
     load_trace_db,
@@ -164,3 +169,171 @@ def test_load_trace_db_round_trip(tmp_path):
     for config_id in db.config_ids:
         for inst in db.instance_ids:
             assert loaded.traces[config_id][inst].points == db.traces[config_id][inst].points
+
+
+# --- the grid against the metrics path, on the window's edge cases ----------
+
+# half-second times on a 10 s horizon: configs often share event times, and
+# points fall before t0, on t0 or t1, and after t1 < horizon
+_TIMES = st.sampled_from([k / 2 for k in range(21)])
+
+
+@st.composite
+def _step_points(draw):
+    times = sorted(draw(st.sets(_TIMES, max_size=5)))
+    gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+    return list(zip(times, sorted(gaps, reverse=True)))
+
+
+@st.composite
+def _db_specs(draw):
+    instances = draw(st.integers(1, 3))
+    configs = draw(st.integers(1, 4))
+    steps = [[draw(_step_points()) for _ in range(instances)] for _ in range(configs)]
+    t0, t1 = sorted(draw(st.lists(_TIMES, min_size=2, max_size=2)))
+    return steps, (t0, t1)
+
+
+def _spec_db(steps, horizon=10.0):
+    return build_trace_db({
+        f"c{k}": {
+            f"i{j}": GapTrace(tuple((t, 1.0 + g, g) for t, g in pts), horizon)
+            for j, pts in enumerate(per)
+        }
+        for k, per in enumerate(steps)
+    })
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_db_specs())
+# points before t0 only: they set the gap the window opens with
+@example(([[[(1.0, 0.5)]], [[(0.5, 0.75), (2.0, 0.25)]]], (3.0, 8.0)))
+# points on t0 and t1, shared across configs, and after t1 < horizon
+@example(([[[(3.0, 0.5), (8.0, 0.25)]], [[(3.0, 0.75), (8.0, 0.125), (9.5, 0.0)]]], (3.0, 8.0)))
+# empty traces, alone and next to others
+@example(([[[], [(4.0, 0.5)]], [[], []]], (2.0, 6.0)))
+# an empty window, on a point and between points
+@example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (5.0, 5.0)))
+@example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (6.0, 6.0)))
+def test_grid_matches_aggregate_min_on_every_subset(spec):
+    steps, window = spec
+    db = _spec_db(steps)
+    t0, t1 = window
+    grid = _grids(db, window)
+    for n in range(1, len(db.config_ids) + 1):
+        for rows in itertools.combinations(range(len(db.config_ids)), n):
+            final, pi = _subset_performance(grid, np.array(rows))
+            finals, pis = [], []
+            for inst in db.instance_ids:
+                agg = aggregate_min([db.traces[db.config_ids[r]][inst] for r in rows])
+                finals.append(agg.gap_at(t1))
+                pis.append(primal_integral(agg, t0, t1))
+            assert final == sum(finals) / len(finals)
+            assert pi == pytest.approx(sum(pis) / len(pis), abs=1e-12)
+
+
+# --- exact results on a fixed db, recorded before the array grid -------------
+
+
+def _pinned_db():
+    # dyadic times and gaps: every product and partial sum is exact, so the
+    # results do not depend on how a BLAS kernel orders a dot product. On the
+    # window (2, 12) there are points before t0, on t0 and on t1 (shared by
+    # several configs), after t1 within the 16 s horizon, and empty traces
+    steps = {
+        "alpha": {"i": [(1.0, 0.75), (4.0, 0.5), (12.0, 0.25)], "j": [(2.0, 0.5), (14.0, 0.125)]},
+        "beta": {"i": [(2.0, 0.875), (4.0, 0.375)], "j": []},
+        "gamma": {"i": [(4.0, 0.625), (8.0, 0.5), (15.5, 0.0)], "j": [(8.0, 0.25)]},
+        "delta": {"i": [], "j": [(0.5, 0.9375), (2.0, 0.625), (12.0, 0.5)]},
+        "eps": {"i": [(12.0, 0.5)], "j": [(3.0, 0.75), (6.5, 0.0625), (13.0, 0.03125)]},
+    }
+    return build_trace_db({
+        c: {i: GapTrace(tuple((t, 10.0 + g, g) for t, g in pts), 16.0) for i, pts in per.items()}
+        for c, per in steps.items()
+    })
+
+
+def test_pinned_simulate():
+    report = simulate(_pinned_db(), 3, runs=25, seed=8, window=(2.0, 12.0))
+    assert report.mean_final_gap == 0.23
+    assert report.std_final_gap == 0.06782329983125268
+    assert report.mean_primal_integral == 4.38625
+    assert report.std_primal_integral == 0.3473538361670992
+    assert report.best.config_ids == ("alpha", "beta", "eps")
+    assert report.worst.config_ids == ("alpha", "beta", "delta")
+    assert [(r.config_ids, r.final_gap, r.primal_integral) for r in report.records[:4]] == [
+        (("beta", "delta", "gamma"), 0.3125, 4.75),
+        (("beta", "delta", "gamma"), 0.3125, 4.75),
+        (("alpha", "eps", "gamma"), 0.15625, 4.046875),
+        (("beta", "eps", "gamma"), 0.21875, 4.359375),
+    ]
+
+
+def test_pinned_exhaustive():
+    report = exhaustive(_pinned_db(), 2, (2.0, 12.0))
+    assert report.expected_final_gap == 0.30625
+    assert report.expected_primal_integral == 5.196875
+    assert report.variance_final_gap == 0.0066015625
+    assert report.best.final_gap == 0.15625
+    assert report.best.primal_integral == 4.046875
+    assert [r.config_ids for r in report.ranking] == [
+        ("alpha", "eps"), ("beta", "eps"), ("alpha", "gamma"), ("eps", "gamma"),
+        ("delta", "eps"), ("beta", "gamma"), ("alpha", "beta"), ("alpha", "delta"),
+        ("delta", "gamma"), ("beta", "delta"),
+    ]
+
+
+def test_pinned_rank_configs():
+    assert rank_configs(_pinned_db(), (2.0, 12.0)) == ["eps", "alpha", "gamma", "beta", "delta"]
+
+
+# --- closed-form expectations as an oracle for exhaustive ---------------------
+
+
+def _expected_min(column, n):
+    """E[min over a uniform n-subset] of a column of N values: the k-th
+    smallest is the minimum of C(N - k, n - 1) of the C(N, n) subsets."""
+    ordered = sorted(column)
+    total = math.comb(len(ordered), n)
+    return sum(g * math.comb(len(ordered) - k, n - 1) for k, g in enumerate(ordered, 1)) / total
+
+
+def _closed_form(db, n, window):
+    """Expected (final gap, primal integral), averaged over instances, from
+    each config's gap at every segment start, read with gap_at."""
+    t0, t1 = window
+    finals, pis = [], []
+    for inst in db.instance_ids:
+        traces = [db.traces[c][inst] for c in db.config_ids]
+        events = sorted({t for tr in traces for t, _, _ in tr.points if t0 < t < t1})
+        starts = [t0] + events
+        durations = [b - a for a, b in zip(starts, events + [t1])]
+        pis.append(sum(
+            d * _expected_min([tr.gap_at(s) for tr in traces], n) for s, d in zip(starts, durations)
+        ))
+        finals.append(_expected_min([tr.gap_at(t1) for tr in traces], n))
+    return sum(finals) / len(finals), sum(pis) / len(pis)
+
+
+@pytest.mark.parametrize("seed", [3, 31, 47])
+@pytest.mark.parametrize("window", [(0.0, 10.0), (2.5, 7.5), (4.0, 4.0)])
+def test_exhaustive_expectations_match_closed_form(seed, window):
+    rng = random.Random(seed)
+    db = build_trace_db({
+        f"cfg_{k}": {inst: random_step_trace(rng, horizon=10.0) for inst in ("a", "b")}
+        for k in range(6)
+    })
+    for n in range(1, len(db.config_ids) + 1):
+        report = exhaustive(db, n, window)
+        final, pi = _closed_form(db, n, window)
+        assert report.expected_final_gap == pytest.approx(final, abs=1e-12)
+        assert report.expected_primal_integral == pytest.approx(pi, abs=1e-12)
+
+
+def test_exhaustive_expectations_match_closed_form_on_pinned_db():
+    db = _pinned_db()
+    for n in range(1, len(db.config_ids) + 1):
+        report = exhaustive(db, n, (2.0, 12.0))
+        final, pi = _closed_form(db, n, (2.0, 12.0))
+        assert report.expected_final_gap == pytest.approx(final, abs=1e-12)
+        assert report.expected_primal_integral == pytest.approx(pi, abs=1e-12)
