@@ -3,7 +3,8 @@
 The worker solves the model's LP relaxation once, finds an initial incumbent
 with the sub-solver, then loops until its wall budget expires: the bandit
 picks a destroy arm, the resulting sub-MIP is repaired under a small
-per-iteration budget, the candidate is scored on the original model,
+per-iteration budget from the current solution, which the backend drops if
+the sub-model excludes it, the candidate is scored on the original model,
 classified into exactly one of best/better/accept/reject, and the bandit is
 updated. Every new global best appends a trace point. Every sub-MIP's root
 LP starts from the optimal basis of the worker's relaxation. The root LP,
@@ -228,10 +229,6 @@ def run_worker(
             policy.update(arm, REJECT, config.rewards)
             continue
         sub = apply_neighborhood(model, spec)
-        warm = None
-        probe = evaluate(sub, current.values)
-        if probe.feasible and probe.integral:
-            warm = current
         remaining = deadline - clock.now()
         if remaining <= 0:
             break
@@ -240,7 +237,7 @@ def run_worker(
             node_limit=PER_ITERATION_NODE_CAP,
         )
         repair = backend.solve_mip(
-            sub, warm, budget, seed=rng.randrange(2**31), clock=clock, cancel=cancel,
+            sub, current, budget, seed=rng.randrange(2**31), clock=clock, cancel=cancel,
             root_basis=root_basis,
         )
         iterations += 1

@@ -1,13 +1,13 @@
 """Bounded-variable simplex for LP relaxations.
 
-Dense revised simplex over ``[A, I]``, one slack column per row. A cold solve
-starts from a crash basis: every variable sits at a finite bound (free ones
-at zero), a row's slack is basic wherever it can absorb the row's residual
-there, and only the other rows get an artificial variable. Phase 1 drives
-those artificials out, phase 2 optimizes the real costs. Nonbasic variables
-sit exactly at a bound, the ratio test allows bound flips, and the entering
-rule switches from Dantzig to Bland's rule after 1000 degenerate pivots so
-the method terminates.
+Dense revised simplex over a model's ``LpRelaxation``: ``[A, I]``, one slack
+column per row. A cold solve starts from a crash basis: every variable sits
+at a finite bound (free ones at zero), a row's slack is basic wherever it can
+absorb the row's residual there, and only the other rows get an artificial
+variable. Phase 1 drives those artificials out, phase 2 optimizes the real
+costs. Nonbasic variables sit exactly at a bound, the ratio test allows bound
+flips, and the entering rule switches from Dantzig to Bland's rule after 1000
+degenerate pivots so the method terminates.
 
 A warm solve starts from an earlier optimal basis, as a branch-and-bound
 child starts from its parent's. The earlier relaxation may have fewer rows:
@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .model import EQ, GE, INF, LE, MipModel
+from .model import INF, LpRelaxation, MipModel
 
 LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
@@ -66,59 +66,9 @@ class LpResult:
     pos: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class LpRelaxation:
-    """Dense arrays for a model's LP relaxation (integrality dropped).
-
-    ``A_full`` carries one slack column per row so branch-and-bound nodes can
-    reuse it and only swap variable bounds.
-    """
-
-    c: np.ndarray
-    offset: float
-    A_full: np.ndarray
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    slack_lower: np.ndarray
-    slack_upper: np.ndarray
-    n_structural: int
-
-
 def build_relaxation(model: MipModel) -> LpRelaxation:
-    n = model.n_vars
-    m = len(model.constraints)
-    c = np.zeros(n)
-    for j, coef in model.objective.items():
-        c[j] = coef
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    slack_lower = np.zeros(m)
-    slack_upper = np.zeros(m)
-    for i, con in enumerate(model.constraints):
-        for j, coef in con.coefficients.items():
-            A[i, j] = coef
-        b[i] = con.rhs
-        if con.relation == LE:
-            slack_lower[i], slack_upper[i] = 0.0, INF
-        elif con.relation == GE:
-            slack_lower[i], slack_upper[i] = -INF, 0.0
-        else:
-            slack_lower[i], slack_upper[i] = 0.0, 0.0
-    lower = np.array([v.lower for v in model.variables], dtype=float)
-    upper = np.array([v.upper for v in model.variables], dtype=float)
-    A_full = np.hstack([A, np.eye(m)]) if m else np.zeros((0, n))
-    return LpRelaxation(
-        c=c,
-        offset=model.objective_offset,
-        A_full=A_full,
-        b=b,
-        lower=lower,
-        upper=upper,
-        slack_lower=slack_lower,
-        slack_upper=slack_upper,
-        n_structural=n,
-    )
+    """The model's arrays: built once per model, derived for a sub-model."""
+    return model.relaxation
 
 
 def solve_lp(

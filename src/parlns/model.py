@@ -2,10 +2,15 @@
 
 Models are normalized to minimization on construction; objectives stated as
 maximization are negated once and un-negated only at reporting boundaries
-(see :meth:`MipModel.to_external_objective`).
+(see :meth:`MipModel.to_external_objective`). A model's one numeric form is
+its read-only :class:`LpRelaxation`, built on first use; ``evaluate`` and the
+LP read it, and ``apply_neighborhood`` derives a sub-model's from its parent's.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+
+import numpy as np
 
 INF = float("inf")
 
@@ -24,6 +29,9 @@ EQ = "="
 FEASIBILITY_TOL = 1e-7
 BOUND_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
+
+# Slack bounds of a row a.x + s = rhs: the only code that reads what a relation means.
+_SLACK_BOUNDS = {LE: (0.0, INF), GE: (-INF, 0.0), EQ: (0.0, 0.0)}
 
 
 class ModelError(ValueError):
@@ -78,6 +86,29 @@ class NeighborhoodSpec:
 
 
 @dataclass(frozen=True)
+class LpRelaxation:
+    """A model's dense arrays, its LP relaxation plus an integer mask, all
+    read-only so that sub-models and solves share them without copying.
+    ``A_full`` carries one slack column per row, so B&B nodes swap only bounds."""
+
+    c: np.ndarray
+    offset: float
+    A_full: np.ndarray
+    b: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    slack_lower: np.ndarray
+    slack_upper: np.ndarray
+    n_structural: int
+    integer: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class MipModel:
     """Linear model in minimization form.
 
@@ -95,6 +126,11 @@ class MipModel:
     @property
     def n_vars(self) -> int:
         return len(self.variables)
+
+    @cached_property
+    def relaxation(self) -> LpRelaxation:
+        """The model's arrays, built from its dicts on first use."""
+        return relaxation_from_dicts(self)
 
     def integer_indices(self) -> list[int]:
         """Indices of integer and binary variables."""
@@ -183,7 +219,7 @@ def _validate(model: MipModel) -> MipModel:
         if con.name in seen:
             raise ModelError(f"duplicate constraint name {con.name!r}")
         seen.add(con.name)
-        if con.relation not in (LE, GE, EQ):
+        if con.relation not in _SLACK_BOUNDS:
             raise ModelError(f"constraint {con.name!r}: unknown relation {con.relation!r}")
         if not con.coefficients:
             raise ModelError(f"constraint {con.name!r} has no nonzero coefficient")
@@ -227,49 +263,69 @@ def make_model(
     return _validate(model)
 
 
+def _dense(coefficients: dict[int, float], n: int) -> np.ndarray:
+    vector = np.zeros(n)
+    vector[list(coefficients)] = list(coefficients.values())
+    return vector
+
+
+def _rows(constraints, n: int, above: LpRelaxation | None = None) -> dict:
+    """``LpRelaxation`` row fields: ``above``'s rows as they are, then the
+    constraints' rows read from their dicts; one slack column per row."""
+    A = np.array([_dense(con.coefficients, n) for con in constraints] or np.zeros((0, n)))
+    b = np.array([con.rhs for con in constraints], dtype=float)
+    slack = np.array([_SLACK_BOUNDS[con.relation] for con in constraints]).reshape(-1, 2).T
+    if above is not None:
+        A = np.vstack([above.A_full[:, :n], A])
+        b = np.concatenate([above.b, b])
+        slack = np.hstack([(above.slack_lower, above.slack_upper), slack])
+    A_full = np.hstack([A, np.eye(len(A))])
+    return {"A_full": A_full, "b": b, "slack_lower": slack[0], "slack_upper": slack[1]}
+
+
+def relaxation_from_dicts(model: MipModel) -> LpRelaxation:
+    """Build a model's arrays from its dicts; ``MipModel.relaxation`` caches it."""
+    n, variables = model.n_vars, model.variables
+    return LpRelaxation(
+        c=_dense(model.objective, n), offset=model.objective_offset, n_structural=n,
+        lower=np.array([v.lower for v in variables], dtype=float),
+        upper=np.array([v.upper for v in variables], dtype=float),
+        integer=np.array([v.kind != CONTINUOUS for v in variables], dtype=bool),
+        **_rows(model.constraints, n),
+    )
+
+
 def evaluate(model: MipModel, values) -> Solution:
     """Score a full assignment: objective, feasibility, integrality.
 
     Never raises on an infeasible point; only the vector length is enforced.
     """
     if len(values) != model.n_vars:
-        raise DimensionMismatch(
-            f"expected {model.n_vars} values, got {len(values)}"
-        )
-    values = tuple(float(v) for v in values)
-    objective = model.objective_offset + sum(
-        coef * values[i] for i, coef in model.objective.items()
+        raise DimensionMismatch(f"expected {model.n_vars} values, got {len(values)}")
+    relax = model.relaxation
+    x = np.array(values, dtype=float)
+    activity = relax.A_full[:, : relax.n_structural] @ x  # in [b - slack_upper, b - slack_lower]
+    feasible = not (
+        (x < relax.lower - BOUND_TOL).any() or (x > relax.upper + BOUND_TOL).any()
+        or (activity > relax.b - relax.slack_lower + FEASIBILITY_TOL).any()
+        or (activity < relax.b - relax.slack_upper - FEASIBILITY_TOL).any()
     )
-    feasible = True
-    for i, var in enumerate(model.variables):
-        if values[i] < var.lower - BOUND_TOL or values[i] > var.upper + BOUND_TOL:
-            feasible = False
-            break
-    if feasible:
-        for con in model.constraints:
-            activity = sum(coef * values[i] for i, coef in con.coefficients.items())
-            if con.relation == LE and activity > con.rhs + FEASIBILITY_TOL:
-                feasible = False
-            elif con.relation == GE and activity < con.rhs - FEASIBILITY_TOL:
-                feasible = False
-            elif con.relation == EQ and abs(activity - con.rhs) > FEASIBILITY_TOL:
-                feasible = False
-            if not feasible:
-                break
-    integral = all(
-        abs(values[i] - round(values[i])) <= INTEGRALITY_TOL
-        for i in model.integer_indices()
-    )
-    return Solution(values=values, objective=objective, feasible=feasible, integral=integral)
+    discrete = x[relax.integer]
+    integral = bool((np.abs(discrete - np.rint(discrete)) <= INTEGRALITY_TOL).all())
+    return Solution(tuple(x.tolist()), relax.offset + float(relax.c @ x), feasible, integral)
 
 
 def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> MipModel:
     """Materialize a sub-problem: fixings become equal bounds, overrides and
     extra constraints are applied, the objective is replaced if requested.
+    The sub-model's arrays are the model's with new bounds, the base rows
+    shared or stacked once with the appended rows, and any override's costs.
 
     Pure: the input model is never modified. Raises :class:`ConflictingFixing`
     when a fixed value violates the variable's original bounds or integrality.
     """
+    n, base = model.n_vars, model.relaxation
+    lower, upper = base.lower.copy(), base.upper.copy()
     variables = list(model.variables)
     for i, value in spec.fixings.items():
         var = variables[i]
@@ -280,48 +336,43 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> MipModel:
         if var.kind != CONTINUOUS and abs(value - round(value)) > INTEGRALITY_TOL:
             raise ConflictingFixing(f"fixing integer {var.name!r} at fractional {value}")
         variables[i] = Variable(var.name, var.kind, value, value)
-    for i, (lower, upper) in spec.bound_overrides.items():
+        lower[i] = upper[i] = value
+    for i, (lo, up) in spec.bound_overrides.items():
         if i in spec.fixings:
             continue
         var = variables[i]
-        new_lower = max(lower, var.lower)
-        new_upper = min(upper, var.upper)
+        new_lower = max(lo, var.lower)
+        new_upper = min(up, var.upper)
         if new_lower > new_upper + BOUND_TOL:
             raise ConflictingFixing(
                 f"override for {var.name!r} yields empty range [{new_lower}, {new_upper}]"
             )
         variables[i] = Variable(var.name, var.kind, new_lower, new_upper)
+        lower[i], upper[i] = new_lower, new_upper
 
-    constraints = list(model.constraints)
-    if spec.extra_constraints:
-        used = {c.name for c in constraints}
-        for con in spec.extra_constraints:
-            name = con.name
-            k = 1
-            while name in used:
-                name = f"{con.name}_{k}"
-                k += 1
-            used.add(name)
-            constraints.append(
-                LinearConstraint(name, _strip_zeros(dict(con.coefficients)), con.relation, con.rhs)
-            )
+    appended = []
+    used = {c.name for c in model.constraints} if spec.extra_constraints else set()
+    for con in spec.extra_constraints:
+        name, k = con.name, 1
+        while name in used:
+            name, k = f"{con.name}_{k}", k + 1
+        used.add(name)
+        appended.append(
+            LinearConstraint(name, _strip_zeros(dict(con.coefficients)), con.relation, con.rhs)
+        )
 
+    fields = {"variables": tuple(variables), "constraints": model.constraints + tuple(appended)}
     if spec.objective_override is not None:
         coefficients, offset = spec.objective_override
         objective = _strip_zeros(dict(coefficients))
-        objective_offset = offset
-        sense = MINIMIZE  # override objectives are stated directly in minimization form
-    else:
-        objective = model.objective
-        objective_offset = model.objective_offset
-        sense = model.sense
+        # override objectives are stated directly in minimization form
+        fields.update(sense=MINIMIZE, objective=objective, objective_offset=offset)
+    derived = _validate(replace(model, **fields))
 
-    derived = MipModel(
-        name=model.name,
-        sense=sense,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=objective,
-        objective_offset=objective_offset,
-    )
-    return _validate(derived)
+    arrays = {"lower": lower, "upper": upper}
+    if spec.objective_override is not None:
+        arrays.update(c=_dense(derived.objective, n), offset=derived.objective_offset)
+    if appended:
+        arrays.update(_rows(appended, n, above=base))
+    derived.__dict__["relaxation"] = replace(base, **arrays)  # fills the cached_property
+    return derived

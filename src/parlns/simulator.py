@@ -55,6 +55,8 @@ class TraceDb:
 def build_trace_db(traces: dict[str, dict[str, GapTrace]]) -> TraceDb:
     config_ids = tuple(sorted(traces))
     instance_ids = tuple(sorted({i for per in traces.values() for i in per}))
+    if not instance_ids:
+        raise ValueError(f"trace db has {len(config_ids)} configurations and no instance traces")
     missing = tuple(
         (c, i) for c in config_ids for i in instance_ids if i not in traces[c]
     )

@@ -4,9 +4,10 @@ A backend is a ``Backend`` pair of calls, ``solve_mip`` and
 ``find_first_feasible``. A real solver plugs in as a ``Backend`` passed to
 ``run_worker`` or ``run_portfolio``; ``get_backend`` knows only the
 reference one. The reference backend is a deterministic single-threaded
-best-bound search with depth-first plunging until the first incumbent,
-most-fractional branching (ties to the lowest index), and cooperative
-cancellation checked at node boundaries and before every simplex pivot. The
+best-bound search over the model's shared arrays (``model.relaxation``)
+with depth-first plunging until the first incumbent, most-fractional
+branching (ties to the lowest index), and cooperative cancellation checked
+at node boundaries and before every simplex pivot. The
 root LP starts from the caller's ``root_basis`` when one is given (the
 worker's base-model optimum), and a child node's LP from its parent's
 optimal basis (dual simplex warm start). A node whose LP still fails after a
@@ -19,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .clock import WallClock
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LP_STOPPED, build_relaxation, solve_relaxation
-from .model import INF, INTEGRALITY_TOL, DimensionMismatch, MipModel, Solution, evaluate
+from .model import INF, INTEGRALITY_TOL, MipModel, Solution, evaluate
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -60,18 +63,13 @@ class MipResult:
     dropped_nodes: int = 0  # nodes whose LP failed even when solved cold
 
 
-def _most_fractional(values, int_indices):
-    best_j = None
-    best_score = None
-    for j in int_indices:
-        frac = values[j] - math.floor(values[j])
-        dist = min(frac, 1.0 - frac)
-        if dist <= INTEGRALITY_TOL:
-            continue
-        score = abs(frac - 0.5)
-        if best_score is None or score < best_score:
-            best_j, best_score = j, score
-    return best_j
+def _most_fractional(x, integer):
+    """The fractional integer column nearest to .5 (lowest index on ties), or None."""
+    frac = x - np.floor(x)
+    fractional = integer & (np.minimum(frac, 1.0 - frac) > INTEGRALITY_TOL)
+    if not fractional.any():
+        return None
+    return int(np.argmin(np.where(fractional, np.abs(frac - 0.5), INF)))
 
 
 def solve_mip(
@@ -87,7 +85,8 @@ def solve_mip(
 ) -> MipResult:
     """Branch-and-bound solve within a budget.
 
-    Never returns an incumbent worse than the warm start. ``seed`` is part of
+    Never returns an incumbent worse than the warm start, which is re-scored
+    on ``model`` and ignored unless feasible and integral. ``seed`` is part of
     the backend interface; the reference implementation is deterministic and
     does not consume it. ``root_basis`` is the ``(basis, pos)`` of an LP
     optimum over the same variables and a prefix of the model's rows; the
@@ -100,12 +99,9 @@ def solve_mip(
     start = clock.now()
     deadline = start + budget.wall_seconds
     relax = build_relaxation(model)
-    ints = model.integer_indices()
 
     incumbent = None
     if warm_start is not None:
-        if len(warm_start.values) != model.n_vars:
-            raise DimensionMismatch("warm start length does not match model")
         checked = evaluate(model, warm_start.values)
         if checked.feasible and checked.integral:
             incumbent = checked
@@ -114,7 +110,7 @@ def solve_mip(
     seq = 0
     stack = []  # LIFO plunge while no incumbent exists
     heap = []  # (estimate, seq, lower, upper, warm basis) best-bound afterwards
-    root = (-INF, seq, relax.lower.copy(), relax.upper.copy(), root_basis)
+    root = (-INF, seq, relax.lower, relax.upper, root_basis)
     if incumbent is None:
         stack.append(root)
     else:
@@ -182,12 +178,10 @@ def solve_mip(
         if res.objective >= best_obj - _PRUNE_TOL:
             continue
 
-        branch_j = _most_fractional(res.values, ints)
+        point = np.array(res.values)
+        branch_j = _most_fractional(point, relax.integer)
         if branch_j is None:
-            rounded = list(res.values)
-            for j in ints:
-                rounded[j] = float(round(rounded[j]))
-            candidate = evaluate(model, rounded)
+            candidate = evaluate(model, np.where(relax.integer, np.round(point), point))
             if not (candidate.feasible and candidate.integral):
                 candidate = evaluate(model, res.values)
             if candidate.feasible and candidate.integral and candidate.objective < best_obj:
@@ -258,7 +252,9 @@ def find_first_feasible(
 class Backend:
     """A sub-MIP solver pair; implementations must be safe to run in
     separate workers and honor cooperative cancellation. Both calls take a
-    ``root_basis`` keyword, which a backend without LP warm starts ignores."""
+    ``root_basis`` keyword, which a backend without LP warm starts ignores.
+    The warm start ``solve_mip`` gets is the worker's current solution, which
+    may be infeasible for the sub-model; a backend must check it."""
 
     name: str
     solve_mip: Callable

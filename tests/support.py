@@ -2,10 +2,12 @@
 
 The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
-enumeration for LPs, and hand-rolled step-function traces.
+enumeration for LPs, a dict-loop ``evaluate`` for the array one, and
+hand-rolled step-function traces.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,16 +15,68 @@ import numpy as np
 from parlns.metrics import GapTrace
 from parlns.model import (
     BINARY,
+    BOUND_TOL,
     CONTINUOUS,
     EQ,
+    FEASIBILITY_TOL,
     GE,
+    INTEGRALITY_TOL,
     LE,
     MINIMIZE,
+    DimensionMismatch,
     LinearConstraint,
     MipModel,
+    Solution,
     Variable,
     make_model,
 )
+
+
+def evaluate_oracle(model: MipModel, values) -> Solution:
+    """``model.evaluate`` as one loop over the model's dicts per relation."""
+    if len(values) != model.n_vars:
+        raise DimensionMismatch(f"expected {model.n_vars} values, got {len(values)}")
+    values = tuple(float(v) for v in values)
+    objective = model.objective_offset + sum(
+        coef * values[i] for i, coef in model.objective.items()
+    )
+    feasible = True
+    for i, var in enumerate(model.variables):
+        if values[i] < var.lower - BOUND_TOL or values[i] > var.upper + BOUND_TOL:
+            feasible = False
+            break
+    if feasible:
+        for con in model.constraints:
+            activity = sum(coef * values[i] for i, coef in con.coefficients.items())
+            if con.relation == LE and activity > con.rhs + FEASIBILITY_TOL:
+                feasible = False
+            elif con.relation == GE and activity < con.rhs - FEASIBILITY_TOL:
+                feasible = False
+            elif con.relation == EQ and abs(activity - con.rhs) > FEASIBILITY_TOL:
+                feasible = False
+            if not feasible:
+                break
+    integral = all(
+        abs(values[i] - round(values[i])) <= INTEGRALITY_TOL
+        for i in model.integer_indices()
+    )
+    return Solution(values=values, objective=objective, feasible=feasible, integral=integral)
+
+
+def most_fractional_oracle(values, int_indices):
+    """Branching column as one loop: the fractional integer column nearest
+    to .5, lowest index on ties; None when all are integral."""
+    best_j = None
+    best_score = None
+    for j in int_indices:
+        frac = values[j] - math.floor(values[j])
+        dist = min(frac, 1.0 - frac)
+        if dist <= INTEGRALITY_TOL:
+            continue
+        score = abs(frac - 0.5)
+        if best_score is None or score < best_score:
+            best_j, best_score = j, score
+    return best_j
 
 
 def binary_optimum(model: MipModel) -> float | None:

@@ -268,6 +268,16 @@ def test_simulate_default_runs_is_1000(tmp_path):
     assert json.loads(out.read_text())["runs"] == 1000
 
 
+def test_simulate_on_configs_without_traces_is_data_error(tmp_path, capsys):
+    root = tmp_path / "traces"
+    for config_id in ("a", "b"):
+        (root / config_id).mkdir(parents=True)
+    # without --t1 the window end used to fail on an empty min()
+    code = main(["simulate", "--traces", str(root), "--n", "1", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_DATA
+    assert "no instance traces" in capsys.readouterr().err
+
+
 def test_simulate_n_larger_than_pool_is_usage_error(tmp_path):
     root = _trace_dir(tmp_path)
     with pytest.raises(SystemExit) as err:

@@ -154,6 +154,19 @@ def test_rank_configs_orders_and_tie_breaks():
     assert rank_configs(db, (0.0, 100.0)) == ["aaa", "bbb"]
 
 
+def test_db_without_instances_is_a_clear_error(tmp_path):
+    # configs with no trace used to reach numpy's "need at least one array
+    # to concatenate" inside the grid build
+    with pytest.raises(ValueError, match="2 configurations and no instance traces"):
+        build_trace_db({"a": {}, "b": {}})
+    with pytest.raises(ValueError, match="0 configurations and no instance traces"):
+        build_trace_db({})
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    with pytest.raises(ValueError, match="no instance traces"):
+        load_trace_db(tmp_path)
+
+
 def test_load_trace_db_round_trip(tmp_path):
     from parlns.metrics import write_trace_csv
 

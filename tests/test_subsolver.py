@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlns.clock import SimulatedClock
 from parlns.instances import independent_set, knapsack, set_cover
@@ -22,12 +25,32 @@ from parlns.subsolver import (
     OPTIMAL,
     UNKNOWN,
     SolveBudget,
+    _most_fractional,
     find_first_feasible,
     get_backend,
     solve_mip,
 )
 
-from support import binary_optimum
+from support import binary_optimum, most_fractional_oracle
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-3, 3),
+            st.sampled_from((0.0, 0.25, 0.5, 0.75, 5e-7, 2e-6, 1 - 5e-7, 1 - 2e-6)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_most_fractional_matches_loop_oracle(columns):
+    x = np.array([k + frac for k, frac, _ in columns])
+    integer = np.array([is_int for _, _, is_int in columns])
+    expected = most_fractional_oracle(x.tolist(), np.flatnonzero(integer).tolist())
+    assert _most_fractional(x, integer) == expected
 
 
 def test_budget_requires_a_finite_cap():
