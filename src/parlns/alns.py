@@ -183,7 +183,7 @@ def run_worker(
 
     initial_budget = SolveBudget(wall_seconds=min(0.2 * wall_seconds, 60.0))
     first = backend.find_first_feasible(
-        model, initial_budget, seed=seed, clock=clock, cancel=cancel, root_basis=root_basis
+        model, initial_budget, clock=clock, cancel=cancel, root_basis=root_basis
     )
     if first.incumbent is None:
         return WorkerResult(
@@ -237,8 +237,7 @@ def run_worker(
             node_limit=PER_ITERATION_NODE_CAP,
         )
         repair = backend.solve_mip(
-            sub, current, budget, seed=rng.randrange(2**31), clock=clock, cancel=cancel,
-            root_basis=root_basis,
+            sub, current, budget, clock=clock, cancel=cancel, root_basis=root_basis
         )
         iterations += 1
         pulls[arm] += 1

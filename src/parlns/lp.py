@@ -1,31 +1,32 @@
 """Bounded-variable simplex for LP relaxations.
 
 Dense revised simplex over a model's ``LpRelaxation``: ``[A, I]``, one slack
-column per row. A cold solve starts from a crash basis: every variable sits
-at a finite bound (free ones at zero), a row's slack is basic wherever it can
-absorb the row's residual there, and only the other rows get an artificial
-variable. Phase 1 drives those artificials out, phase 2 optimizes the real
-costs. Nonbasic variables sit exactly at a bound, the ratio test allows bound
-flips, and the entering rule switches from Dantzig to Bland's rule after 1000
-degenerate pivots so the method terminates.
+column per row. Every solve has one start rule. The start basis is the
+caller's ``warm`` basis, an earlier optimum as a branch-and-bound child
+starts from its parent's, or else the all-slack basis, which is never
+singular. The earlier relaxation may have fewer rows: a sub-MIP appends its
+local-branching or proximity row to the worker's base rows, so the base rows
+keep their slack columns' indices and the appended rows' slacks join the
+basis.
 
-A warm solve starts from an earlier optimal basis, as a branch-and-bound
-child starts from its parent's. The earlier relaxation may have fewer rows:
-a sub-MIP appends its local-branching or proximity row to the worker's base
-rows, so the base rows keep their slack columns' indices and the appended
-rows' slacks join the basis. With the appended slacks basic, the duals of
-the base rows and so every reduced cost are those of the earlier optimum.
-Each nonbasic variable goes to the bound its reduced cost prefers, a bounded
-dual simplex restores primal feasibility under the new bounds and rows, and
-a primal pass cleans up. A basis that is singular, not dual feasible (as
-after a swapped cost vector), leaves a nonbasic variable at an infinite
-bound, runs past the iteration limit, or claims infeasibility without a
-certificate that holds on the original rows falls back to a cold solve.
+Each nonbasic column goes to the bound its reduced cost prefers. Where that
+bound is infinite the column goes to its other bound (a free column sits at
+zero) and its cost is shifted so that its reduced cost is zero (cost
+shifting, a dual phase 1; Koberstein 2005). The start basis is then dual
+feasible for the shifted costs, so a bounded dual simplex reaches a primal
+feasible basis, and a primal simplex on the true costs removes the shifts.
+A warm basis that is already dual feasible, as a child's is, needs no shift.
+Nonbasic variables sit exactly at a bound (free ones at zero until they
+enter), the primal ratio test allows bound flips, and both methods switch to
+Bland's rule after 1000 degenerate pivots so they terminate.
 
-Each pivot updates the basis inverse in place with one BLAS rank-1 update
-(``dger``) instead of building an m-by-m outer product. A caller's ``stop``
-callable is checked before every pivot; when it returns true the solve ends
-with status ``stopped``.
+A warm start that is singular, runs past the iteration limit, or claims
+infeasibility without a certificate that holds on the original rows starts
+again from the slack basis; a slack start's uncertified infeasibility is
+reported as ``iteration_limit``. Each pivot updates the basis inverse in
+place with one BLAS rank-1 update (``dger``) instead of building an m-by-m
+outer product. A caller's ``stop`` callable is checked before every pivot;
+when it returns true the solve ends with status ``stopped``.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +95,7 @@ def solve_relaxation(
     its rows; the solve then starts from that basis. Each start gets
     ``iteration_limit`` pivots, and ``iterations`` counts them all. ``stop``
     is called before every pivot; once it returns true the solve returns
-    ``LP_STOPPED`` without a fallback.
+    ``LP_STOPPED`` without starting again from the slack basis.
     """
     n = relax.n_structural
     m = relax.A_full.shape[0]
@@ -110,22 +111,17 @@ def solve_relaxation(
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
 
+    system = (relax.A_full, relax.b, c_full, lower_full, upper_full)
     state = _new_state(0, stop)
     status, tab = None, None
     if warm is not None:
-        tab = _warm_tableau(relax.A_full, relax.b, c_full, lower_full, upper_full, *warm)
-    if tab is not None:
-        status = _dual_optimize(tab, c_full, state, iteration_limit)
-        if status == LP_OPTIMAL:
-            status = _optimize(tab, c_full, tab.n_cols, state, iteration_limit)
-        if status in (None, LP_ITERATION_LIMIT):
-            tab = None
-    if tab is None and status != LP_STOPPED:
+        status, tab = _solve_from(system, state, iteration_limit, *warm)
+    if status in (None, LP_ITERATION_LIMIT):
+        # no warm start, or one that failed: start again from the slack basis
         state = _new_state(state["iterations"], stop)
-        status, tab = _two_phase(
-            c_full, relax.A_full, relax.b, lower_full, upper_full, state,
-            state["iterations"] + iteration_limit,
-        )
+        status, tab = _solve_from(system, state, state["iterations"] + iteration_limit)
+        if status is None:
+            status = LP_ITERATION_LIMIT
     iterations = state["iterations"]
     if status != LP_OPTIMAL:
         return LpResult(status, iterations=iterations)
@@ -140,16 +136,13 @@ def solve_relaxation(
     if residual > _FEAS_TOL or off_bounds > 1e-6:
         return LpResult(LP_ITERATION_LIMIT, iterations=iterations)
 
-    values = tuple(float(v) for v in x[:n])
-    objective = float(relax.c @ x[:n] + relax.offset)
-    full_basis = tab.m == m
     return LpResult(
         LP_OPTIMAL,
-        values=values,
-        objective=objective,
+        values=tuple(float(v) for v in x[:n]),
+        objective=float(relax.c @ x[:n] + relax.offset),
         iterations=iterations,
-        basis=tab.basis.copy() if full_basis else None,
-        pos=tab.pos.copy() if full_basis else None,
+        basis=tab.basis.copy(),
+        pos=tab.pos.copy(),
     )
 
 
@@ -221,17 +214,14 @@ class _Tableau:
         nonbasic_part = self.b - self.A @ self.x + B @ self.x[self.basis]
         self.x[self.basis] = self.binv @ nonbasic_part
 
-    def solution_value(self, c):
-        return float(c @ self.x)
-
 
 def _invert(B):
     """Inverse of a basis matrix whose columns are mostly unit vectors.
 
-    Slack and artificial columns have one nonzero each. Ordering their rows
-    and columns last makes B block lower triangular, [[P, 0], [Q, D]] with D
-    diagonal, so only the square block P of the other columns needs a dense
-    inverse. Raises LinAlgError when B is singular.
+    Slack columns have one nonzero each. Ordering their rows and columns
+    last makes B block lower triangular, [[P, 0], [Q, D]] with D diagonal,
+    so only the square block P of the other columns needs a dense inverse.
+    Raises LinAlgError when B is singular.
     """
     m = B.shape[0]
     is_unit = np.count_nonzero(B, axis=0) == 1
@@ -254,118 +244,59 @@ def _invert(B):
     return binv
 
 
-def _two_phase(c, A, b, lower, upper, state, iteration_limit):
-    """Cold solve from the slack crash basis; returns (status, tableau)."""
-    m, n_real = A.shape
-    slacks = np.arange(n_real - m, n_real)
-    tab = _Tableau(A, b, lower, upper)
-    # the slack block of A is the identity: row i's residual with its slack
-    # at zero is what slack i would have to take as a basic variable
-    residual = b - A @ tab.x + tab.x[slacks]
-    crash = (residual >= lower[slacks]) & (residual <= upper[slacks])
-    basis = slacks.copy()
-    art_rows = np.flatnonzero(~crash)
-    if art_rows.size == 0:
-        tab.set_basis(basis)
-        return _optimize(tab, c, n_real, state, iteration_limit), tab
+def _solve_from(system, state, iteration_limit, basis=None, pos=None):
+    """Solve ``system`` = (A, b, c, lower, upper) from a start basis; returns
+    (status, tableau), status None as in ``_dual_optimize`` or when the
+    start basis is singular.
 
-    k = art_rows.size
-    art = np.zeros((m, k))
-    art_residual = residual[art_rows] - tab.x[slacks[art_rows]]
-    art[art_rows, np.arange(k)] = np.where(art_residual >= 0, 1.0, -1.0)
-    A1 = np.hstack([A, art])
-    lower1 = np.concatenate([lower, np.zeros(k)])
-    upper1 = np.concatenate([upper, np.full(k, INF)])
-    c1 = np.concatenate([np.zeros(n_real), np.ones(k)])
-    basis[art_rows] = n_real + np.arange(k)
-
-    tab1 = _Tableau(A1, b, lower1, upper1)
-    tab1.set_basis(basis)
-    status = _optimize(tab1, c1, n_real, state, iteration_limit)
-    if status in (LP_ITERATION_LIMIT, LP_STOPPED):
-        return status, None
-    if tab1.solution_value(c1) > _FEAS_TOL:
-        return LP_INFEASIBLE, None
-
-    keep_rows = _evict_artificials(tab1, n_real)
-    if len(keep_rows) < m:
-        A = A[keep_rows]
-        b = b[keep_rows]
-        m = len(keep_rows)
-        if m == 0:
-            # every row was redundant; optimize over bounds alone
-            box = _solve_box_only(c, 0.0, lower, upper)
-            if box.status != LP_OPTIMAL:
-                return box.status, None
-            tab = _Tableau(A, b, lower, upper)
-            tab.x[:] = box.values
-            return LP_OPTIMAL, tab
-        tab = _Tableau(A, b, lower, upper)
-
-    tab.x[:] = tab1.x[:n_real]
-    tab.pos[:] = tab1.pos[:n_real]
-    tab.basis = np.asarray([j for j in tab1.basis if j < n_real], dtype=int)
-    tab.refactor()
-    return _optimize(tab, c, n_real, state, iteration_limit), tab
-
-
-def _evict_artificials(tab, n_real):
-    """Pivot zero-level artificials out of the basis; report surviving rows."""
-    keep = []
-    for r in range(tab.m):
-        jb = tab.basis[r]
-        if jb < n_real:
-            keep.append(r)
-            continue
-        row = tab.binv[r] @ tab.A[:, :n_real]
-        row_abs = np.abs(row)
-        row_abs[tab.pos[:n_real] == _BASIC] = 0.0
-        j = int(np.argmax(row_abs))
-        if row_abs[j] <= _PIVOT_TOL:
-            continue  # redundant row
-        w = tab.binv @ tab.A[:, j]
-        _pivot(tab, j, r, w, entering_value=tab.x[j])
-        keep.append(r)
-    return keep
-
-
-def _warm_tableau(A, b, c, lower, upper, basis, pos):
-    """Tableau on an earlier basis, each nonbasic column at the bound its
-    reduced cost prefers; None if the basis is singular or not dual feasible.
-
-    A basis of a relaxation with fewer rows is extended by the slacks of the
-    appended rows, which are the last columns of ``A``.
+    The start basis is ``basis``, extended by the slacks of the rows
+    appended since (the last columns of ``A``), or the all-slack basis when
+    ``basis`` is None. Each nonbasic column sits at the bound its reduced
+    cost prefers. Where that bound is infinite the column sits at its other
+    bound (a free column at zero) and its cost is shifted so that its
+    reduced cost is zero, which makes the basis dual feasible. A dual
+    simplex on the shifted costs reaches a primal feasible basis, and a
+    primal simplex on the true costs takes it to an optimum.
     """
+    A, b, c, lower, upper = system
     tab = _Tableau(A, b, lower, upper)
+    if basis is None:
+        basis = np.empty(0, dtype=int)
     appended = tab.m - len(basis)
     if appended < 0:
-        return None
+        return None, None
+    if pos is not None:
+        tab.pos[: len(pos)] = pos
     tab.basis = np.concatenate([basis, np.arange(tab.n_cols - appended, tab.n_cols)])
-    pos = np.concatenate([pos, np.full(appended, _BASIC, dtype=np.int8)])
     try:
         tab.binv = _invert(A[:, tab.basis])
     except np.linalg.LinAlgError:
-        return None
+        return None, None
     if not np.all(np.isfinite(tab.binv)):
-        return None
+        return None, None
     d = c - (c[tab.basis] @ tab.binv) @ A
     # a zero reduced cost keeps the earlier bound while that bound is finite
     at_upper = np.where(
         np.abs(d) <= _COST_TOL,
-        ((pos == _AT_UPPER) & (upper < INF)) | (lower == -INF),
+        ((tab.pos == _AT_UPPER) & (upper < INF)) | (lower == -INF),
         d < 0,
     )
     nonbasic = np.ones(tab.n_cols, dtype=bool)
     nonbasic[tab.basis] = False
-    bound = np.where(at_upper, upper, lower)[nonbasic]
-    if not np.all(np.isfinite(bound)):
-        return None
-    tab.x[nonbasic] = bound
-    tab.pos[nonbasic] = np.where(at_upper[nonbasic], _AT_UPPER, _AT_LOWER)
+    shifted = nonbasic & np.isinf(np.where(at_upper, upper, lower))
+    at_upper ^= shifted
+    bound = np.where(at_upper, upper, lower)
+    free = shifted & np.isinf(bound)
+    tab.pos = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
+    tab.pos[free] = _FREE
     tab.pos[tab.basis] = _BASIC
-    tab.x[tab.basis] = 0.0
+    tab.x = np.where(nonbasic & ~free, bound, 0.0)
     tab.x[tab.basis] = tab.binv @ (b - A @ tab.x)
-    return tab
+
+    status = _dual_optimize(tab, c - np.where(shifted, d, 0.0), state, iteration_limit)
+    if status == LP_OPTIMAL:
+        status = _optimize(tab, c, state, iteration_limit)
+    return status, tab
 
 
 def _dual_optimize(tab, c, state, iteration_limit):
@@ -402,17 +333,21 @@ def _dual_optimize(tab, c, state, iteration_limit):
         rise = below[r] > 0  # the leaving variable goes up to its lower bound
 
         # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
-        # its bound without leaving their own bound the wrong way
+        # its bound without leaving their own bound the wrong way, and a free
+        # column, whose reduced cost is zero, moves either way
         alpha = tab.binv[r] @ A
         toward = -alpha if rise else alpha
+        free = tab.pos == _FREE
         candidates = tab.enterable & (
             ((tab.pos == _AT_LOWER) & (toward > _PIVOT_TOL))
             | ((tab.pos == _AT_UPPER) & (toward < -_PIVOT_TOL))
+            | (free & (np.abs(alpha) > _PIVOT_TOL))
         )
         idx = np.flatnonzero(candidates)
         if idx.size == 0:
             return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
         ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+        ratios[free[idx]] = 0.0
         t = float(ratios.min())
         ties = idx[ratios <= t + _PIVOT_TOL]
         j = int(ties[0]) if bland else int(ties[int(np.argmax(np.abs(alpha[ties])))])
@@ -448,7 +383,8 @@ def _certifies_infeasible(tab, r):
     least = float(np.sum(np.where(a > 0, a * lo, a * up)))
     most = float(np.sum(np.where(a > 0, a * up, a * lo)))
     rhs = float(y @ tab.b)
-    # a margin well above the cold phase 1 tolerance, so both agree
+    # a margin well above the optimum's feasibility check, so rounding noise
+    # in a feasible system is not taken for infeasibility
     tol = 10 * _FEAS_TOL * max(1.0, float(np.max(np.abs(y))))
     return rhs > most + tol or rhs < least - tol
 
@@ -468,8 +404,8 @@ def _pivot(tab, j_enter, r_leave, w, entering_value):
     tab.x[j_enter] = entering_value
 
 
-def _optimize(tab, c, n_eligible, state, iteration_limit):
-    """Run pivots until optimal; columns >= n_eligible never enter."""
+def _optimize(tab, c, state, iteration_limit):
+    """Primal simplex from a primal feasible basis until optimal."""
     neg_inf = -INF
     while True:
         halted = _halted(state, iteration_limit)
@@ -483,15 +419,14 @@ def _optimize(tab, c, n_eligible, state, iteration_limit):
         d = c - y @ tab.A
         bland = state["degenerate"] >= _BLAND_AFTER
 
-        dn = d[:n_eligible]
-        pos = tab.pos[:n_eligible]
-        score = np.full(n_eligible, neg_inf)
-        at_lower = (pos == _AT_LOWER) & tab.enterable[:n_eligible]
-        at_upper = (pos == _AT_UPPER) & tab.enterable[:n_eligible]
+        pos = tab.pos
+        score = np.full(tab.n_cols, neg_inf)
+        at_lower = (pos == _AT_LOWER) & tab.enterable
+        at_upper = (pos == _AT_UPPER) & tab.enterable
         free = pos == _FREE
-        score[at_lower] = -dn[at_lower]
-        score[at_upper] = dn[at_upper]
-        score[free] = np.abs(dn[free])
+        score[at_lower] = -d[at_lower]
+        score[at_upper] = d[at_upper]
+        score[free] = np.abs(d[free])
         if bland:
             eligible = np.where(score > _COST_TOL)[0]
             if eligible.size == 0:

@@ -65,9 +65,6 @@ class GapTrace:
     def final_gap(self) -> float:
         return self.points[-1][2] if self.points else 1.0
 
-    def final_objective(self) -> float | None:
-        return self.points[-1][1] if self.points else None
-
 
 def primal_integral(trace: GapTrace, t0: float, t1: float) -> float:
     """Exact integral of the piecewise-constant gap over [t0, t1]."""

@@ -219,17 +219,25 @@ def _validate(model: MipModel) -> MipModel:
         if con.name in seen:
             raise ModelError(f"duplicate constraint name {con.name!r}")
         seen.add(con.name)
-        if con.relation not in _SLACK_BOUNDS:
-            raise ModelError(f"constraint {con.name!r}: unknown relation {con.relation!r}")
-        if not con.coefficients:
-            raise ModelError(f"constraint {con.name!r} has no nonzero coefficient")
-        for i in con.coefficients:
-            if not 0 <= i < n:
-                raise ModelError(f"constraint {con.name!r} references variable index {i}")
-    for i in model.objective:
+        _check_constraint(con, n)
+    _check_objective(model.objective, n)
+    return model
+
+
+def _check_constraint(con: LinearConstraint, n: int) -> None:
+    if con.relation not in _SLACK_BOUNDS:
+        raise ModelError(f"constraint {con.name!r}: unknown relation {con.relation!r}")
+    if not con.coefficients:
+        raise ModelError(f"constraint {con.name!r} has no nonzero coefficient")
+    for i in con.coefficients:
+        if not 0 <= i < n:
+            raise ModelError(f"constraint {con.name!r} references variable index {i}")
+
+
+def _check_objective(objective: dict[int, float], n: int) -> None:
+    for i in objective:
         if not 0 <= i < n:
             raise ModelError(f"objective references variable index {i}")
-    return model
 
 
 def make_model(
@@ -360,14 +368,17 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> MipModel:
         appended.append(
             LinearConstraint(name, _strip_zeros(dict(con.coefficients)), con.relation, con.rhs)
         )
+        _check_constraint(appended[-1], n)
 
     fields = {"variables": tuple(variables), "constraints": model.constraints + tuple(appended)}
     if spec.objective_override is not None:
         coefficients, offset = spec.objective_override
         objective = _strip_zeros(dict(coefficients))
+        _check_objective(objective, n)
         # override objectives are stated directly in minimization form
         fields.update(sense=MINIMIZE, objective=objective, objective_offset=offset)
-    derived = _validate(replace(model, **fields))
+    # the model is valid, so only the appended rows and the objective need checks
+    derived = replace(model, **fields)
 
     arrays = {"lower": lower, "upper": upper}
     if spec.objective_override is not None:

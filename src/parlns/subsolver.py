@@ -76,7 +76,6 @@ def solve_mip(
     model: MipModel,
     warm_start: Solution | None = None,
     budget: SolveBudget | None = None,
-    seed: int = 0,
     *,
     clock=None,
     cancel=None,
@@ -86,12 +85,11 @@ def solve_mip(
     """Branch-and-bound solve within a budget.
 
     Never returns an incumbent worse than the warm start, which is re-scored
-    on ``model`` and ignored unless feasible and integral. ``seed`` is part of
-    the backend interface; the reference implementation is deterministic and
-    does not consume it. ``root_basis`` is the ``(basis, pos)`` of an LP
-    optimum over the same variables and a prefix of the model's rows; the
-    root LP starts from it. ``stop_at_first`` ends the search at the first
-    improving integral solution.
+    on ``model`` and ignored unless feasible and integral. The search is
+    deterministic, so it takes no seed. ``root_basis`` is the ``(basis,
+    pos)`` of an LP optimum over the same variables and a prefix of the
+    model's rows; the root LP starts from it. ``stop_at_first`` ends the
+    search at the first improving integral solution.
     """
     if budget is None:
         raise ValueError("a SolveBudget is required")
@@ -108,13 +106,9 @@ def solve_mip(
     best_obj = incumbent.objective if incumbent is not None else INF
 
     seq = 0
-    stack = []  # LIFO plunge while no incumbent exists
-    heap = []  # (estimate, seq, lower, upper, warm basis) best-bound afterwards
-    root = (-INF, seq, relax.lower, relax.upper, root_basis)
-    if incumbent is None:
-        stack.append(root)
-    else:
-        heapq.heappush(heap, root)
+    # (estimate, seq, lower, upper, warm basis): a LIFO plunge while no
+    # incumbent exists, a best-bound heap from the first incumbent on
+    open_nodes = [(-INF, seq, relax.lower, relax.upper, root_basis)]
 
     nodes = 0
     dropped = 0
@@ -123,8 +117,14 @@ def solve_mip(
     proven = False
     proven_dual = INF
 
+    def push(node):
+        if incumbent is None:
+            open_nodes.append(node)
+        else:
+            heapq.heappush(open_nodes, node)
+
     def open_dual():
-        cands = [entry[0] for entry in heap] + [entry[0] for entry in stack]
+        cands = [entry[0] for entry in open_nodes]
         if dropped:
             cands.append(dropped_bound)
         return min(cands) if cands else None
@@ -145,12 +145,9 @@ def solve_mip(
         if budget.node_limit is not None and nodes >= budget.node_limit:
             interrupted = True
             break
-        if stack:
-            node = stack.pop()
-        elif heap:
-            node = heapq.heappop(heap)
-        else:
+        if not open_nodes:
             break
+        node = open_nodes.pop() if incumbent is None else heapq.heappop(open_nodes)
         estimate, _, lower, upper, warm = node
         if estimate >= best_obj - _PRUNE_TOL:
             continue
@@ -160,10 +157,7 @@ def solve_mip(
             res = solve_relaxation(relax, lower, upper, stop=out_of_time)
         if res.status == LP_STOPPED:
             # the node stays open, so its estimate still bounds the search
-            if incumbent is None:
-                stack.append(node)
-            else:
-                heapq.heappush(heap, node)
+            push(node)
             interrupted = True
             break
         nodes += 1
@@ -185,12 +179,10 @@ def solve_mip(
             if not (candidate.feasible and candidate.integral):
                 candidate = evaluate(model, res.values)
             if candidate.feasible and candidate.integral and candidate.objective < best_obj:
+                if incumbent is None:
+                    heapq.heapify(open_nodes)
                 incumbent = candidate
                 best_obj = candidate.objective
-                if stack:
-                    for entry in stack:
-                        heapq.heappush(heap, entry)
-                    stack = []
                 if stop_at_first:
                     break
                 if gap_met():
@@ -211,16 +203,12 @@ def solve_mip(
         seq += 1
         ceil_child = (res.objective, seq, ceil_child_lower, upper, child_warm)
         prefer_ceil = (x - math.floor(x)) >= 0.5
-        if incumbent is None:
-            first, second = (floor_child, ceil_child) if prefer_ceil else (ceil_child, floor_child)
-            stack.append(first)
-            stack.append(second)  # popped first: plunge toward the rounding
-        else:
-            heapq.heappush(heap, floor_child)
-            heapq.heappush(heap, ceil_child)
+        first, second = (floor_child, ceil_child) if prefer_ceil else (ceil_child, floor_child)
+        push(first)
+        push(second)  # a plunge pops it first: toward the rounding
 
     elapsed = clock.now() - start
-    exhausted = not stack and not heap and not interrupted
+    exhausted = not open_nodes and not interrupted
     if dropped == 0 and (proven or exhausted):
         if incumbent is None:
             return MipResult(INFEASIBLE, None, INF, nodes, elapsed)
@@ -235,7 +223,6 @@ def solve_mip(
 def find_first_feasible(
     model: MipModel,
     budget: SolveBudget,
-    seed: int = 0,
     *,
     clock=None,
     cancel=None,
@@ -243,7 +230,7 @@ def find_first_feasible(
 ) -> MipResult:
     """Like solve_mip but stops at the first integral feasible solution."""
     return solve_mip(
-        model, None, budget, seed, clock=clock, cancel=cancel, root_basis=root_basis,
+        model, None, budget, clock=clock, cancel=cancel, root_basis=root_basis,
         stop_at_first=True,
     )
 
@@ -251,9 +238,12 @@ def find_first_feasible(
 @dataclass(frozen=True)
 class Backend:
     """A sub-MIP solver pair; implementations must be safe to run in
-    separate workers and honor cooperative cancellation. Both calls take a
-    ``root_basis`` keyword, which a backend without LP warm starts ignores.
-    The warm start ``solve_mip`` gets is the worker's current solution, which
+    separate workers and honor cooperative cancellation. The calls are
+    ``solve_mip(model, warm_start, budget, *, clock, cancel, root_basis)``
+    and ``find_first_feasible(model, budget, *, clock, cancel,
+    root_basis)``; neither gets a seed, so a randomized backend seeds
+    itself. A backend without LP warm starts ignores ``root_basis``. The
+    warm start ``solve_mip`` gets is the worker's current solution, which
     may be infeasible for the sub-model; a backend must check it."""
 
     name: str

@@ -6,7 +6,8 @@ upper-only variable is kept inside a box by explicit rows, so the vertex
 oracle can be handed the same region with finite bounds. A sequence of
 branching-style bound tightenings then re-solves each node from its parent's
 optimal basis; an appended row or a swapped cost vector re-solves a sub-MIP
-root from the base model's optimal basis.
+root from the base model's optimal basis, also for the proximity roots of
+generated instances.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parlns import lp
-from parlns.instances import independent_set
+from parlns.instances import independent_set, set_cover
 from parlns.lp import (
     LP_INFEASIBLE,
     LP_OPTIMAL,
@@ -38,6 +39,8 @@ from parlns.model import (
     apply_neighborhood,
     make_model,
 )
+from parlns.operators import PROXIMITY, OperatorContext, OperatorSpec, build_neighborhood
+from parlns.subsolver import SolveBudget, find_first_feasible
 
 from support import lp_vertex_optimum
 
@@ -220,9 +223,9 @@ def test_dual_infeasible_or_free_nonbasic_warm_basis_falls_back_to_cold():
 
 
 def test_packing_lp_cold_start_skips_phase_one():
-    # x = 0 satisfies every packing row, so every slack is basic in the crash
-    # basis and no artificial needs pivoting out: fewer pivots than rows,
-    # where an all-artificial start spends at least one per row
+    # the slack basis is never singular and needs no artificial column: the
+    # dual simplex from it takes fewer pivots than there are rows, where an
+    # all-artificial start spends at least one per row
     model = independent_set(60, 0.1, seed=7)
     res = solve_lp(model)
     assert res.status == LP_OPTIMAL
@@ -278,6 +281,39 @@ def test_appended_row_keeps_the_base_optimum_without_pivots():
     assert abs(res.objective - root.objective) <= 1e-9
 
 
+def _proximity_root(model, percentage):
+    """A proximity sub-model around the model's first incumbent, the base
+    model's root LP, and the sub-model's relaxation."""
+    incumbent = find_first_feasible(model, SolveBudget(node_limit=1000)).incumbent
+    spec = build_neighborhood(
+        OperatorSpec(PROXIMITY, percentage), OperatorContext(incumbent=incumbent), model
+    )
+    return solve_lp(model), build_relaxation(apply_neighborhood(model, spec))
+
+
+def test_proximity_root_warm_starts_from_the_dual_infeasible_base_basis():
+    # the swapped cost vector leaves the base optimum dual infeasible; cost
+    # shifting starts from it anyway, and the result is the cold one
+    model = independent_set(60, 0.1, seed=7)
+    for percentage in (5, 15):
+        root, relax = _proximity_root(model, percentage)
+        cold = solve_relaxation(relax)
+        warm = solve_relaxation(relax, warm=(root.basis, root.pos))
+        assert cold.status == warm.status == LP_OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-6 * max(1.0, abs(cold.objective))
+        assert warm.iterations < cold.iterations
+
+
+def test_proximity_root_past_the_lp_bound_is_proven_infeasible_warm():
+    # the first set-cover incumbent already meets the LP bound, so the
+    # cutoff row is infeasible and the base basis certifies it
+    root, relax = _proximity_root(set_cover(30, 40, seed=7), 5)
+    cold = solve_relaxation(relax)
+    warm = solve_relaxation(relax, warm=(root.basis, root.pos))
+    assert cold.status == warm.status == LP_INFEASIBLE
+    assert warm.iterations < cold.iterations
+
+
 def _packing_tableau(seed):
     relax = build_relaxation(independent_set(30, 0.2, seed=seed))
     m = relax.A_full.shape[0]
@@ -305,7 +341,7 @@ def test_pivots_update_the_basis_inverse_in_place(seed, pivots):
     state = lp._new_state(0, None)
     # fewer pivots than a refactorization interval, which replaces binv
     assert pivots < lp._REFACTOR_EVERY
-    lp._optimize(tab, c, tab.n_cols, state, pivots)
+    lp._optimize(tab, c, state, pivots)
     assert state["iterations"] > 0
     assert tab.binv is buffer
     _assert_inverse(tab)
@@ -315,7 +351,7 @@ def test_pivot_on_a_non_contiguous_inverse_keeps_the_update():
     tab, c = _packing_tableau(3)
     tab.binv = np.asfortranarray(tab.binv)
     state = lp._new_state(0, None)
-    lp._optimize(tab, c, tab.n_cols, state, 5)
+    lp._optimize(tab, c, state, 5)
     assert state["iterations"] == 5
     assert tab.binv.flags.c_contiguous
     _assert_inverse(tab)

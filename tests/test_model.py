@@ -131,6 +131,20 @@ def test_apply_neighborhood_rejects_conflicting_fixing():
         apply_neighborhood(model, NeighborhoodSpec(fixings={0: 0.5}))
 
 
+def test_apply_neighborhood_rejects_malformed_rows_and_objective():
+    model = tiny_cover_model()
+    n = model.n_vars
+    malformed = (
+        NeighborhoodSpec(extra_constraints=(LinearConstraint("far", {n: 1.0}, LE, 1.0),)),
+        NeighborhoodSpec(extra_constraints=(LinearConstraint("zero", {0: 0.0}, LE, 1.0),)),
+        NeighborhoodSpec(extra_constraints=(LinearConstraint("rel", {0: 1.0}, "<", 1.0),)),
+        NeighborhoodSpec(objective_override=({n: 1.0}, 0.0)),
+    )
+    for spec in malformed:
+        with pytest.raises(ModelError):
+            apply_neighborhood(model, spec)
+
+
 def test_apply_neighborhood_is_pure_and_deterministic():
     model = tiny_cover_model()
     spec = NeighborhoodSpec(

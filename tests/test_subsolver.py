@@ -191,8 +191,8 @@ def test_oracle_equivalence_and_dual_bounds():
 def test_seed_determinism_with_node_limit():
     model = independent_set(14, 0.3, seed=6)
     budget = SolveBudget(node_limit=50)
-    a = solve_mip(model, budget=budget, seed=7)
-    b = solve_mip(model, budget=budget, seed=7)
+    a = solve_mip(model, budget=budget)
+    b = solve_mip(model, budget=budget)
     assert a.nodes == b.nodes
     assert (a.incumbent is None) == (b.incumbent is None)
     if a.incumbent is not None:
