@@ -7,7 +7,8 @@ per-iteration budget from the current solution, which the backend drops if
 the sub-model excludes it, the candidate is scored on the original model,
 classified into exactly one of best/better/accept/reject, and the bandit is
 updated. Every new global best appends a trace point. Every sub-MIP's root
-LP starts from the optimal basis of the worker's relaxation. The root LP,
+LP starts from the optimal basis and basis inverse of the worker's
+relaxation, the inverse extended by the sub-MIP's appended rows. The root LP,
 like every sub-MIP, stops once the worker is cancelled or past its deadline.
 """
 
@@ -175,11 +176,12 @@ def run_worker(
         return (cancel is not None and cancel.is_set()) or clock.now() >= deadline
 
     # one root relaxation per worker: it feeds rens/rins, and its optimal
-    # basis starts the root LP of every sub-MIP, whose rows extend the model's
+    # basis and inverse start the root LP of every sub-MIP, whose rows extend
+    # the model's
     root = solve_lp(model, stop=out_of_time)
     clock.charge_nodes(1)
     lp_values = root.values if root.status == LP_OPTIMAL else None
-    root_basis = None if root.basis is None else (root.basis, root.pos)
+    root_basis = None if root.basis is None else root.warm
 
     initial_budget = SolveBudget(wall_seconds=min(0.2 * wall_seconds, 60.0))
     first = backend.find_first_feasible(

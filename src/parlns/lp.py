@@ -9,6 +9,23 @@ local-branching or proximity row to the worker's base rows, so the base rows
 keep their slack columns' indices and the appended rows' slacks join the
 basis.
 
+The start basis comes with its inverse. An optimum returns its basis inverse,
+read-only, and the pivots it has taken since it was last factored
+(``LpResult.warm``). A warm start that carries them starts from a copy, so
+both children of a node share their parent's inverse and neither writes
+through it. Rows appended since extend it in closed form: with R the
+appended rows' entries in the basic columns, the inverse of
+``[[B, 0], [R, I]]`` is ``[[B^-1, 0], [-R B^-1, I]]``. The slack basis starts
+from the identity. A basis is inverted (``_invert``) only to refactor: every
+``_REFACTOR_EVERY`` pivots, counted along the whole chain of warm starts so
+that rounding drift stays bounded; once at the optimum of a slack start,
+whose inverse every warm start below it shares; and when a caller gives a
+warm basis without its inverse.
+
+The slack block of ``[A, I]`` is the identity, so a pivot row or reduced
+costs, ``y @ [A, I]``, cost one product with the structural block, and an
+entering slack's column ``B^-1 e_i`` is a column of the inverse.
+
 Each nonbasic column goes to the bound its reduced cost prefers. Where that
 bound is infinite the column goes to its other bound (a free column sits at
 zero) and its cost is shifted so that its reduced cost is zero (cost
@@ -22,11 +39,12 @@ Bland's rule after 1000 degenerate pivots so they terminate.
 
 A warm start that is singular, runs past the iteration limit, or claims
 infeasibility without a certificate that holds on the original rows starts
-again from the slack basis; a slack start's uncertified infeasibility is
-reported as ``iteration_limit``. Each pivot updates the basis inverse in
-place with one BLAS rank-1 update (``dger``) instead of building an m-by-m
-outer product. A caller's ``stop`` callable is checked before every pivot;
-when it returns true the solve ends with status ``stopped``.
+again from the slack basis, and its result says ``restarted``; a slack
+start's uncertified infeasibility is reported as ``iteration_limit``. Each
+pivot updates the basis inverse in place with one BLAS rank-1 update
+(``dger``) instead of building an m-by-m outer product. A caller's ``stop``
+callable is checked before every pivot; when it returns true the solve ends
+with status ``stopped``.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +71,9 @@ _REFACTOR_EVERY = 200
 
 # variable position codes
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+# the way a nonbasic column may move off its position, by position code:
+# up from its lower bound, down from its upper one
+_MOVES = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -61,10 +82,20 @@ class LpResult:
     values: tuple[float, ...] | None = None
     objective: float | None = None
     iterations: int = 0
-    # an optimum's basis (column per row) and column positions, to warm-start
-    # a solve with other bounds over the same relaxation
+    # an optimum's basis (column per row), column positions and read-only
+    # basis inverse, to warm-start a solve with other bounds over the same
+    # relaxation, and the pivots that inverse has taken since it was factored
     basis: np.ndarray | None = field(default=None, compare=False, repr=False)
     pos: np.ndarray | None = field(default=None, compare=False, repr=False)
+    binv: np.ndarray | None = field(default=None, compare=False, repr=False)
+    since_refactor: int = field(default=0, compare=False, repr=False)
+    # a warm start failed and this is the result of the slack start after it
+    restarted: bool = field(default=False, compare=False, repr=False)
+
+    @property
+    def warm(self) -> tuple:
+        """The ``warm`` argument that re-solves from this optimum."""
+        return (self.basis, self.pos, self.binv, self.since_refactor)
 
 
 def build_relaxation(model: MipModel) -> LpRelaxation:
@@ -84,18 +115,19 @@ def solve_relaxation(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     iteration_limit: int = 10000,
-    warm: tuple[np.ndarray, np.ndarray] | None = None,
+    warm: tuple | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> LpResult:
     """Solve a relaxation, optionally overriding the structural bounds.
 
     Bound overrides let a branch-and-bound caller reuse the constraint matrix
-    across nodes. ``warm`` is the ``(basis, pos)`` of an earlier optimum of
-    this relaxation, or of one with the same variables and only a prefix of
-    its rows; the solve then starts from that basis. Each start gets
-    ``iteration_limit`` pivots, and ``iterations`` counts them all. ``stop``
-    is called before every pivot; once it returns true the solve returns
-    ``LP_STOPPED`` without starting again from the slack basis.
+    across nodes. ``warm`` is an earlier optimum's ``LpResult.warm``, or just
+    its ``(basis, pos)``, over this relaxation or one with the same variables
+    and only a prefix of its rows; the solve then starts from that basis, and
+    from its inverse when one is given. Each start gets ``iteration_limit``
+    pivots, and ``iterations`` counts them all. ``stop`` is called before
+    every pivot; once it returns true the solve returns ``LP_STOPPED``
+    without starting again from the slack basis.
     """
     n = relax.n_structural
     m = relax.A_full.shape[0]
@@ -116,15 +148,20 @@ def solve_relaxation(
     status, tab = None, None
     if warm is not None:
         status, tab = _solve_from(system, state, iteration_limit, *warm)
-    if status in (None, LP_ITERATION_LIMIT):
-        # no warm start, or one that failed: start again from the slack basis
+    restarted = warm is not None and status in (None, LP_ITERATION_LIMIT)
+    if warm is None or restarted:
         state = _new_state(state["iterations"], stop)
         status, tab = _solve_from(system, state, state["iterations"] + iteration_limit)
         if status is None:
             status = LP_ITERATION_LIMIT
     iterations = state["iterations"]
     if status != LP_OPTIMAL:
-        return LpResult(status, iterations=iterations)
+        return LpResult(status, iterations=iterations, restarted=restarted)
+    if (warm is None or restarted) and state["since_refactor"]:
+        # a slack start's inverse carries every pivot of the solve, and every
+        # warm start below this optimum shares it: factor it afresh once
+        tab.refactor()
+        state["since_refactor"] = 0
 
     # sanity: a reported optimum must actually satisfy the system
     x = tab.x
@@ -134,15 +171,20 @@ def solve_relaxation(
         float(np.max(np.maximum(x - upper_full, 0.0), initial=0.0)),
     )
     if residual > _FEAS_TOL or off_bounds > 1e-6:
-        return LpResult(LP_ITERATION_LIMIT, iterations=iterations)
+        return LpResult(LP_ITERATION_LIMIT, iterations=iterations, restarted=restarted)
 
+    for shared in (tab.basis, tab.pos, tab.binv):
+        shared.flags.writeable = False  # warm starts share them and copy them
     return LpResult(
         LP_OPTIMAL,
-        values=tuple(float(v) for v in x[:n]),
+        values=tuple(x[:n].tolist()),
         objective=float(relax.c @ x[:n] + relax.offset),
         iterations=iterations,
-        basis=tab.basis.copy(),
-        pos=tab.pos.copy(),
+        basis=tab.basis,
+        pos=tab.pos,
+        binv=tab.binv,
+        since_refactor=state["since_refactor"],
+        restarted=restarted,
     )
 
 
@@ -181,7 +223,7 @@ def _solve_box_only(c, offset, lo, up):
 
 
 class _Tableau:
-    """Mutable simplex state over a fixed column set."""
+    """Mutable simplex state over a fixed column set ``A = [A_struct, I]``."""
 
     def __init__(self, A, b, lower, upper):
         self.A = A
@@ -189,6 +231,8 @@ class _Tableau:
         self.lower = lower
         self.upper = upper
         self.m, self.n_cols = A.shape
+        self.n = self.n_cols - self.m
+        self.A_struct = A[:, : self.n]
         self.x = np.zeros(self.n_cols)
         self.pos = np.full(self.n_cols, _AT_LOWER, dtype=np.int8)
         finite_lower = lower > -INF
@@ -213,6 +257,17 @@ class _Tableau:
         self.binv = _invert(B)
         nonbasic_part = self.b - self.A @ self.x + B @ self.x[self.basis]
         self.x[self.basis] = self.binv @ nonbasic_part
+
+    def price(self, y):
+        """``y @ A``: the slack block is the identity, so only the structural
+        block costs a product."""
+        return np.concatenate([y @ self.A_struct, y])
+
+    def column(self, j):
+        """``binv @ A[:, j]``: a slack column is a unit vector."""
+        if j >= self.n:
+            return self.binv[:, j - self.n].copy()  # a pivot writes binv
+        return self.binv @ self.A_struct[:, j]
 
 
 def _invert(B):
@@ -244,37 +299,57 @@ def _invert(B):
     return binv
 
 
-def _solve_from(system, state, iteration_limit, basis=None, pos=None):
+def _extended_inverse(binv, appended):
+    """The inverse of ``[[B, 0], [R, I]]`` from ``binv``, B's inverse, and
+    ``appended``, R: B's columns in the rows appended below B, whose slacks
+    are the new basic columns. It is ``[[binv, 0], [-R binv, I]]``: a copy of
+    ``binv`` when no row was appended, the identity when B is empty."""
+    m, k = binv.shape[0], appended.shape[0]
+    out = np.empty((m + k, m + k))
+    out[:m, :m] = binv
+    out[:m, m:] = 0.0
+    np.matmul(-appended, binv, out=out[m:, :m])
+    out[m:, m:] = np.eye(k)
+    return out
+
+
+def _solve_from(system, state, iteration_limit, basis=None, pos=None, binv=None, since_refactor=0):
     """Solve ``system`` = (A, b, c, lower, upper) from a start basis; returns
     (status, tableau), status None as in ``_dual_optimize`` or when the
     start basis is singular.
 
     The start basis is ``basis``, extended by the slacks of the rows
     appended since (the last columns of ``A``), or the all-slack basis when
-    ``basis`` is None. Each nonbasic column sits at the bound its reduced
-    cost prefers. Where that bound is infinite the column sits at its other
-    bound (a free column at zero) and its cost is shifted so that its
-    reduced cost is zero, which makes the basis dual feasible. A dual
-    simplex on the shifted costs reaches a primal feasible basis, and a
-    primal simplex on the true costs takes it to an optimum.
+    ``basis`` is None. Its inverse is ``binv``, which has taken
+    ``since_refactor`` pivots, extended by ``_extended_inverse``; only a
+    ``basis`` given without ``binv`` is inverted. Each nonbasic column sits
+    at the bound its reduced cost prefers. Where that bound is infinite the
+    column sits at its other bound (a free column at zero) and its cost is
+    shifted so that its reduced cost is zero, which makes the basis dual
+    feasible. A dual simplex on the shifted costs reaches a primal feasible
+    basis, and a primal simplex on the true costs takes it to an optimum.
     """
     A, b, c, lower, upper = system
     tab = _Tableau(A, b, lower, upper)
     if basis is None:
-        basis = np.empty(0, dtype=int)
+        basis, binv = np.empty(0, dtype=int), np.empty((0, 0))
     appended = tab.m - len(basis)
     if appended < 0:
         return None, None
     if pos is not None:
         tab.pos[: len(pos)] = pos
     tab.basis = np.concatenate([basis, np.arange(tab.n_cols - appended, tab.n_cols)])
-    try:
-        tab.binv = _invert(A[:, tab.basis])
-    except np.linalg.LinAlgError:
-        return None, None
-    if not np.all(np.isfinite(tab.binv)):
-        return None, None
-    d = c - (c[tab.basis] @ tab.binv) @ A
+    if binv is None:
+        try:
+            tab.binv = _invert(A[:, tab.basis])
+        except np.linalg.LinAlgError:
+            return None, None
+        if not np.all(np.isfinite(tab.binv)):
+            return None, None
+    else:
+        tab.binv = _extended_inverse(binv, A[len(basis) :, basis])
+        state["since_refactor"] = since_refactor
+    d = c - tab.price(c[tab.basis] @ tab.binv)
     # a zero reduced cost keeps the earlier bound while that bound is finite
     at_upper = np.where(
         np.abs(d) <= _COST_TOL,
@@ -291,22 +366,23 @@ def _solve_from(system, state, iteration_limit, basis=None, pos=None):
     tab.pos[free] = _FREE
     tab.pos[tab.basis] = _BASIC
     tab.x = np.where(nonbasic & ~free, bound, 0.0)
-    tab.x[tab.basis] = tab.binv @ (b - A @ tab.x)
+    tab.x[tab.basis] = tab.binv @ (b - tab.A_struct @ tab.x[: tab.n] - tab.x[tab.n :])
 
-    status = _dual_optimize(tab, c - np.where(shifted, d, 0.0), state, iteration_limit)
+    shift = np.where(shifted, d, 0.0)
+    status = _dual_optimize(tab, c - shift, d - shift, state, iteration_limit)
     if status == LP_OPTIMAL:
         status = _optimize(tab, c, state, iteration_limit)
     return status, tab
 
 
-def _dual_optimize(tab, c, state, iteration_limit):
-    """Bounded dual simplex from a dual feasible basis until primal feasible.
+def _dual_optimize(tab, c, d, state, iteration_limit):
+    """Bounded dual simplex from a dual feasible basis, whose reduced costs
+    for the costs ``c`` are ``d``, until primal feasible.
 
     Returns None when a row looks infeasible but its certificate does not
     hold on the original system.
     """
-    A = tab.A
-    d = c - (c[tab.basis] @ tab.binv) @ A
+    free_cols = bool(np.any(tab.pos == _FREE))  # a free nonbasic column only enters
     while True:
         halted = _halted(state, iteration_limit)
         if halted is not None:
@@ -314,7 +390,7 @@ def _dual_optimize(tab, c, state, iteration_limit):
         if state["since_refactor"] >= _REFACTOR_EVERY:
             tab.refactor()
             state["since_refactor"] = 0
-            d = c - (c[tab.basis] @ tab.binv) @ A
+            d = c - tab.price(c[tab.basis] @ tab.binv)
 
         xb = tab.x[tab.basis]
         below = tab.lower[tab.basis] - xb
@@ -327,34 +403,33 @@ def _dual_optimize(tab, c, state, iteration_limit):
                 return LP_OPTIMAL
             r = int(rows[np.argmin(tab.basis[rows])])
         else:
-            r = int(np.argmax(infeasibility))
+            r = int(infeasibility.argmax())
             if infeasibility[r] <= _PRIMAL_TOL:
                 return LP_OPTIMAL
         rise = below[r] > 0  # the leaving variable goes up to its lower bound
 
         # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
-        # its bound without leaving their own bound the wrong way, and a free
-        # column, whose reduced cost is zero, moves either way
-        alpha = tab.binv[r] @ A
-        toward = -alpha if rise else alpha
-        free = tab.pos == _FREE
-        candidates = tab.enterable & (
-            ((tab.pos == _AT_LOWER) & (toward > _PIVOT_TOL))
-            | ((tab.pos == _AT_UPPER) & (toward < -_PIVOT_TOL))
-            | (free & (np.abs(alpha) > _PIVOT_TOL))
-        )
-        idx = np.flatnonzero(candidates)
+        # its bound as they move off their own bound the way _MOVES allows,
+        # and a free column, whose reduced cost is zero, moves either way
+        alpha = tab.price(tab.binv[r])
+        moved = _MOVES[tab.pos] * alpha
+        candidates = tab.enterable & ((moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL))
+        if free_cols:
+            free = tab.pos == _FREE
+            candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
+        idx = candidates.nonzero()[0]
         if idx.size == 0:
             return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
         ratios = np.abs(d[idx]) / np.abs(alpha[idx])
-        ratios[free[idx]] = 0.0
+        if free_cols:
+            ratios[free[idx]] = 0.0
         t = float(ratios.min())
         ties = idx[ratios <= t + _PIVOT_TOL]
-        j = int(ties[0]) if bland else int(ties[int(np.argmax(np.abs(alpha[ties])))])
+        j = int(ties[0]) if bland else int(ties[np.abs(alpha[ties]).argmax()])
 
         leaving = tab.basis[r]
         target = tab.lower[leaving] if rise else tab.upper[leaving]
-        w = tab.binv @ A[:, j]
+        w = tab.column(j)
         step = (xb[r] - target) / w[r]
         tab.x[tab.basis] -= step * w
         entering_value = tab.x[j] + step
@@ -374,7 +449,7 @@ def _certifies_infeasible(tab, r):
     """Row r of the basis inverse as multipliers y: the rows are infeasible
     if y @ A @ x cannot reach y @ b anywhere in the variable box."""
     y = tab.binv[r]
-    alpha = y @ tab.A
+    alpha = tab.price(y)
     # other basic columns read rounding noise here, not coefficients
     nonzero = np.abs(alpha) > _PIVOT_TOL
     a = alpha[nonzero]
@@ -415,8 +490,7 @@ def _optimize(tab, c, state, iteration_limit):
             tab.refactor()
             state["since_refactor"] = 0
 
-        y = c[tab.basis] @ tab.binv
-        d = c - y @ tab.A
+        d = c - tab.price(c[tab.basis] @ tab.binv)
         bland = state["degenerate"] >= _BLAND_AFTER
 
         pos = tab.pos
@@ -433,12 +507,12 @@ def _optimize(tab, c, state, iteration_limit):
                 return LP_OPTIMAL
             j = int(eligible[0])
         else:
-            j = int(np.argmax(score))
+            j = int(score.argmax())
             if score[j] <= _COST_TOL:
                 return LP_OPTIMAL
         direction = 1.0 if (tab.pos[j] == _AT_LOWER or d[j] < 0) else -1.0
 
-        w = tab.binv @ tab.A[:, j]
+        w = tab.column(j)
         t, r_leave = _ratio_test(tab, j, direction, w, bland)
         if t == INF:
             return LP_UNBOUNDED
@@ -491,5 +565,5 @@ def _ratio_test(tab, j_enter, direction, w, bland):
         basis_ids = tab.basis[ties]
         r = int(ties[int(np.argmin(basis_ids))])
     else:
-        r = int(ties[int(np.argmax(np.abs(delta[ties])))])
+        r = int(ties[np.abs(delta[ties]).argmax()])
     return t_row, r

@@ -9,10 +9,15 @@ with depth-first plunging until the first incumbent, most-fractional
 branching (ties to the lowest index), and cooperative cancellation checked
 at node boundaries and before every simplex pivot. The
 root LP starts from the caller's ``root_basis`` when one is given (the
-worker's base-model optimum), and a child node's LP from its parent's
-optimal basis (dual simplex warm start). A node whose LP still fails after a
-cold retry is dropped and counted, and the search goes on without claiming
-a proof.
+worker's base-model optimum with its basis inverse), and a child node's LP
+from its parent's optimal basis and basis inverse (dual simplex warm start);
+both children share the parent's read-only inverse. The open nodes hold at
+most ``_OPEN_INVERSE_BYTES`` of inverses: a child pushed past that carries
+the basis alone and inverts it when popped. A node whose warm start itself
+failed (unbounded, or an optimum that fails the LP's residual check) is
+solved again from the slack basis. A node whose LP still fails, or whose
+warm start the LP already replaced by a slack start, is dropped and
+counted, and the search goes on without claiming a proof.
 """
 
 import heapq
@@ -32,6 +37,9 @@ INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
 _PRUNE_TOL = 1e-9
+# The open nodes carry at most this many bytes of basis inverses; a child
+# pushed past it carries its parent's basis alone and is refactored when popped.
+_OPEN_INVERSE_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -86,10 +94,11 @@ def solve_mip(
 
     Never returns an incumbent worse than the warm start, which is re-scored
     on ``model`` and ignored unless feasible and integral. The search is
-    deterministic, so it takes no seed. ``root_basis`` is the ``(basis,
-    pos)`` of an LP optimum over the same variables and a prefix of the
-    model's rows; the root LP starts from it. ``stop_at_first`` ends the
-    search at the first improving integral solution.
+    deterministic, so it takes no seed. ``root_basis`` is the
+    ``LpResult.warm`` of an LP optimum over the same variables and a prefix
+    of the model's rows, or just its ``(basis, pos)``; the root LP starts
+    from it. ``stop_at_first`` ends the search at the first improving
+    integral solution.
     """
     if budget is None:
         raise ValueError("a SolveBudget is required")
@@ -106,9 +115,10 @@ def solve_mip(
     best_obj = incumbent.objective if incumbent is not None else INF
 
     seq = 0
-    # (estimate, seq, lower, upper, warm basis): a LIFO plunge while no
+    # (estimate, seq, lower, upper, warm start): a LIFO plunge while no
     # incumbent exists, a best-bound heap from the first incumbent on
     open_nodes = [(-INF, seq, relax.lower, relax.upper, root_basis)]
+    carried = 0  # open nodes whose warm start carries a basis inverse
 
     nodes = 0
     dropped = 0
@@ -148,12 +158,18 @@ def solve_mip(
         if not open_nodes:
             break
         node = open_nodes.pop() if incumbent is None else heapq.heappop(open_nodes)
-        estimate, _, lower, upper, warm = node
+        estimate, seq_id, lower, upper, warm = node
+        if seq_id and warm is not None and len(warm) > 2:
+            carried -= 1  # a child's inverse leaves the open list
         if estimate >= best_obj - _PRUNE_TOL:
             continue
 
         res = solve_relaxation(relax, lower, upper, warm=warm, stop=out_of_time)
-        if warm is not None and res.status not in (LP_OPTIMAL, LP_INFEASIBLE, LP_STOPPED):
+        if warm is not None and not res.restarted and res.status not in (
+            LP_OPTIMAL, LP_INFEASIBLE, LP_STOPPED
+        ):
+            # the warm start itself failed (unbounded, or an optimum that
+            # fails the residual check): solve again from the slack basis
             res = solve_relaxation(relax, lower, upper, stop=out_of_time)
         if res.status == LP_STOPPED:
             # the node stays open, so its estimate still bounds the search
@@ -193,7 +209,12 @@ def solve_mip(
             continue
 
         x = res.values[branch_j]
-        child_warm = None if res.basis is None else (res.basis, res.pos)
+        child_warm = None if res.basis is None else res.warm
+        if child_warm is not None:
+            if (carried + 2) * res.binv.nbytes <= _OPEN_INVERSE_BYTES:
+                carried += 2  # both children share the one read-only inverse
+            else:
+                child_warm = child_warm[:2]
         floor_child_upper = upper.copy()
         floor_child_upper[branch_j] = math.floor(x)
         ceil_child_lower = lower.copy()

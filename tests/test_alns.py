@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 
 import parlns.alns
+import parlns.lp
 import parlns.subsolver
 from parlns.alns import (
     HILL_CLIMBING,
@@ -271,3 +273,31 @@ def test_cancelled_worker_stops_its_root_lp(monkeypatch):
     assert len(root_lps) == 1
     assert root_lps[0].iterations == 0
     assert root_lps[0].values is None and root_lps[0].basis is None
+
+
+def test_worker_inverts_a_basis_only_to_refactor(monkeypatch):
+    # node LPs start from their parent's carried inverse and sub-MIP roots
+    # from the root's, extended by the appended rows: only the periodic
+    # refactorization inverts a basis
+    callers = []
+    real_invert = parlns.lp._invert
+
+    def invert(B):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_invert(B)
+
+    node_lps = []
+    real_relaxation = parlns.subsolver.solve_relaxation
+
+    def solve_relaxation(*args, **kwargs):
+        res = real_relaxation(*args, **kwargs)
+        node_lps.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(parlns.lp, "_invert", invert)
+    monkeypatch.setattr(parlns.subsolver, "solve_relaxation", solve_relaxation)
+    model = independent_set(60, 0.1, seed=7)
+    result = run_worker(model, DEFAULT_CONFIG, 1.0, seed=1, clock=SimulatedClock(0.001))
+    assert result.iterations > 0
+    assert len(node_lps) > 500 and sum(node_lps) > parlns.lp._REFACTOR_EVERY
+    assert callers and set(callers) == {"refactor"}

@@ -7,10 +7,13 @@ oracle can be handed the same region with finite bounds. A sequence of
 branching-style bound tightenings then re-solves each node from its parent's
 optimal basis; an appended row or a swapped cost vector re-solves a sub-MIP
 root from the base model's optimal basis, also for the proximity roots of
-generated instances.
+generated instances. Chains of nodes that start from their parent's carried
+basis inverse are checked the same way, and the inverse itself against a
+fresh one, for appended rows too, and for being left intact by a sibling.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -391,3 +394,120 @@ def test_stop_ends_a_warm_solve_without_a_cold_fallback():
     )
     assert res.status == LP_STOPPED
     assert res.iterations <= 2
+
+
+@st.composite
+def branching_chains(draw):
+    """An LP case and a chain of up to twelve branching tightenings."""
+    model, box, branches = draw(lp_cases())
+    n = model.n_vars
+    more = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=8))
+    return model, box, branches + more
+
+
+def _assert_carried_inverse(res, relax):
+    """The carried inverse is the inverse of the result's basis."""
+    product = res.binv @ relax.A_full[:, res.basis]
+    assert np.max(np.abs(product - np.eye(len(res.basis)))) <= 1e-9
+    assert res.since_refactor <= lp._REFACTOR_EVERY
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(branching_chains(), st.integers(1, 3))
+def test_carried_inverse_chain_matches_cold_and_oracle(case, refactor_every):
+    # each node starts from its parent's basis and carried inverse; a short
+    # refactorization interval makes the chain run past it, so the pivot
+    # count carried along the chain must trigger the refactorizations
+    model, box, branches = case
+    relax = build_relaxation(model)
+    lower, upper = relax.lower.copy(), relax.upper.copy()
+    with mock.patch.object(lp, "_REFACTOR_EVERY", refactor_every):
+        parent = solve_relaxation(relax)
+        _assert_matches(parent, *_oracle(model, lower, upper, box))
+        for j, go_up in branches:
+            if parent.status != LP_OPTIMAL:
+                break
+            _assert_carried_inverse(parent, relax)
+            value = parent.values[j]
+            if go_up:
+                lower[j] = math.ceil(value) if value != math.ceil(value) else value + 0.5
+            else:
+                upper[j] = math.floor(value) if value != math.floor(value) else value - 0.5
+            expected = _oracle(model, lower, upper, box)
+            _assert_matches(solve_relaxation(relax, lower, upper), *expected)
+            child = solve_relaxation(relax, lower, upper, warm=parent.warm)
+            _assert_matches(child, *expected)
+            assert not child.restarted
+            parent = child
+
+
+def test_carried_inverse_runs_past_the_refactorization_interval():
+    # plunges on a 40-row packing LP, every node from its parent's carried
+    # inverse, take more pivots than two refactorization intervals; the
+    # pivots counted along the chain refactor at least once per interval
+    relax = build_relaxation(independent_set(30, 0.2, seed=5))
+    upper = relax.upper.copy()
+    parent = solve_relaxation(relax)
+    total = parent.iterations
+    refactors = []
+    real_refactor = lp._Tableau.refactor
+
+    def refactor(tab):
+        refactors.append(None)
+        real_refactor(tab)
+
+    while total <= 2 * lp._REFACTOR_EVERY:
+        fractional = [j for j, v in enumerate(parent.values) if abs(v - round(v)) > 1e-6]
+        if not fractional:
+            upper = relax.upper.copy()  # start another plunge from the root
+            fractional = [j for j, v in enumerate(parent.values) if v > 1e-6][:1]
+        upper[fractional[0]] = 0.0
+        with mock.patch.object(lp._Tableau, "refactor", refactor):
+            child = solve_relaxation(relax, upper=upper, warm=parent.warm)
+        cold = solve_relaxation(relax, upper=upper)
+        assert child.status == cold.status == LP_OPTIMAL
+        assert abs(child.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        _assert_carried_inverse(child, relax)
+        total += child.iterations
+        parent = child
+    assert len(refactors) >= total // lp._REFACTOR_EVERY - 1 >= 1
+
+
+def test_appended_rows_extend_the_inverse_in_closed_form():
+    base = independent_set(20, 0.3, seed=4)
+    root = solve_lp(base)
+    n, m = base.n_vars, len(base.constraints)
+    rows = (
+        LinearConstraint("cap", {j: 1.0 for j in range(n)}, LE, math.floor(sum(root.values)) - 1),
+        LinearConstraint("cover", {j: float(j % 3 + 1) for j in range(n)}, GE, 2.0),
+    )
+    sub = build_relaxation(apply_neighborhood(base, NeighborhoodSpec(extra_constraints=rows)))
+    extended = lp._extended_inverse(root.binv, sub.A_full[m:, root.basis])
+    basis = np.concatenate([root.basis, [n + m, n + m + 1]])
+    assert np.max(np.abs(extended - lp._invert(sub.A_full[:, basis]))) <= 1e-9
+    res = solve_relaxation(sub, warm=root.warm)
+    cold = solve_relaxation(sub)
+    assert res.status == cold.status == LP_OPTIMAL
+    assert abs(res.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+
+def test_solving_a_child_leaves_the_shared_inverse_unchanged():
+    relax = build_relaxation(independent_set(30, 0.2, seed=5))
+    root = solve_relaxation(relax)
+    j = next(j for j, v in enumerate(root.values) if abs(v - round(v)) > 1e-6)
+    before = root.binv.copy()
+    assert not root.binv.flags.writeable
+    upper = relax.upper.copy()
+    upper[j] = 0.0
+    floor_child = solve_relaxation(relax, upper=upper, warm=root.warm)
+    assert floor_child.status == LP_OPTIMAL and floor_child.iterations > 0
+    assert np.array_equal(root.binv, before)
+    lower = relax.lower.copy()
+    lower[j] = 1.0
+    ceil_child = solve_relaxation(relax, lower=lower, warm=root.warm)
+    cold = solve_relaxation(relax, lower=lower)
+    assert ceil_child.status == cold.status
+    if cold.status == LP_OPTIMAL:
+        assert abs(ceil_child.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    assert np.array_equal(root.binv, before)
