@@ -383,66 +383,81 @@ def _dual_optimize(tab, c, d, state, iteration_limit):
     hold on the original system.
     """
     free_cols = bool(np.any(tab.pos == _FREE))  # a free nonbasic column only enters
-    while True:
-        halted = _halted(state, iteration_limit)
-        if halted is not None:
-            return halted
-        if state["since_refactor"] >= _REFACTOR_EVERY:
-            tab.refactor()
-            state["since_refactor"] = 0
-            d = c - tab.price(c[tab.basis] @ tab.binv)
+    # the basic columns' values and bounds in basis order, and the way each
+    # column may move, kept up to date by the pivots; x is written back on exit
+    xb = tab.x[tab.basis]
+    lb = tab.lower[tab.basis]
+    ub = tab.upper[tab.basis]
+    moves = _MOVES[tab.pos]
+    try:
+        while True:
+            halted = _halted(state, iteration_limit)
+            if halted is not None:
+                return halted
+            if state["since_refactor"] >= _REFACTOR_EVERY:
+                tab.x[tab.basis] = xb
+                tab.refactor()
+                xb = tab.x[tab.basis]
+                state["since_refactor"] = 0
+                d = c - tab.price(c[tab.basis] @ tab.binv)
 
-        xb = tab.x[tab.basis]
-        below = tab.lower[tab.basis] - xb
-        above = xb - tab.upper[tab.basis]
-        infeasibility = np.maximum(below, above)
-        bland = state["degenerate"] >= _BLAND_AFTER
-        if bland:
-            rows = np.flatnonzero(infeasibility > _PRIMAL_TOL)
-            if rows.size == 0:
-                return LP_OPTIMAL
-            r = int(rows[np.argmin(tab.basis[rows])])
-        else:
-            r = int(infeasibility.argmax())
-            if infeasibility[r] <= _PRIMAL_TOL:
-                return LP_OPTIMAL
-        rise = below[r] > 0  # the leaving variable goes up to its lower bound
+            below = lb - xb
+            above = xb - ub
+            infeasibility = np.maximum(below, above)
+            bland = state["degenerate"] >= _BLAND_AFTER
+            if bland:
+                rows = np.flatnonzero(infeasibility > _PRIMAL_TOL)
+                if rows.size == 0:
+                    return LP_OPTIMAL
+                r = int(rows[np.argmin(tab.basis[rows])])
+            else:
+                r = int(infeasibility.argmax())
+                if infeasibility[r] <= _PRIMAL_TOL:
+                    return LP_OPTIMAL
+            rise = below[r] > 0  # the leaving variable goes up to its lower bound
 
-        # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
-        # its bound as they move off their own bound the way _MOVES allows,
-        # and a free column, whose reduced cost is zero, moves either way
-        alpha = tab.price(tab.binv[r])
-        moved = _MOVES[tab.pos] * alpha
-        candidates = tab.enterable & ((moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL))
-        if free_cols:
-            free = tab.pos == _FREE
-            candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
-        idx = candidates.nonzero()[0]
-        if idx.size == 0:
-            return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
-        ratios = np.abs(d[idx]) / np.abs(alpha[idx])
-        if free_cols:
-            ratios[free[idx]] = 0.0
-        t = float(ratios.min())
-        ties = idx[ratios <= t + _PIVOT_TOL]
-        j = int(ties[0]) if bland else int(ties[np.abs(alpha[ties]).argmax()])
+            # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
+            # its bound as they move off their own bound the way _MOVES allows,
+            # and a free column, whose reduced cost is zero, moves either way
+            alpha = tab.price(tab.binv[r])
+            moved = moves * alpha
+            candidates = tab.enterable & ((moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL))
+            if free_cols:
+                free = tab.pos == _FREE
+                candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
+            idx = candidates.nonzero()[0]
+            if idx.size == 0:
+                return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
+            ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+            if free_cols:
+                ratios[free[idx]] = 0.0
+            t = float(ratios.min())
+            ties = idx[ratios <= t + _PIVOT_TOL]
+            j = int(ties[0]) if bland else int(ties[np.abs(alpha[ties]).argmax()])
 
-        leaving = tab.basis[r]
-        target = tab.lower[leaving] if rise else tab.upper[leaving]
-        w = tab.column(j)
-        step = (xb[r] - target) / w[r]
-        tab.x[tab.basis] -= step * w
-        entering_value = tab.x[j] + step
-        tab.x[leaving] = target
-        tab.pos[leaving] = _AT_LOWER if rise else _AT_UPPER
-        _pivot(tab, j, r, w, entering_value)
-        d -= (d[j] / alpha[j]) * alpha
-        d[j] = 0.0
+            leaving = tab.basis[r]
+            target = lb[r] if rise else ub[r]
+            w = tab.column(j)
+            step = (xb[r] - target) / w[r]
+            xb -= step * w
+            entering_value = tab.x[j] + step
+            xb[r] = entering_value
+            lb[r] = tab.lower[j]
+            ub[r] = tab.upper[j]
+            tab.x[leaving] = target
+            tab.pos[leaving] = _AT_LOWER if rise else _AT_UPPER
+            moves[leaving] = _MOVES[tab.pos[leaving]]
+            moves[j] = 0.0
+            _pivot(tab, j, r, w, entering_value)
+            d -= (d[j] / alpha[j]) * alpha
+            d[j] = 0.0
 
-        if t <= _DEGENERATE_TOL:
-            state["degenerate"] += 1
-        state["iterations"] += 1
-        state["since_refactor"] += 1
+            if t <= _DEGENERATE_TOL:
+                state["degenerate"] += 1
+            state["iterations"] += 1
+            state["since_refactor"] += 1
+    finally:
+        tab.x[tab.basis] = xb
 
 
 def _certifies_infeasible(tab, r):
@@ -467,11 +482,10 @@ def _certifies_infeasible(tab, r):
 def _pivot(tab, j_enter, r_leave, w, entering_value):
     tab.binv[r_leave] /= w[r_leave]
     row = tab.binv[r_leave].copy()  # BLAS must not read a row it writes
-    others = w.copy()
-    others[r_leave] = 0.0
-    # binv -= outer(others, row), in place: binv is C-ordered, so its
+    w[r_leave] = 0.0  # the caller reads w no more
+    # binv -= outer(w, row), in place: binv is C-ordered, so its
     # transpose is the Fortran-ordered matrix BLAS updates without a copy
-    updated = dger(-1.0, row, others, a=tab.binv.T, overwrite_a=1)
+    updated = dger(-1.0, row, w, a=tab.binv.T, overwrite_a=1)
     if not np.shares_memory(updated, tab.binv):
         tab.binv = updated.T  # binv was not contiguous and BLAS worked on a copy
     tab.basis[r_leave] = j_enter

@@ -9,6 +9,7 @@ through ``primal_gap(..., cap=False)``.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 DEFAULT_EPS = 1e-10
@@ -37,17 +38,18 @@ class GapTrace:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        # every check is written so that a NaN fails it
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon {self.horizon} is not a finite number >= 0")
         last_t = -1.0
         last_gap = None
         for t, _, gap in self.points:
-            if t < 0 or t > self.horizon + _TIME_TOL:
+            if not 0 <= t <= self.horizon + _TIME_TOL:
                 raise ValueError(f"point time {t} outside [0, {self.horizon}]")
             if t <= last_t:
                 raise ValueError("point times must be strictly increasing")
-            if gap < 0:
-                raise ValueError("gaps must be non-negative")
+            if not 0 <= gap < math.inf:
+                raise ValueError(f"gap {gap} is not a finite number >= 0")
             if last_gap is not None and gap > last_gap + 1e-12:
                 raise ValueError("gaps must be non-increasing")
             last_t, last_gap = t, gap
@@ -143,7 +145,10 @@ def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t_seconds", "objective", "gap"]:
             raise ValueError(f"{path}: expected header t_seconds,objective,gap")
-        return tuple((float(t), float(obj), float(gap)) for t, obj, gap in reader)
+        try:
+            return tuple((float(t), float(obj), float(gap)) for t, obj, gap in reader)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def read_trace_csv(path, horizon: float | None = None) -> GapTrace:

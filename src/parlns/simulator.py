@@ -8,9 +8,12 @@ enumerator provides the exact expectation for small pools, and a ranking
 operation orders configurations for reduced-pool planning.
 
 All three build one array grid per call: every configuration's gap on every
-instance, one column per event time inside the window, with each point
-placed by ``np.searchsorted`` and carried forward. A subset is then a
-columnwise minimum over its rows and one dot product per instance.
+instance, one column per event time inside the window. Each point is placed
+by ``np.searchsorted``, and the grid is written by run length: the entries
+(a gap of 1 where a configuration opens an instance, then its points) are
+put in cell order with one stable sort, and one ``np.repeat`` carries each
+entry forward to the next. A subset is then a columnwise minimum over its
+rows and one dot product per instance.
 """
 
 import itertools
@@ -87,10 +90,13 @@ def load_trace_db(root, horizon: float | None = None) -> TraceDb:
             level = latest[instance] if horizon is None else horizon
             try:
                 traces[c][instance] = GapTrace(pts, level)
-            except ValueError:
+            except ValueError as exc:
                 # a file that is bad on its own says why, as when read alone
-                GapTrace(pts, pts[-1][0] if pts else 0.0)
-                raise
+                try:
+                    GapTrace(pts, pts[-1][0] if pts else 0.0)
+                except ValueError as own:
+                    exc = own
+                raise ValueError(f"{root / c / instance}.csv: {exc}") from None
     return build_trace_db(traces)
 
 
@@ -102,8 +108,11 @@ class _Grid:
     Column lo + j holds the gap on [start_j, start_j+1), where the starts are
     t0 and each event time of any config strictly inside (t0, t1), and ``d``
     holds their durations; column hi holds the gap at t1. Points at or before
-    t0 set column lo, points after t1 no column. Equivalence with
-    metrics.aggregate_min and primal_integral is pinned by tests.
+    t0 set column lo, points after t1 no column, and of several points in one
+    cell the latest sets it. A row is built by run length: each entry fills
+    its cell and the cells after it up to the next entry. Equivalence with
+    metrics.aggregate_min, primal_integral and GapTrace.gap_at is pinned by
+    tests.
     """
 
     gaps: np.ndarray  # (configs, columns of every instance)
@@ -118,29 +127,36 @@ def _grids(db: TraceDb, window) -> _Grid:
     for instance in db.instance_ids:
         if t1 > db.horizon(instance) + 1e-9:
             raise ValueError(f"window end {t1} beyond horizon of instance {instance!r}")
+    configs = len(db.config_ids)
     spans, owners, columns, values = [], [], [], []
     lo = 0
     for instance in db.instance_ids:
         traces = [db.traces[c][instance].points for c in db.config_ids]
-        flat = np.array([p for pts in traces for p in pts], dtype=float).reshape(-1, 3)
-        owner = np.repeat(np.arange(len(traces)), [len(pts) for pts in traces])
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(traces)), float
+        ).reshape(-1, 3)
+        owner = np.repeat(np.arange(configs), [len(pts) for pts in traces])
         events = np.unique(flat[:, 0])
         edges = np.concatenate(([t0], events[(t0 < events) & (events < t1)], [t1]))
         # a point sets the column of the first edge at or after it, and on
         column = np.searchsorted(edges, flat[:, 0], side="left")
         seen = column < len(edges)
         # every config enters the instance at a gap of 1, ahead of its points
-        owners += [np.arange(len(traces)), owner[seen]]
-        columns += [np.full(len(traces), lo), lo + column[seen]]
-        values += [np.ones(len(traces)), flat[seen, 2]]
+        owners += [np.arange(configs), owner[seen]]
+        columns += [np.full(configs, lo), lo + column[seen]]
+        values += [np.ones(configs), flat[seen, 2]]
         spans.append((lo, lo + len(edges) - 1, np.diff(edges)))
         lo += len(edges)
-    values = np.concatenate(values)
-    # position in values of the latest entry in effect, per config and column
-    last = np.zeros((len(db.config_ids), lo), dtype=np.intp)
-    np.maximum.at(last, (np.concatenate(owners), np.concatenate(columns)), np.arange(len(values)))
-    np.maximum.accumulate(last, axis=1, out=last)
-    return _Grid(values[last], tuple(spans))
+    # entries in cell order, later entries of one cell after earlier ones
+    cell = np.concatenate(owners) * lo + np.concatenate(columns)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    # each entry fills the cells up to the next entry's: all but the last
+    # entry of a cell fill none, and as every config opens every instance
+    # with an entry of its own, the runs tile the grid
+    runs = np.diff(np.append(cell, configs * lo))
+    gaps = np.repeat(np.concatenate(values)[order], runs).reshape(configs, lo)
+    return _Grid(gaps, tuple(spans))
 
 
 def _subset_performance(grid: _Grid, rows) -> tuple[float, float]:

@@ -278,6 +278,18 @@ def test_simulate_on_configs_without_traces_is_data_error(tmp_path, capsys):
     assert "no instance traces" in capsys.readouterr().err
 
 
+def test_simulate_on_non_finite_gap_is_data_error(tmp_path, capsys):
+    root = _trace_dir(tmp_path)
+    bad = root / "cfg_2" / "b.csv"
+    bad.write_text("t_seconds,objective,gap\n1.0,5.0,nan\n")
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--traces", str(root), "--n", "2", "--runs", "5", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(bad) in err and "gap nan" in err
+
+
 def test_simulate_n_larger_than_pool_is_usage_error(tmp_path):
     root = _trace_dir(tmp_path)
     with pytest.raises(SystemExit) as err:

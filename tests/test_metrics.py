@@ -53,6 +53,29 @@ def test_trace_validation():
         GapTrace(points=((1.0, 1.0, 0.2),), horizon=0.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "points, horizon",
+    [
+        (((NAN, 1.0, 0.5),), 10.0),
+        (((1.0, 1.0, 0.5), (NAN, 1.0, 0.4)), 10.0),
+        (((INF, 1.0, 0.5),), 10.0),
+        (((1.0, 1.0, NAN),), 10.0),
+        (((1.0, 1.0, 0.5), (2.0, 1.0, NAN)), 10.0),
+        (((1.0, 1.0, INF),), 10.0),
+        (((1.0, 1.0, -INF),), 10.0),
+        ((), NAN),
+        ((), INF),
+        (((1.0, 1.0, 0.5),), INF),
+    ],
+)
+def test_trace_rejects_non_finite_times_gaps_and_horizons(points, horizon):
+    with pytest.raises(ValueError):
+        GapTrace(points=points, horizon=horizon)
+
+
 def test_gap_before_first_point_is_one():
     trace = GapTrace(points=((10.0, 5.0, 0.4),), horizon=100.0)
     assert trace.gap_at(0.0) == 1.0
@@ -177,4 +200,14 @@ def test_trace_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,obj,gap\n")
     with pytest.raises(ValueError):
+        read_trace_csv(path)
+
+
+def test_trace_csv_row_error_names_file_and_line(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("t_seconds,objective,gap\n1.0,5.0,0.5\n2.0,4.0\n")
+    with pytest.raises(ValueError, match=r"short\.csv, line 3: not enough values"):
+        read_trace_csv(path)
+    path.write_text("t_seconds,objective,gap\n1.0,5.0,half\n")
+    with pytest.raises(ValueError, match=r"short\.csv, line 2: could not convert"):
         read_trace_csv(path)

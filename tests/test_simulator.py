@@ -228,11 +228,26 @@ def _spec_db(steps, horizon=10.0):
 # an empty window, on a point and between points
 @example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (5.0, 5.0)))
 @example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (6.0, 6.0)))
+# several points at or before t0 in one cell: the latest one sets it
+@example(([[[(0.5, 0.75), (1.0, 0.5), (2.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
+# every point after t1: the row stays at 1
+@example(([[[(7.0, 0.5), (9.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
+# a point at time 0 on a window that opens at 0
+@example(([[[(0.0, 0.5), (4.0, 0.25)]], [[(2.0, 0.75)]]], (0.0, 5.0)))
 def test_grid_matches_aggregate_min_on_every_subset(spec):
     steps, window = spec
     db = _spec_db(steps)
     t0, t1 = window
     grid = _grids(db, window)
+    # cell by cell: each config's own gap at the start edge of the column
+    for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
+        traces = [db.traces[c][inst] for c in db.config_ids]
+        events = sorted({t for trace in traces for t, _, _ in trace.points if t0 < t < t1})
+        edges = [t0, *events, t1]
+        assert hi - lo + 1 == len(edges)
+        for row, trace in zip(grid.gaps, traces):
+            assert list(row[lo : hi + 1]) == [trace.gap_at(t) for t in edges]
+            assert row[hi] == trace.gap_at(t1)
     for n in range(1, len(db.config_ids) + 1):
         for rows in itertools.combinations(range(len(db.config_ids)), n):
             final, pi = _subset_performance(grid, np.array(rows))
