@@ -36,10 +36,6 @@ STATUS_OK = "ok"
 STATUS_NO_FEASIBLE = "no_feasible_solution"
 
 
-class NoFeasibleSolution(RuntimeError):
-    """The initial feasibility phase produced no incumbent."""
-
-
 @dataclass(frozen=True)
 class AcceptanceCriterion:
     kind: str

@@ -18,7 +18,6 @@ OUTCOMES = (BEST, BETTER, ACCEPT, REJECT)
 EPSILON_GREEDY = "epsilon_greedy"
 SOFTMAX = "softmax"
 THOMPSON = "thompson"
-POLICY_KINDS = (EPSILON_GREEDY, SOFTMAX, THOMPSON)
 
 
 class NonBinaryRewardForThompson(ValueError):

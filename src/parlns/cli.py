@@ -49,7 +49,8 @@ CORE_CAP_ENV = "PARLNS_CORE_CAP"
 
 
 def default_core_cap() -> int:
-    """Detected core count, overridable through the environment."""
+    """The cores this process may run on (its affinity set where the
+    platform has one), overridable through the environment."""
     override = os.environ.get(CORE_CAP_ENV)
     if override is not None:
         try:
@@ -59,6 +60,8 @@ def default_core_cap() -> int:
         if cap < 1:
             raise DataError(f"{CORE_CAP_ENV} must be >= 1")
         return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -315,8 +318,8 @@ def cmd_repro(args) -> int:
             )
     plans = {}
     for threads in (4, 8, 16):
-        take = min(180 // threads, len(ranking))
-        plans[str(threads)] = ranking[:take]
+        plan = orchestrator.plan_for_threads(pool, threads, 180, ranking=ranking)
+        plans[str(threads)] = [config.id for config in plan.configs]
     _write_json(out_dir / "reduced_pools.json", plans)
     print(f"repro artifacts in {out_dir} (pool {pool_size}, runs {runs}, wall {wall}s)")
     return EXIT_OK

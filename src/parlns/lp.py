@@ -1,13 +1,13 @@
 """Bounded-variable simplex for LP relaxations.
 
 Dense revised simplex over a model's ``LpRelaxation``: ``[A, I]``, one slack
-column per row. Every solve has one start rule. The start basis is the
-caller's ``warm`` basis, an earlier optimum as a branch-and-bound child
-starts from its parent's, or else the all-slack basis, which is never
-singular. The earlier relaxation may have fewer rows: a sub-MIP appends its
-local-branching or proximity row to the worker's base rows, so the base rows
-keep their slack columns' indices and the appended rows' slacks join the
-basis.
+column per row; a model without rows has no basic columns at all. A solve
+makes at most two starts: the caller's ``warm`` basis, an earlier optimum as
+a branch-and-bound child starts from its parent's, and then the all-slack
+basis, which is never singular; without a warm basis only the second. The
+earlier relaxation may have fewer rows: a sub-MIP appends its local-branching or proximity row to
+the worker's base rows, so the base rows keep their slack columns' indices
+and the appended rows' slacks join the basis.
 
 The start basis comes with its inverse. An optimum returns its basis inverse,
 read-only, and the pivots it has taken since it was last factored
@@ -37,14 +37,16 @@ Nonbasic variables sit exactly at a bound (free ones at zero until they
 enter), the primal ratio test allows bound flips, and both methods switch to
 Bland's rule after 1000 degenerate pivots so they terminate.
 
-A warm start that is singular, runs past the iteration limit, or claims
-infeasibility without a certificate that holds on the original rows starts
-again from the slack basis, and its result says ``restarted``; a slack
-start's uncertified infeasibility is reported as ``iteration_limit``. Each
-pivot updates the basis inverse in place with one BLAS rank-1 update
-(``dger``) instead of building an m-by-m outer product. A caller's ``stop``
-callable is checked before every pivot; when it returns true the solve ends
-with status ``stopped``.
+One start is one ``_Tableau``: the basis, its inverse, the basic columns'
+values and bounds in basis order, and the start's pivot counters. Each pivot
+updates the inverse in place with one BLAS rank-1 update (``dger``) instead
+of building an m-by-m outer product. A caller's ``stop`` callable is checked
+before every pivot; when it returns true the solve ends with status
+``stopped``. A warm start that ends any other way than optimal (with an
+optimum that passes the residual check), certified infeasible or stopped is
+followed by the slack start, and the result says ``restarted``. A slack
+start's uncertified infeasibility, or an optimum of it that fails the
+residual check, is reported as ``LP_ITERATION_LIMIT``.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +70,7 @@ _PRIMAL_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _BLAND_AFTER = 1000
 _REFACTOR_EVERY = 200
+_ITERATION_LIMIT = 10000  # pivots per start
 
 # variable position codes
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
@@ -103,18 +106,15 @@ def build_relaxation(model: MipModel) -> LpRelaxation:
     return model.relaxation
 
 
-def solve_lp(
-    model: MipModel, iteration_limit: int = 10000, stop: Callable[[], bool] | None = None
-) -> LpResult:
+def solve_lp(model: MipModel, stop: Callable[[], bool] | None = None) -> LpResult:
     """Solve the LP relaxation of a model; ``stop`` as in ``solve_relaxation``."""
-    return solve_relaxation(build_relaxation(model), iteration_limit=iteration_limit, stop=stop)
+    return solve_relaxation(build_relaxation(model), stop=stop)
 
 
 def solve_relaxation(
     relax: LpRelaxation,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    iteration_limit: int = 10000,
     warm: tuple | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> LpResult:
@@ -124,10 +124,11 @@ def solve_relaxation(
     across nodes. ``warm`` is an earlier optimum's ``LpResult.warm``, or just
     its ``(basis, pos)``, over this relaxation or one with the same variables
     and only a prefix of its rows; the solve then starts from that basis, and
-    from its inverse when one is given. Each start gets ``iteration_limit``
-    pivots, and ``iterations`` counts them all. ``stop`` is called before
-    every pivot; once it returns true the solve returns ``LP_STOPPED``
-    without starting again from the slack basis.
+    from its inverse when one is given, and starts again from the slack basis
+    when that start fails. Each start gets ``_ITERATION_LIMIT`` pivots, and
+    ``iterations`` counts them all. ``stop`` is called before every pivot;
+    once it returns true the solve returns ``LP_STOPPED`` without starting
+    again.
     """
     n = relax.n_structural
     m = relax.A_full.shape[0]
@@ -136,42 +137,36 @@ def solve_relaxation(
     if np.any(lo > up + 1e-12):
         return LpResult(LP_INFEASIBLE)
 
-    if m == 0:
-        return _solve_box_only(relax.c, relax.offset, lo, up)
-
     c_full = np.concatenate([relax.c, np.zeros(m)])
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
-
     system = (relax.A_full, relax.b, c_full, lower_full, upper_full)
-    state = _new_state(0, stop)
-    status, tab = None, None
-    if warm is not None:
-        status, tab = _solve_from(system, state, iteration_limit, *warm)
-    restarted = warm is not None and status in (None, LP_ITERATION_LIMIT)
-    if warm is None or restarted:
-        state = _new_state(state["iterations"], stop)
-        status, tab = _solve_from(system, state, state["iterations"] + iteration_limit)
-        if status is None:
-            status = LP_ITERATION_LIMIT
-    iterations = state["iterations"]
-    if status != LP_OPTIMAL:
-        return LpResult(status, iterations=iterations, restarted=restarted)
-    if (warm is None or restarted) and state["since_refactor"]:
-        # a slack start's inverse carries every pivot of the solve, and every
-        # warm start below this optimum shares it: factor it afresh once
-        tab.refactor()
-        state["since_refactor"] = 0
 
-    # sanity: a reported optimum must actually satisfy the system
-    x = tab.x
-    residual = float(np.max(np.abs(relax.A_full @ x - relax.b)))
-    off_bounds = max(
-        float(np.max(np.maximum(lower_full - x, 0.0), initial=0.0)),
-        float(np.max(np.maximum(x - upper_full, 0.0), initial=0.0)),
-    )
-    if residual > _FEAS_TOL or off_bounds > 1e-6:
-        return LpResult(LP_ITERATION_LIMIT, iterations=iterations, restarted=restarted)
+    iterations = 0
+    for start in ([] if warm is None else [warm]) + [None]:
+        status, tab = _solve_from(system, stop, *(start or ()))
+        iterations += tab.iterations
+        if status == LP_OPTIMAL:
+            if start is None and tab.since_refactor:
+                # a slack start's inverse carries every pivot of the solve, and
+                # every warm start below this optimum shares it: factor it afresh
+                tab.refactor()
+            x = tab.x
+            x[tab.basis] = tab.xb
+            # sanity: a reported optimum must actually satisfy the system
+            residual = float(np.max(np.abs(relax.A_full @ x - relax.b), initial=0.0))
+            off_bounds = max(
+                float(np.max(np.maximum(lower_full - x, 0.0), initial=0.0)),
+                float(np.max(np.maximum(x - upper_full, 0.0), initial=0.0)),
+            )
+            if residual <= _FEAS_TOL and off_bounds <= 1e-6:
+                break
+            status = LP_ITERATION_LIMIT
+        if status in (LP_INFEASIBLE, LP_STOPPED):
+            break
+    restarted = warm is not None and start is None
+    if status != LP_OPTIMAL:
+        return LpResult(status or LP_ITERATION_LIMIT, iterations=iterations, restarted=restarted)
 
     for shared in (tab.basis, tab.pos, tab.binv):
         shared.flags.writeable = False  # warm starts share them and copy them
@@ -183,49 +178,21 @@ def solve_relaxation(
         basis=tab.basis,
         pos=tab.pos,
         binv=tab.binv,
-        since_refactor=state["since_refactor"],
+        since_refactor=tab.since_refactor,
         restarted=restarted,
     )
 
 
-def _new_state(iterations, stop):
-    return {"iterations": iterations, "degenerate": 0, "since_refactor": 0, "stop": stop}
-
-
-def _halted(state, iteration_limit):
-    """The status that ends a pivot loop before its next pivot, or None."""
-    if state["iterations"] >= iteration_limit:
-        return LP_ITERATION_LIMIT
-    if state["stop"] is not None and state["stop"]():
-        return LP_STOPPED
-    return None
-
-
-def _solve_box_only(c, offset, lo, up):
-    values = np.zeros_like(c)
-    for j in range(c.shape[0]):
-        if c[j] > 0:
-            if lo[j] == -INF:
-                return LpResult(LP_UNBOUNDED)
-            values[j] = lo[j]
-        elif c[j] < 0:
-            if up[j] == INF:
-                return LpResult(LP_UNBOUNDED)
-            values[j] = up[j]
-        else:
-            values[j] = lo[j] if lo[j] > -INF else (up[j] if up[j] < INF else 0.0)
-    return LpResult(
-        LP_OPTIMAL,
-        values=tuple(float(v) for v in values),
-        objective=float(c @ values + offset),
-        iterations=0,
-    )
-
-
 class _Tableau:
-    """Mutable simplex state over a fixed column set ``A = [A_struct, I]``."""
+    """The mutable state of one simplex start over ``A = [A_struct, I]``.
 
-    def __init__(self, A, b, lower, upper):
+    ``x`` holds the nonbasic columns' values; the basic columns' values and
+    bounds live in basis order in ``xb``, ``lb`` and ``ub``, and ``x`` holds
+    them only after a refactor or where a caller writes them back. The start
+    pivots until ``limit`` or until ``stop`` returns true.
+    """
+
+    def __init__(self, A, b, lower, upper, stop=None):
         self.A = A
         self.b = b
         self.lower = lower
@@ -233,30 +200,45 @@ class _Tableau:
         self.m, self.n_cols = A.shape
         self.n = self.n_cols - self.m
         self.A_struct = A[:, : self.n]
-        self.x = np.zeros(self.n_cols)
-        self.pos = np.full(self.n_cols, _AT_LOWER, dtype=np.int8)
-        finite_lower = lower > -INF
-        finite_upper = upper < INF
-        at_upper = ~finite_lower & finite_upper
-        self.x[finite_lower] = lower[finite_lower]
-        self.x[at_upper] = upper[at_upper]
-        self.pos[at_upper] = _AT_UPPER
-        self.pos[~finite_lower & ~finite_upper] = _FREE
         # fixed columns (equality slacks) may never enter the basis
         self.enterable = (upper - lower) > _PIVOT_TOL
-        self.basis = np.empty(0, dtype=int)
-        self.binv = np.empty((self.m, self.m))
+        self.pos = np.full(self.n_cols, _AT_LOWER, dtype=np.int8)
+        self.stop = stop
+        self.limit = _ITERATION_LIMIT
+        self.iterations = 0
+        self.degenerate = 0
+        self.since_refactor = 0
 
-    def set_basis(self, basis):
-        self.basis = np.asarray(basis, dtype=int)
-        self.pos[self.basis] = _BASIC
-        self.refactor()
+    def start(self, x):
+        """Nonbasic columns at ``x``, which is zero at the basic ones; the
+        basic columns' values follow from the rows."""
+        self.x = x
+        self.xb = self.binv @ (self.b - self.A_struct @ x[: self.n] - x[self.n :])
+        self.lb = self.lower[self.basis]
+        self.ub = self.upper[self.basis]
+
+    def halted(self):
+        """The status that ends a pivot loop before its next pivot, or None."""
+        if self.iterations >= self.limit:
+            return LP_ITERATION_LIMIT
+        if self.stop is not None and self.stop():
+            return LP_STOPPED
+        return None
+
+    def tally(self, t):
+        """Count an iteration, a pivot or a bound flip, of step ``t``."""
+        if t <= _DEGENERATE_TOL:
+            self.degenerate += 1
+        self.iterations += 1
+        self.since_refactor += 1
 
     def refactor(self):
+        self.x[self.basis] = self.xb
         B = self.A[:, self.basis]
         self.binv = _invert(B)
         nonbasic_part = self.b - self.A @ self.x + B @ self.x[self.basis]
-        self.x[self.basis] = self.binv @ nonbasic_part
+        self.xb = self.binv @ nonbasic_part
+        self.since_refactor = 0
 
     def price(self, y):
         """``y @ A``: the slack block is the identity, so only the structural
@@ -268,6 +250,28 @@ class _Tableau:
         if j >= self.n:
             return self.binv[:, j - self.n].copy()  # a pivot writes binv
         return self.binv @ self.A_struct[:, j]
+
+    def pivot(self, j, r, w, step, to_upper):
+        """Column j, whose column is ``w``, enters in row r by ``step``; the
+        leaving column goes to its upper bound or its lower one. Zeroes
+        ``w[r]``."""
+        leaving = self.basis[r]
+        self.xb -= step * w
+        self.xb[r] = self.x[j] + step
+        self.lb[r] = self.lower[j]
+        self.ub[r] = self.upper[j]
+        self.x[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
+        self.pos[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+        self.pos[j] = _BASIC
+        self.basis[r] = j
+        self.binv[r] /= w[r]
+        row = self.binv[r].copy()  # BLAS must not read a row it writes
+        w[r] = 0.0
+        # binv -= outer(w, row), in place: binv is C-ordered, so its
+        # transpose is the Fortran-ordered matrix BLAS updates without a copy
+        updated = dger(-1.0, row, w, a=self.binv.T, overwrite_a=1)
+        if not np.shares_memory(updated, self.binv):
+            self.binv = updated.T  # binv was not contiguous and BLAS worked on a copy
 
 
 def _invert(B):
@@ -313,7 +317,7 @@ def _extended_inverse(binv, appended):
     return out
 
 
-def _solve_from(system, state, iteration_limit, basis=None, pos=None, binv=None, since_refactor=0):
+def _solve_from(system, stop, basis=None, pos=None, binv=None, since_refactor=0):
     """Solve ``system`` = (A, b, c, lower, upper) from a start basis; returns
     (status, tableau), status None as in ``_dual_optimize`` or when the
     start basis is singular.
@@ -330,12 +334,12 @@ def _solve_from(system, state, iteration_limit, basis=None, pos=None, binv=None,
     basis, and a primal simplex on the true costs takes it to an optimum.
     """
     A, b, c, lower, upper = system
-    tab = _Tableau(A, b, lower, upper)
+    tab = _Tableau(A, b, lower, upper, stop)
     if basis is None:
         basis, binv = np.empty(0, dtype=int), np.empty((0, 0))
     appended = tab.m - len(basis)
     if appended < 0:
-        return None, None
+        return None, tab
     if pos is not None:
         tab.pos[: len(pos)] = pos
     tab.basis = np.concatenate([basis, np.arange(tab.n_cols - appended, tab.n_cols)])
@@ -343,12 +347,12 @@ def _solve_from(system, state, iteration_limit, basis=None, pos=None, binv=None,
         try:
             tab.binv = _invert(A[:, tab.basis])
         except np.linalg.LinAlgError:
-            return None, None
+            return None, tab
         if not np.all(np.isfinite(tab.binv)):
-            return None, None
+            return None, tab
     else:
         tab.binv = _extended_inverse(binv, A[len(basis) :, basis])
-        state["since_refactor"] = since_refactor
+        tab.since_refactor = since_refactor
     d = c - tab.price(c[tab.basis] @ tab.binv)
     # a zero reduced cost keeps the earlier bound while that bound is finite
     at_upper = np.where(
@@ -365,99 +369,77 @@ def _solve_from(system, state, iteration_limit, basis=None, pos=None, binv=None,
     tab.pos = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
     tab.pos[free] = _FREE
     tab.pos[tab.basis] = _BASIC
-    tab.x = np.where(nonbasic & ~free, bound, 0.0)
-    tab.x[tab.basis] = tab.binv @ (b - tab.A_struct @ tab.x[: tab.n] - tab.x[tab.n :])
+    tab.start(np.where(nonbasic & ~free, bound, 0.0))
 
     shift = np.where(shifted, d, 0.0)
-    status = _dual_optimize(tab, c - shift, d - shift, state, iteration_limit)
+    status = _dual_optimize(tab, c - shift, d - shift)
     if status == LP_OPTIMAL:
-        status = _optimize(tab, c, state, iteration_limit)
+        status = _optimize(tab, c)
     return status, tab
 
 
-def _dual_optimize(tab, c, d, state, iteration_limit):
+def _dual_optimize(tab, c, d):
     """Bounded dual simplex from a dual feasible basis, whose reduced costs
     for the costs ``c`` are ``d``, until primal feasible.
 
     Returns None when a row looks infeasible but its certificate does not
     hold on the original system.
     """
+    if not tab.m:
+        return LP_OPTIMAL  # no basic column to make feasible
     free_cols = bool(np.any(tab.pos == _FREE))  # a free nonbasic column only enters
-    # the basic columns' values and bounds in basis order, and the way each
-    # column may move, kept up to date by the pivots; x is written back on exit
-    xb = tab.x[tab.basis]
-    lb = tab.lower[tab.basis]
-    ub = tab.upper[tab.basis]
-    moves = _MOVES[tab.pos]
-    try:
-        while True:
-            halted = _halted(state, iteration_limit)
-            if halted is not None:
-                return halted
-            if state["since_refactor"] >= _REFACTOR_EVERY:
-                tab.x[tab.basis] = xb
-                tab.refactor()
-                xb = tab.x[tab.basis]
-                state["since_refactor"] = 0
-                d = c - tab.price(c[tab.basis] @ tab.binv)
+    moves = _MOVES[tab.pos]  # kept up to date by the pivots
+    while True:
+        halted = tab.halted()
+        if halted is not None:
+            return halted
+        if tab.since_refactor >= _REFACTOR_EVERY:
+            tab.refactor()
+            d = c - tab.price(c[tab.basis] @ tab.binv)
 
-            below = lb - xb
-            above = xb - ub
-            infeasibility = np.maximum(below, above)
-            bland = state["degenerate"] >= _BLAND_AFTER
-            if bland:
-                rows = np.flatnonzero(infeasibility > _PRIMAL_TOL)
-                if rows.size == 0:
-                    return LP_OPTIMAL
-                r = int(rows[np.argmin(tab.basis[rows])])
-            else:
-                r = int(infeasibility.argmax())
-                if infeasibility[r] <= _PRIMAL_TOL:
-                    return LP_OPTIMAL
-            rise = below[r] > 0  # the leaving variable goes up to its lower bound
+        below = tab.lb - tab.xb
+        above = tab.xb - tab.ub
+        infeasibility = np.maximum(below, above)
+        bland = tab.degenerate >= _BLAND_AFTER
+        if bland:
+            rows = np.flatnonzero(infeasibility > _PRIMAL_TOL)
+            if rows.size == 0:
+                return LP_OPTIMAL
+            r = int(rows[np.argmin(tab.basis[rows])])
+        else:
+            r = int(infeasibility.argmax())
+            if infeasibility[r] <= _PRIMAL_TOL:
+                return LP_OPTIMAL
+        rise = below[r] > 0  # the leaving variable goes up to its lower bound
 
-            # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
-            # its bound as they move off their own bound the way _MOVES allows,
-            # and a free column, whose reduced cost is zero, moves either way
-            alpha = tab.price(tab.binv[r])
-            moved = moves * alpha
-            candidates = tab.enterable & ((moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL))
-            if free_cols:
-                free = tab.pos == _FREE
-                candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
-            idx = candidates.nonzero()[0]
-            if idx.size == 0:
-                return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
-            ratios = np.abs(d[idx]) / np.abs(alpha[idx])
-            if free_cols:
-                ratios[free[idx]] = 0.0
-            t = float(ratios.min())
-            ties = idx[ratios <= t + _PIVOT_TOL]
-            j = int(ties[0]) if bland else int(ties[np.abs(alpha[ties]).argmax()])
+        # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
+        # its bound as they move off their own bound the way _MOVES allows,
+        # and a free column, whose reduced cost is zero, moves either way
+        alpha = tab.price(tab.binv[r])
+        moved = moves * alpha
+        candidates = tab.enterable & ((moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL))
+        if free_cols:
+            free = tab.pos == _FREE
+            candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
+        idx = candidates.nonzero()[0]
+        if idx.size == 0:
+            return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
+        ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+        if free_cols:
+            ratios[free[idx]] = 0.0
+        t = float(ratios.min())
+        ties = idx[ratios <= t + _PIVOT_TOL]
+        j = int(ties[0]) if bland else int(ties[np.abs(alpha[ties]).argmax()])
 
-            leaving = tab.basis[r]
-            target = lb[r] if rise else ub[r]
-            w = tab.column(j)
-            step = (xb[r] - target) / w[r]
-            xb -= step * w
-            entering_value = tab.x[j] + step
-            xb[r] = entering_value
-            lb[r] = tab.lower[j]
-            ub[r] = tab.upper[j]
-            tab.x[leaving] = target
-            tab.pos[leaving] = _AT_LOWER if rise else _AT_UPPER
-            moves[leaving] = _MOVES[tab.pos[leaving]]
-            moves[j] = 0.0
-            _pivot(tab, j, r, w, entering_value)
-            d -= (d[j] / alpha[j]) * alpha
-            d[j] = 0.0
-
-            if t <= _DEGENERATE_TOL:
-                state["degenerate"] += 1
-            state["iterations"] += 1
-            state["since_refactor"] += 1
-    finally:
-        tab.x[tab.basis] = xb
+        leaving = tab.basis[r]
+        target = tab.lb[r] if rise else tab.ub[r]
+        w = tab.column(j)
+        tab.pivot(j, r, w, (tab.xb[r] - target) / w[r], not rise)
+        moves[leaving] = _MOVES[tab.pos[leaving]]
+        moves[j] = 0.0
+        d -= (d[j] / alpha[j]) * alpha
+        d[j] = 0.0
+        tab.tally(t)
 
 
 def _certifies_infeasible(tab, r):
@@ -479,33 +461,18 @@ def _certifies_infeasible(tab, r):
     return rhs > most + tol or rhs < least - tol
 
 
-def _pivot(tab, j_enter, r_leave, w, entering_value):
-    tab.binv[r_leave] /= w[r_leave]
-    row = tab.binv[r_leave].copy()  # BLAS must not read a row it writes
-    w[r_leave] = 0.0  # the caller reads w no more
-    # binv -= outer(w, row), in place: binv is C-ordered, so its
-    # transpose is the Fortran-ordered matrix BLAS updates without a copy
-    updated = dger(-1.0, row, w, a=tab.binv.T, overwrite_a=1)
-    if not np.shares_memory(updated, tab.binv):
-        tab.binv = updated.T  # binv was not contiguous and BLAS worked on a copy
-    tab.basis[r_leave] = j_enter
-    tab.pos[j_enter] = _BASIC
-    tab.x[j_enter] = entering_value
-
-
-def _optimize(tab, c, state, iteration_limit):
+def _optimize(tab, c):
     """Primal simplex from a primal feasible basis until optimal."""
     neg_inf = -INF
     while True:
-        halted = _halted(state, iteration_limit)
+        halted = tab.halted()
         if halted is not None:
             return halted
-        if state["since_refactor"] >= _REFACTOR_EVERY:
+        if tab.since_refactor >= _REFACTOR_EVERY:
             tab.refactor()
-            state["since_refactor"] = 0
 
         d = c - tab.price(c[tab.basis] @ tab.binv)
-        bland = state["degenerate"] >= _BLAND_AFTER
+        bland = tab.degenerate >= _BLAND_AFTER
 
         pos = tab.pos
         score = np.full(tab.n_cols, neg_inf)
@@ -527,39 +494,23 @@ def _optimize(tab, c, state, iteration_limit):
         direction = 1.0 if (tab.pos[j] == _AT_LOWER or d[j] < 0) else -1.0
 
         w = tab.column(j)
-        t, r_leave = _ratio_test(tab, j, direction, w, bland)
+        t, r = _ratio_test(tab, j, direction, w, bland)
         if t == INF:
             return LP_UNBOUNDED
-
-        if t <= _DEGENERATE_TOL:
-            state["degenerate"] += 1
-        state["iterations"] += 1
-        state["since_refactor"] += 1
-
-        tab.x[tab.basis] -= direction * t * w
-        if r_leave < 0:
+        tab.tally(t)
+        if r < 0:
             # bound flip, no basis change
+            tab.xb -= direction * t * w
             tab.x[j] = tab.upper[j] if direction > 0 else tab.lower[j]
             tab.pos[j] = _AT_UPPER if direction > 0 else _AT_LOWER
         else:
-            entering_value = tab.x[j] + direction * t
-            leaving = tab.basis[r_leave]
-            delta = -direction * w[r_leave]
-            if delta < 0:
-                tab.x[leaving] = tab.lower[leaving]
-                tab.pos[leaving] = _AT_LOWER
-            else:
-                tab.x[leaving] = tab.upper[leaving]
-                tab.pos[leaving] = _AT_UPPER
-            _pivot(tab, j, r_leave, w, entering_value)
+            tab.pivot(j, r, w, direction * t, direction * w[r] < 0)
 
 
 def _ratio_test(tab, j_enter, direction, w, bland):
     """Max step for the entering variable; returns (t, leaving row or -1)."""
     delta = -direction * w
-    xb = tab.x[tab.basis]
-    lb = tab.lower[tab.basis]
-    ub = tab.upper[tab.basis]
+    xb, lb, ub = tab.xb, tab.lb, tab.ub
     limits = np.full(tab.m, INF)
     # a basic variable only limits the step toward a finite bound
     dec = (delta < -_PIVOT_TOL) & (lb > -INF)
@@ -573,11 +524,9 @@ def _ratio_test(tab, j_enter, direction, w, bland):
     if flip <= t_row:
         # bound flip is at least as tight (inf == inf signals unboundedness)
         return flip, -1
-
     ties = np.where(limits <= t_row + _PIVOT_TOL)[0]
     if bland:
-        basis_ids = tab.basis[ties]
-        r = int(ties[int(np.argmin(basis_ids))])
+        r = int(ties[int(np.argmin(tab.basis[ties]))])
     else:
         r = int(ties[np.abs(delta[ties]).argmax()])
     return t_row, r

@@ -252,7 +252,7 @@ def simulate(
     finals = np.array([r.final_gap for r in records])
     pis = np.array([r.primal_integral for r in records])
     best = min(records, key=_record_order)
-    worst = max(records, key=lambda r: (r.final_gap, r.primal_integral, r.config_ids))
+    worst = max(records, key=_record_order)
     return SimulationReport(
         n=n,
         runs=runs,

@@ -7,17 +7,16 @@ reference one. The reference backend is a deterministic single-threaded
 best-bound search over the model's shared arrays (``model.relaxation``)
 with depth-first plunging until the first incumbent, most-fractional
 branching (ties to the lowest index), and cooperative cancellation checked
-at node boundaries and before every simplex pivot. The
-root LP starts from the caller's ``root_basis`` when one is given (the
-worker's base-model optimum with its basis inverse), and a child node's LP
-from its parent's optimal basis and basis inverse (dual simplex warm start);
-both children share the parent's read-only inverse. The open nodes hold at
-most ``_OPEN_INVERSE_BYTES`` of inverses: a child pushed past that carries
-the basis alone and inverts it when popped. A node whose warm start itself
-failed (unbounded, or an optimum that fails the LP's residual check) is
-solved again from the slack basis. A node whose LP still fails, or whose
-warm start the LP already replaced by a slack start, is dropped and
-counted, and the search goes on without claiming a proof.
+at node boundaries and before every simplex pivot. It closes once the gap
+falls to ``_GAP_LIMIT``. The root LP starts from the caller's ``root_basis``
+when one is given (the worker's base-model optimum with its basis inverse),
+and a child node's LP from its parent's optimal basis and basis inverse
+(dual simplex warm start); both children share the parent's read-only
+inverse. The open nodes hold at most ``_OPEN_INVERSE_BYTES`` of inverses: a
+child pushed past that carries the basis alone and inverts it when popped.
+Each node is one ``solve_relaxation`` call, which itself starts again from
+the slack basis when the warm start fails. A node whose LP still fails is
+dropped and counted, and the search goes on without claiming a proof.
 """
 
 import heapq
@@ -37,6 +36,8 @@ INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
 _PRUNE_TOL = 1e-9
+# relative gap at which the search stops and claims optimality
+_GAP_LIMIT = 1e-6
 # The open nodes carry at most this many bytes of basis inverses; a child
 # pushed past it carries its parent's basis alone and is refactored when popped.
 _OPEN_INVERSE_BYTES = 32 << 20
@@ -48,7 +49,6 @@ class SolveBudget:
 
     wall_seconds: float = INF
     node_limit: int | None = None
-    gap_limit: float = 1e-6
 
     def __post_init__(self):
         if self.wall_seconds < 0:
@@ -57,8 +57,6 @@ class SolveBudget:
             raise ValueError("at least one of wall_seconds/node_limit must be finite")
         if self.node_limit is not None and self.node_limit < 0:
             raise ValueError("node_limit must be >= 0")
-        if self.gap_limit < 0:
-            raise ValueError("gap_limit must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class MipResult:
     dual_bound: float
     nodes: int
     elapsed: float
-    dropped_nodes: int = 0  # nodes whose LP failed even when solved cold
+    dropped_nodes: int = 0  # nodes whose LP failed even from the slack basis
 
 
 def _most_fractional(x, integer):
@@ -146,7 +144,7 @@ def solve_mip(
         dual = open_dual()
         if dual is None:
             return True
-        return best_obj - dual <= budget.gap_limit * max(abs(best_obj), 1e-10)
+        return best_obj - dual <= _GAP_LIMIT * max(abs(best_obj), 1e-10)
 
     while True:
         if out_of_time():
@@ -165,12 +163,6 @@ def solve_mip(
             continue
 
         res = solve_relaxation(relax, lower, upper, warm=warm, stop=out_of_time)
-        if warm is not None and not res.restarted and res.status not in (
-            LP_OPTIMAL, LP_INFEASIBLE, LP_STOPPED
-        ):
-            # the warm start itself failed (unbounded, or an optimum that
-            # fails the residual check): solve again from the slack basis
-            res = solve_relaxation(relax, lower, upper, stop=out_of_time)
         if res.status == LP_STOPPED:
             # the node stays open, so its estimate still bounds the search
             push(node)
@@ -264,8 +256,11 @@ class Backend:
     and ``find_first_feasible(model, budget, *, clock, cancel,
     root_basis)``; neither gets a seed, so a randomized backend seeds
     itself. A backend without LP warm starts ignores ``root_basis``. The
-    warm start ``solve_mip`` gets is the worker's current solution, which
-    may be infeasible for the sub-model; a backend must check it."""
+    budget caps wall time and nodes; the gap at which a solve may stop and
+    claim optimality is the backend's own (``_GAP_LIMIT`` for the reference
+    one). The warm start ``solve_mip`` gets is the worker's current
+    solution, which may be infeasible for the sub-model; a backend must
+    check it."""
 
     name: str
     solve_mip: Callable

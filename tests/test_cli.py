@@ -193,6 +193,21 @@ def test_portfolio_backend_selection_and_core_cap_default(tmp_path, monkeypatch)
     assert main(["portfolio", "--manifest", str(path), "--out-dir", str(tmp_path / "o3")]) == EXIT_DATA
 
 
+def test_core_cap_default_is_the_affinity_set(tmp_path, monkeypatch):
+    # one allowed CPU admits no two single-thread workers; the plan is
+    # rejected before any worker starts
+    instance = _write_instance(tmp_path, knapsack(10, seed=2))
+    pool_path = tmp_path / "pool.json"
+    main(["gen-configs", "--size", "2", "--seed", "3", "--out", str(pool_path)])
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps({"instance": str(instance), "pool": str(pool_path), "n": 2, "wall_seconds": 0.5})
+    )
+    monkeypatch.delenv("PARLNS_CORE_CAP", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["portfolio", "--manifest", str(path), "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
+
+
 def test_portfolio_rejects_unknown_manifest_keys(tmp_path):
     instance = _write_instance(tmp_path, knapsack(10, seed=2))
     pool_path = tmp_path / "pool.json"

@@ -99,12 +99,14 @@ def test_optimal_point_is_locally_optimal():
                 raise AssertionError("found a feasible strict descent direction")
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
+    from parlns import lp
     from parlns.lp import LP_ITERATION_LIMIT
 
     rng = random.Random(8)
     model = random_lp(rng)
-    res = solve_lp(model, iteration_limit=0)
+    monkeypatch.setattr(lp, "_ITERATION_LIMIT", 0)
+    res = solve_lp(model)
     assert res.status == LP_ITERATION_LIMIT
     assert res.values is None
 

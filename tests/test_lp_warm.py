@@ -10,12 +10,15 @@ root from the base model's optimal basis, also for the proximity roots of
 generated instances. Chains of nodes that start from their parent's carried
 basis inverse are checked the same way, and the inverse itself against a
 fresh one, for appended rows too, and for being left intact by a sibling.
+A warm start that fails is followed by the slack start within one solve, and
+a model without rows solves to its closed-form box optimum, cold and warm.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from parlns.lp import (
     LP_INFEASIBLE,
     LP_OPTIMAL,
     LP_STOPPED,
+    LP_UNBOUNDED,
     build_relaxation,
     solve_lp,
     solve_relaxation,
@@ -317,7 +321,9 @@ def test_proximity_root_past_the_lp_bound_is_proven_infeasible_warm():
     assert warm.iterations < cold.iterations
 
 
-def _packing_tableau(seed):
+def _packing_tableau(seed, pivots):
+    """A packing LP's tableau at its slack basis, where x = 0 is feasible,
+    allowed ``pivots`` pivots."""
     relax = build_relaxation(independent_set(30, 0.2, seed=seed))
     m = relax.A_full.shape[0]
     c = np.concatenate([relax.c, np.zeros(m)])
@@ -327,7 +333,11 @@ def _packing_tableau(seed):
         np.concatenate([relax.lower, relax.slack_lower]),
         np.concatenate([relax.upper, relax.slack_upper]),
     )
-    tab.set_basis(np.arange(relax.n_structural, tab.n_cols))  # x = 0 is feasible
+    tab.basis = np.arange(relax.n_structural, tab.n_cols)
+    tab.pos[tab.basis] = lp._BASIC
+    tab.binv = np.eye(m)
+    tab.start(np.zeros(tab.n_cols))
+    tab.limit = pivots
     return tab, c
 
 
@@ -339,23 +349,21 @@ def _assert_inverse(tab):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 50), st.integers(1, 150))
 def test_pivots_update_the_basis_inverse_in_place(seed, pivots):
-    tab, c = _packing_tableau(seed)
+    tab, c = _packing_tableau(seed, pivots)
     buffer = tab.binv
-    state = lp._new_state(0, None)
     # fewer pivots than a refactorization interval, which replaces binv
     assert pivots < lp._REFACTOR_EVERY
-    lp._optimize(tab, c, state, pivots)
-    assert state["iterations"] > 0
+    lp._optimize(tab, c)
+    assert tab.iterations > 0
     assert tab.binv is buffer
     _assert_inverse(tab)
 
 
 def test_pivot_on_a_non_contiguous_inverse_keeps_the_update():
-    tab, c = _packing_tableau(3)
+    tab, c = _packing_tableau(3, 5)
     tab.binv = np.asfortranarray(tab.binv)
-    state = lp._new_state(0, None)
-    lp._optimize(tab, c, state, 5)
-    assert state["iterations"] == 5
+    lp._optimize(tab, c)
+    assert tab.iterations == 5
     assert tab.binv.flags.c_contiguous
     _assert_inverse(tab)
 
@@ -394,6 +402,98 @@ def test_stop_ends_a_warm_solve_without_a_cold_fallback():
     )
     assert res.status == LP_STOPPED
     assert res.iterations <= 2
+
+
+@pytest.mark.parametrize("failure", ["unbounded", "residual"])
+def test_failed_warm_start_is_followed_by_the_slack_start(monkeypatch, failure):
+    relax = build_relaxation(independent_set(30, 0.2, seed=5))
+    root = solve_relaxation(relax)
+    fractional = [j for j, v in enumerate(root.values) if abs(v - round(v)) > 1e-6]
+    upper = relax.upper.copy()
+    upper[fractional] = 0.0
+    warm_alone = solve_relaxation(relax, upper=upper, warm=root.warm)
+    cold = solve_relaxation(relax, upper=upper)
+    assert warm_alone.status == cold.status == LP_OPTIMAL and warm_alone.iterations > 0
+    real = lp._solve_from
+    starts = []
+
+    def solve_from(system, stop, *warm):
+        status, tab = real(system, stop, *warm)
+        starts.append(bool(warm))
+        if warm and failure == "unbounded":
+            status = LP_UNBOUNDED
+        elif warm:
+            tab.xb = tab.xb + 1.0  # basic values off the rows
+        return status, tab
+
+    monkeypatch.setattr(lp, "_solve_from", solve_from)
+    res = solve_relaxation(relax, upper=upper, warm=root.warm)
+    assert starts == [True, False]
+    assert res.restarted
+    assert res.status == LP_OPTIMAL
+    assert res.objective == cold.objective
+    assert res.iterations == warm_alone.iterations + cold.iterations
+
+
+# bounds of a model without rows, and the costs its columns get
+ROWLESS_BOUNDS = {
+    "box": (-1.5, 2.0),
+    "negative": (-3.0, -0.5),
+    "upper_only": (-INF, 2.5),
+    "free": (-INF, INF),
+    "fixed": (1.25, 1.25),
+}
+ROWLESS_COSTS = (-2.0, -1.0, 0.0, 1.0, 3.0)
+
+
+def _box_optimum(columns):
+    """Each column at the bound its cost prefers, at its finite bound (the
+    lower one first, else zero) when it costs nothing; None if unbounded."""
+    values = []
+    for kind, cost in columns:
+        lo, up = ROWLESS_BOUNDS[kind]
+        if cost > 0:
+            if lo == -INF:
+                return None
+            values.append(lo)
+        elif cost < 0:
+            if up == INF:
+                return None
+            values.append(up)
+        else:
+            values.append(lo if lo > -INF else (up if up < INF else 0.0))
+    return values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(ROWLESS_BOUNDS)), st.sampled_from(ROWLESS_COSTS)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_rowless_model_solves_to_the_box_optimum_cold_and_warm(columns):
+    model = make_model(
+        "rowless",
+        MINIMIZE,
+        [Variable(f"x{j}", CONTINUOUS, *ROWLESS_BOUNDS[kind]) for j, (kind, _) in enumerate(columns)],
+        [],
+        {j: cost for j, (_, cost) in enumerate(columns)},
+    )
+    expected = _box_optimum(columns)
+    res = solve_lp(model)
+    if expected is None:
+        assert res.status == LP_UNBOUNDED
+        return
+    assert res.status == LP_OPTIMAL
+    assert res.values == tuple(expected)
+    assert res.objective == pytest.approx(sum(c * v for (_, c), v in zip(columns, expected)))
+    assert res.iterations == 0
+    warm = solve_relaxation(build_relaxation(model), warm=res.warm)
+    assert warm.status == LP_OPTIMAL and not warm.restarted
+    assert warm.values == res.values
+    assert warm.iterations == 0
 
 
 @st.composite

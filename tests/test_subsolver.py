@@ -18,7 +18,8 @@ from parlns.model import (
     make_model,
 )
 import parlns.subsolver
-from parlns.lp import LP_ITERATION_LIMIT, LpResult
+from parlns import lp
+from parlns.lp import LP_ITERATION_LIMIT, LP_UNBOUNDED, LpResult
 from parlns.subsolver import (
     FEASIBLE,
     INFEASIBLE,
@@ -242,11 +243,24 @@ def _failing_lp(monkeypatch, failing_calls):
 
 
 def test_failed_warm_node_lp_is_retried_cold(monkeypatch):
+    # the first child's warm start ends unbounded; its one solve_relaxation
+    # call starts again from the slack basis, so the search is the same
     model = knapsack(12, seed=9)
     expected = solve_mip(model, budget=SolveBudget(wall_seconds=30.0))
-    calls = _failing_lp(monkeypatch, {2})
+    calls = _failing_lp(monkeypatch, set())
+    real = lp._solve_from
+    starts = []
+
+    def solve_from(system, stop, *warm):
+        status, tab = real(system, stop, *warm)
+        starts.append(bool(warm))
+        return (LP_UNBOUNDED if len(starts) == 2 else status), tab
+
+    monkeypatch.setattr(lp, "_solve_from", solve_from)
     res = solve_mip(model, budget=SolveBudget(wall_seconds=30.0))
-    assert calls[1] and not calls[2]  # the warm child, then its cold retry
+    assert starts[1] and not starts[2]  # the warm child, then its slack start
+    assert calls[1] and calls[2]  # within the child's one call
+    assert len(calls) == res.nodes
     assert res.status == OPTIMAL
     assert res.dropped_nodes == 0
     assert res.incumbent.objective == expected.incumbent.objective
@@ -262,10 +276,10 @@ def test_node_lp_failing_once_is_dropped_and_the_search_goes_on(monkeypatch):
     assert res.dual_bound == -float("inf")
 
     warm = evaluate(model, tuple(0.0 for _ in model.variables))
-    calls = _failing_lp(monkeypatch, {2, 3})  # a child, warm and cold
+    calls = _failing_lp(monkeypatch, {2})  # a child, its one call
     res = solve_mip(model, warm_start=warm, budget=SolveBudget(wall_seconds=30.0))
-    assert len(calls) > 3
-    assert res.nodes > 2
+    assert calls[1] and calls[2]  # the failed child is not solved again
+    assert len(calls) == res.nodes > 2
     assert res.dropped_nodes == 1
     assert res.status == FEASIBLE
     assert res.dual_bound <= binary_optimum(model) + 1e-9
