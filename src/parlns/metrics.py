@@ -4,7 +4,9 @@ A trace is a piecewise-constant, right-continuous record of the best
 objective and primal gap over time; before its first point the gap is 1 by
 convention (no solution yet). Gaps are reported capped at 1 so the primal
 integral is bounded by the window length; the uncapped value is available
-through ``primal_gap(..., cap=False)``.
+through ``primal_gap(..., cap=False)``. A trace may still hold a gap above 1
+or one that rises by up to 1e-12, but an aggregate of traces is capped at 1
+and never rises: it is the running minimum of their gaps from 1.
 """
 
 import csv
@@ -94,8 +96,9 @@ def pi_percent_minutes(pi_seconds: float) -> float:
 
 
 def aggregate_min(traces) -> GapTrace:
-    """Pointwise-minimum trace; event times are the union of input event
-    times with redundant (non-improving) points dropped."""
+    """Pointwise-minimum trace, capped at 1 and never rising; event times
+    are the union of input event times with redundant (non-improving)
+    points dropped."""
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")

@@ -3,9 +3,10 @@
 Total parallelism is the product of worker count and per-worker solver
 threads and must stay within the core cap. Under the wall clock, workers run
 on a thread pool and share one cancellation event, set when the wall budget
-runs out; under the simulated clock they run one after another in config
-order, which makes whole portfolio runs reproducible bit for bit. The CLI's
-``portfolio`` and ``repro`` commands both launch their workers here.
+runs out or a worker raises; under the simulated clock they run one after
+another in config order, which makes whole portfolio runs reproducible bit
+for bit. The CLI's ``portfolio`` and ``repro`` commands both launch their
+workers here.
 """
 
 import hashlib
@@ -158,12 +159,20 @@ def run_portfolio(
         timer = threading.Timer(plan.wall_seconds, cancel.set)
         timer.daemon = True
         timer.start()
+
+        def stop_on_error(future):
+            # the error surfaces once every worker is done: stop the others
+            if future.exception() is not None:
+                cancel.set()
+
         try:
             with ThreadPoolExecutor(max_workers=plan.n_workers) as pool:
                 futures = {
                     config.id: pool.submit(launch, config, cancel)
                     for config in plan.configs
                 }
+                for future in futures.values():
+                    future.add_done_callback(stop_on_error)
                 for config_id, future in futures.items():
                     results[config_id] = future.result()
         finally:

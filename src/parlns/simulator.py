@@ -3,23 +3,26 @@
 Given a database of per-configuration, per-instance traces, estimate how a
 portfolio of n configurations performs by sampling subsets uniformly without
 replacement, aggregating each subset's traces by pointwise minimum, and
-averaging final gap and primal integral across instances. An exhaustive
+averaging final gap and primal integral across instances. As in
+``metrics.aggregate_min``, an aggregate is capped at 1 and never rises: it
+is the running minimum of the members' gaps from 1. An exhaustive
 enumerator provides the exact expectation for small pools, and a ranking
 operation orders configurations for reduced-pool planning.
 
-All three build one array grid per call: every configuration's gap on every
-instance, one column per event time inside the window. Each point is placed
-by ``np.searchsorted``, and the grid is written by run length: the entries
-(a gap of 1 where a configuration opens an instance, then its points) are
-put in cell order with one stable sort, and one ``np.repeat`` carries each
-entry forward to the next. A subset is then a columnwise minimum over its
-rows and one dot product per instance.
+All three build one grid per call: every configuration's trace entries on
+every instance (a gap of 1 where it opens the instance, then its points),
+each placed by ``np.searchsorted`` in a column, one column per event time
+inside the window. A subset merges its members' entries with one sort, takes
+their running minimum per instance, and spreads it over the columns with one
+run-length ``np.repeat``, so its cost follows its own entries; one dot
+product per instance then gives its primal integral.
 """
 
 import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +43,11 @@ EXHAUSTIVE_CAP = 10**6
 
 @dataclass(frozen=True)
 class TraceDb:
-    """config id -> instance id -> GapTrace, rectangular unless ``missing``."""
+    """config id -> instance id -> GapTrace, rectangular unless ``missing``.
+
+    The traces' points are also kept as arrays (``point_arrays``), built
+    once on first use, so that each grid only places them for its window.
+    """
 
     traces: dict[str, dict[str, GapTrace]]
     config_ids: tuple[str, ...]
@@ -53,6 +60,23 @@ class TraceDb:
 
     def horizon(self, instance_id: str) -> float:
         return max(self.traces[c][instance_id].horizon for c in self.config_ids)
+
+    @cached_property
+    def point_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per instance, every config's points as arrays, built on first use:
+        times, gaps and owning config index in time order (ties in config
+        order), and the distinct event times. Needs a rectangular db."""
+        arrays = []
+        for instance in self.instance_ids:
+            traces = [self.traces[c][instance].points for c in self.config_ids]
+            flat = np.fromiter(
+                itertools.chain.from_iterable(itertools.chain.from_iterable(traces)), float
+            ).reshape(-1, 3)
+            owner = np.repeat(np.arange(len(traces)), [len(pts) for pts in traces])
+            order = np.argsort(flat[:, 0], kind="stable")
+            times = flat[order, 0]
+            arrays.append((times, flat[order, 2], owner[order], np.unique(times)))
+        return tuple(arrays)
 
 
 def build_trace_db(traces: dict[str, dict[str, GapTrace]]) -> TraceDb:
@@ -102,24 +126,31 @@ def load_trace_db(root, horizon: float | None = None) -> TraceDb:
 
 @dataclass(frozen=True)
 class _Grid:
-    """Every config's gap on every instance over a window, as one matrix.
+    """Every config's trace entries over a window, in column order.
 
-    Instance i owns columns lo..hi of ``gaps``, for ``(lo, hi, d) = spans[i]``.
-    Column lo + j holds the gap on [start_j, start_j+1), where the starts are
-    t0 and each event time of any config strictly inside (t0, t1), and ``d``
-    holds their durations; column hi holds the gap at t1. Points at or before
-    t0 set column lo, points after t1 no column, and of several points in one
-    cell the latest sets it. A row is built by run length: each entry fills
-    its cell and the cells after it up to the next entry. Equivalence with
-    metrics.aggregate_min, primal_integral and GapTrace.gap_at is pinned by
-    tests.
+    Instance i owns columns lo..hi, for ``(lo, hi, d) = spans[i]``. Column
+    lo + j stands for [start_j, start_j+1), where the starts are t0 and each
+    event time of any config strictly inside (t0, t1), and ``d`` holds their
+    durations; column hi stands for t1. An entry is a gap placed in a column:
+    each config opens each instance with a gap of 1 in column lo, and each
+    point sets the column of the first edge at or after it, so points at or
+    before t0 land in column lo and points after t1 in none. ``columns`` and
+    ``gaps`` hold the entries of every instance in column order, instance i's
+    up to index ``ends[i]``, and ``members[k]`` holds config k's entry
+    positions in ascending order.
     """
 
-    gaps: np.ndarray  # (configs, columns of every instance)
+    columns: np.ndarray  # column of each entry, non-decreasing
+    gaps: np.ndarray  # gap of each entry
+    ends: np.ndarray  # index past each instance's last entry
+    members: tuple[np.ndarray, ...]  # per config, its entry positions
     spans: tuple[tuple[int, int, np.ndarray], ...]
+    size: int  # columns of every instance
 
 
 def _grids(db: TraceDb, window) -> _Grid:
+    """The window's grid, from the db's point arrays: per instance, the
+    opening entries and then the points at or before t1, in time order."""
     db.require_rectangular()
     t0, t1 = window
     if not 0 <= t0 <= t1:
@@ -128,43 +159,53 @@ def _grids(db: TraceDb, window) -> _Grid:
         if t1 > db.horizon(instance) + 1e-9:
             raise ValueError(f"window end {t1} beyond horizon of instance {instance!r}")
     configs = len(db.config_ids)
-    spans, owners, columns, values = [], [], [], []
-    lo = 0
-    for instance in db.instance_ids:
-        traces = [db.traces[c][instance].points for c in db.config_ids]
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(traces)), float
-        ).reshape(-1, 3)
-        owner = np.repeat(np.arange(configs), [len(pts) for pts in traces])
-        events = np.unique(flat[:, 0])
-        edges = np.concatenate(([t0], events[(t0 < events) & (events < t1)], [t1]))
-        # a point sets the column of the first edge at or after it, and on
-        column = np.searchsorted(edges, flat[:, 0], side="left")
-        seen = column < len(edges)
-        # every config enters the instance at a gap of 1, ahead of its points
-        owners += [np.arange(configs), owner[seen]]
-        columns += [np.full(configs, lo), lo + column[seen]]
-        values += [np.ones(configs), flat[seen, 2]]
+    spans, owners, columns, gaps, ends = [], [], [], [], []
+    lo = entries = 0
+    for times, values, owner, events in db.point_arrays:
+        inside = events[np.searchsorted(events, t0, "right") : np.searchsorted(events, t1, "left")]
+        edges = np.concatenate(([t0], inside, [t1]))
+        # points are in time order, so the ones at or before t1 come first
+        # and their columns do not decrease
+        seen = np.searchsorted(times, t1, "right")
+        owners += [np.arange(configs), owner[:seen]]
+        columns += [np.full(configs, lo), lo + np.searchsorted(edges, times[:seen], "left")]
+        gaps += [np.ones(configs), values[:seen]]
         spans.append((lo, lo + len(edges) - 1, np.diff(edges)))
         lo += len(edges)
-    # entries in cell order, later entries of one cell after earlier ones
-    cell = np.concatenate(owners) * lo + np.concatenate(columns)
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    # each entry fills the cells up to the next entry's: all but the last
-    # entry of a cell fill none, and as every config opens every instance
-    # with an entry of its own, the runs tile the grid
-    runs = np.diff(np.append(cell, configs * lo))
-    gaps = np.repeat(np.concatenate(values)[order], runs).reshape(configs, lo)
-    return _Grid(gaps, tuple(spans))
+        entries += configs + seen
+        ends.append(entries)
+    owners = np.concatenate(owners)
+    order = np.argsort(owners, kind="stable")
+    members = tuple(np.split(order, np.cumsum(np.bincount(owners))[:-1]))
+    return _Grid(
+        np.concatenate(columns), np.concatenate(gaps), np.array(ends), members, tuple(spans), lo
+    )
+
+
+def _subset_gaps(grid: _Grid, rows) -> np.ndarray:
+    """The subset's aggregate gap in every column: per instance, the running
+    minimum of its members' entries from 1, each carried forward to the next
+    entry's column. Equivalence with metrics.aggregate_min, primal_integral
+    and GapTrace.gap_at is pinned by tests."""
+    positions = np.sort(np.concatenate([grid.members[r] for r in rows]))
+    low = grid.gaps[positions]
+    start = 0
+    for end in np.searchsorted(positions, grid.ends).tolist():
+        np.minimum.accumulate(low[start:end], out=low[start:end])
+        start = end
+    # every member opens every instance, so the entries' runs tile the columns
+    columns = grid.columns[positions]
+    runs = np.empty_like(columns)
+    np.subtract(columns[1:], columns[:-1], out=runs[:-1])
+    runs[-1] = grid.size - columns[-1]
+    return np.repeat(low, runs)
 
 
 def _subset_performance(grid: _Grid, rows) -> tuple[float, float]:
     """(final gap, primal integral) of the subset given by row indices,
-    each averaged over instances."""
-    low = grid.gaps[rows[0]].copy()
-    for row in rows[1:]:
-        np.minimum(low, grid.gaps[row], out=low)
+    each averaged over instances: the gap in each instance's last column,
+    and the dot product of its other columns with their durations."""
+    low = _subset_gaps(grid, rows)
     finals = [float(low[hi]) for _, hi, _ in grid.spans]
     pis = [float(low[lo:hi] @ durations) for lo, hi, durations in grid.spans]
     return sum(finals) / len(finals), sum(pis) / len(pis)

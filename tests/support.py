@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
-enumeration for LPs, a dict-loop ``evaluate`` for the array one, and
-hand-rolled step-function traces.
+enumeration for LPs, a dict-loop ``evaluate`` for the array one, a dense
+gap grid for the simulator's subset scores, and hand-rolled step-function
+traces.
 """
 
 import itertools
@@ -77,6 +78,57 @@ def most_fractional_oracle(values, int_indices):
         if best_score is None or score < best_score:
             best_j, best_score = j, score
     return best_j
+
+
+def _dense_gap_grid(db, window):
+    """Every config's gap on every instance over a window, as one matrix.
+
+    Instance i owns columns lo..hi, for ``(lo, hi, d) = spans[i]``: one per
+    edge, the edges being t0, each event time of any config strictly inside
+    (t0, t1), and t1, and ``d`` holds the durations between them. A point
+    sets the column of the first edge at or after it and every column after
+    it, on top of a gap of 1 in column lo; of several points in one column
+    the latest sets it. The matrix is written by run length: the entries are
+    put in cell order with one stable sort, and one ``np.repeat`` carries
+    each entry forward to the next.
+    """
+    t0, t1 = window
+    configs = len(db.config_ids)
+    spans, owners, columns, values = [], [], [], []
+    lo = 0
+    for instance in db.instance_ids:
+        traces = [db.traces[c][instance].points for c in db.config_ids]
+        flat = np.array([p for pts in traces for p in pts], float).reshape(-1, 3)
+        owner = np.repeat(np.arange(configs), [len(pts) for pts in traces])
+        events = np.unique(flat[:, 0])
+        edges = np.concatenate(([t0], events[(t0 < events) & (events < t1)], [t1]))
+        column = np.searchsorted(edges, flat[:, 0], side="left")
+        seen = column < len(edges)
+        owners += [np.arange(configs), owner[seen]]
+        columns += [np.full(configs, lo), lo + column[seen]]
+        values += [np.ones(configs), flat[seen, 2]]
+        spans.append((lo, lo + len(edges) - 1, np.diff(edges)))
+        lo += len(edges)
+    cell = np.concatenate(owners) * lo + np.concatenate(columns)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    # each entry fills the cells up to the next entry's
+    runs = np.diff(np.append(cell, configs * lo))
+    gaps = np.repeat(np.concatenate(values)[order], runs).reshape(configs, lo)
+    return gaps, spans
+
+
+def subset_performance_oracle(db, window, rows) -> tuple[float, float]:
+    """A subset's (final gap, primal integral), each averaged over instances,
+    as a columnwise minimum of its rows of the dense gap grid and one dot
+    product per instance."""
+    gaps, spans = _dense_gap_grid(db, window)
+    low = gaps[rows[0]].copy()
+    for row in rows[1:]:
+        np.minimum(low, gaps[row], out=low)
+    finals = [float(low[hi]) for _, hi, _ in spans]
+    pis = [float(low[lo:hi] @ durations) for lo, hi, durations in spans]
+    return sum(finals) / len(finals), sum(pis) / len(pis)
 
 
 def binary_optimum(model: MipModel) -> float | None:

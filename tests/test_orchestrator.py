@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from parlns.alns import STATUS_OK
@@ -16,6 +19,7 @@ from parlns.orchestrator import (
     validate_plan,
     worker_seed,
 )
+from parlns.subsolver import Backend, get_backend
 
 from support import binary_optimum
 
@@ -151,3 +155,22 @@ def test_wall_clock_mode_runs_threads():
         worker.status == STATUS_OK and len(worker.raw_points) >= 1
         for worker in result.workers.values()
     )
+
+
+def test_a_failing_worker_stops_its_siblings():
+    # the first repair of either worker raises; the other worker must stop
+    # at its next cancellation check, not spend the wall budget
+    reference = get_backend()
+    calls = itertools.count()
+
+    def solve_mip(*args, **kwargs):
+        if next(calls) == 0:
+            raise RuntimeError("backend failed")
+        return reference.solve_mip(*args, **kwargs)
+
+    backend = Backend("fails-once", solve_mip, reference.find_first_feasible)
+    plan = _plan(generate_pool(2, seed=7), wall=6.0, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="backend failed"):
+        run_portfolio(knapsack(40, seed=7), plan, clock_mode="wall", backend=backend)
+    assert time.perf_counter() - start < plan.wall_seconds / 4

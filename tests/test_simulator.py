@@ -12,6 +12,7 @@ from parlns.simulator import (
     NotRectangular,
     TooManySubsets,
     _grids,
+    _subset_gaps,
     _subset_performance,
     build_trace_db,
     exhaustive,
@@ -20,7 +21,7 @@ from parlns.simulator import (
     simulate,
 )
 
-from support import random_step_trace
+from support import random_step_trace, subset_performance_oracle
 
 
 def _synthetic_db(n_configs=6, instances=("a", "b", "c"), seed=1):
@@ -234,30 +235,46 @@ def _spec_db(steps, horizon=10.0):
 @example(([[[(7.0, 0.5), (9.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
 # a point at time 0 on a window that opens at 0
 @example(([[[(0.0, 0.5), (4.0, 0.25)]], [[(2.0, 0.75)]]], (0.0, 5.0)))
+# a gap above 1 and a rise within GapTrace's 1e-12 tolerance: the aggregate
+# is capped at 1 and never rises, so these score (1, 3) and (0.5, 2)
+@example(([[[(1.0, 1.5)]]], (0.0, 3.0)))
+@example(([[[(1.0, 0.5), (2.0, 0.5 + 5e-13)]]], (0.0, 3.0)))
 def test_grid_matches_aggregate_min_on_every_subset(spec):
     steps, window = spec
     db = _spec_db(steps)
     t0, t1 = window
     grid = _grids(db, window)
-    # cell by cell: each config's own gap at the start edge of the column
+    edges = {}
     for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
         traces = [db.traces[c][inst] for c in db.config_ids]
         events = sorted({t for trace in traces for t, _, _ in trace.points if t0 < t < t1})
-        edges = [t0, *events, t1]
-        assert hi - lo + 1 == len(edges)
-        for row, trace in zip(grid.gaps, traces):
-            assert list(row[lo : hi + 1]) == [trace.gap_at(t) for t in edges]
-            assert row[hi] == trace.gap_at(t1)
+        edges[inst] = [t0, *events, t1]
+        assert hi - lo + 1 == len(edges[inst])
     for n in range(1, len(db.config_ids) + 1):
         for rows in itertools.combinations(range(len(db.config_ids)), n):
+            low = _subset_gaps(grid, np.array(rows))
             final, pi = _subset_performance(grid, np.array(rows))
             finals, pis = [], []
-            for inst in db.instance_ids:
+            for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
                 agg = aggregate_min([db.traces[db.config_ids[r]][inst] for r in rows])
+                # column by column: the aggregate's gap at the start edge
+                assert list(low[lo : hi + 1]) == [agg.gap_at(t) for t in edges[inst]]
+                assert low[hi] == agg.gap_at(t1)
                 finals.append(agg.gap_at(t1))
                 pis.append(primal_integral(agg, t0, t1))
             assert final == sum(finals) / len(finals)
             assert pi == pytest.approx(sum(pis) / len(pis), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_db_specs())
+def test_subset_performance_matches_the_dense_grid_bit_for_bit(spec):
+    steps, window = spec
+    db = _spec_db(steps)
+    grid = _grids(db, window)
+    for n in range(1, len(db.config_ids) + 1):
+        for rows in itertools.combinations(range(len(db.config_ids)), n):
+            assert _subset_performance(grid, rows) == subset_performance_oracle(db, window, rows)
 
 
 # --- exact results on a fixed db, recorded before the array grid -------------
