@@ -4,7 +4,7 @@ The worker solves the model's LP relaxation once, finds an initial incumbent
 with the sub-solver, then loops until its wall budget expires: the bandit
 picks a destroy arm, the resulting sub-MIP is repaired under a small
 per-iteration budget from the current solution, which the backend drops if
-the sub-model excludes it, the candidate is scored on the original model,
+the sub-problem excludes it, the candidate is scored on the original model,
 classified into exactly one of best/better/accept/reject, and the bandit is
 updated. Every new global best appends a trace point. Every sub-MIP's root
 LP starts from the optimal basis and basis inverse of the worker's

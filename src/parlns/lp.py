@@ -44,9 +44,9 @@ of building an m-by-m outer product. A caller's ``stop`` callable is checked
 before every pivot; when it returns true the solve ends with status
 ``stopped``. A warm start that ends any other way than optimal (with an
 optimum that passes the residual check), certified infeasible or stopped is
-followed by the slack start, and the result says ``restarted``. A slack
-start's uncertified infeasibility, or an optimum of it that fails the
-residual check, is reported as ``LP_ITERATION_LIMIT``.
+followed by the slack start. A slack start's uncertified infeasibility, or
+an optimum of it that fails the residual check, is reported as
+``LP_ITERATION_LIMIT``.
 """
 
 from dataclasses import dataclass, field
@@ -92,8 +92,6 @@ class LpResult:
     pos: np.ndarray | None = field(default=None, compare=False, repr=False)
     binv: np.ndarray | None = field(default=None, compare=False, repr=False)
     since_refactor: int = field(default=0, compare=False, repr=False)
-    # a warm start failed and this is the result of the slack start after it
-    restarted: bool = field(default=False, compare=False, repr=False)
 
     @property
     def warm(self) -> tuple:
@@ -101,8 +99,9 @@ class LpResult:
         return (self.basis, self.pos, self.binv, self.since_refactor)
 
 
-def build_relaxation(model: MipModel) -> LpRelaxation:
-    """The model's arrays: built once per model, derived for a sub-model."""
+def build_relaxation(model: MipModel | LpRelaxation) -> LpRelaxation:
+    """A model's arrays, built once per model; a sub-problem's arrays
+    (``apply_neighborhood``) are their own relaxation."""
     return model.relaxation
 
 
@@ -164,9 +163,8 @@ def solve_relaxation(
             status = LP_ITERATION_LIMIT
         if status in (LP_INFEASIBLE, LP_STOPPED):
             break
-    restarted = warm is not None and start is None
     if status != LP_OPTIMAL:
-        return LpResult(status or LP_ITERATION_LIMIT, iterations=iterations, restarted=restarted)
+        return LpResult(status or LP_ITERATION_LIMIT, iterations=iterations)
 
     for shared in (tab.basis, tab.pos, tab.binv):
         shared.flags.writeable = False  # warm starts share them and copy them
@@ -179,7 +177,6 @@ def solve_relaxation(
         pos=tab.pos,
         binv=tab.binv,
         since_refactor=tab.since_refactor,
-        restarted=restarted,
     )
 
 

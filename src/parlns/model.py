@@ -4,7 +4,9 @@ Models are normalized to minimization on construction; objectives stated as
 maximization are negated once and un-negated only at reporting boundaries
 (see :meth:`MipModel.to_external_objective`). A model's one numeric form is
 its read-only :class:`LpRelaxation`, built on first use; ``evaluate`` and the
-LP read it, and ``apply_neighborhood`` derives a sub-model's from its parent's.
+LP read it. A sub-problem is only its arrays: ``apply_neighborhood`` derives
+them from the model's, and an ``LpRelaxation``'s ``relaxation`` is itself, so
+``evaluate`` and the LP take either.
 """
 
 from dataclasses import dataclass, field, replace
@@ -88,7 +90,7 @@ class NeighborhoodSpec:
 @dataclass(frozen=True)
 class LpRelaxation:
     """A model's dense arrays, its LP relaxation plus an integer mask, all
-    read-only so that sub-models and solves share them without copying.
+    read-only so that sub-problems and solves share them without copying.
     ``A_full`` carries one slack column per row, so B&B nodes swap only bounds."""
 
     c: np.ndarray
@@ -106,6 +108,11 @@ class LpRelaxation:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    @property
+    def relaxation(self) -> "LpRelaxation":
+        """Itself: code that takes a model or its arrays reads ``.relaxation``."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -219,19 +226,19 @@ def _validate(model: MipModel) -> MipModel:
         if con.name in seen:
             raise ModelError(f"duplicate constraint name {con.name!r}")
         seen.add(con.name)
-        _check_constraint(con, n)
+        _check_constraint(con.name, con.coefficients, con.relation, n)
     _check_objective(model.objective, n)
     return model
 
 
-def _check_constraint(con: LinearConstraint, n: int) -> None:
-    if con.relation not in _SLACK_BOUNDS:
-        raise ModelError(f"constraint {con.name!r}: unknown relation {con.relation!r}")
-    if not con.coefficients:
-        raise ModelError(f"constraint {con.name!r} has no nonzero coefficient")
-    for i in con.coefficients:
+def _check_constraint(name: str, coefficients: dict[int, float], relation: str, n: int) -> None:
+    if relation not in _SLACK_BOUNDS:
+        raise ModelError(f"constraint {name!r}: unknown relation {relation!r}")
+    if not coefficients:
+        raise ModelError(f"constraint {name!r} has no nonzero coefficient")
+    for i in coefficients:
         if not 0 <= i < n:
-            raise ModelError(f"constraint {con.name!r} references variable index {i}")
+            raise ModelError(f"constraint {name!r} references variable index {i}")
 
 
 def _check_objective(objective: dict[int, float], n: int) -> None:
@@ -277,12 +284,12 @@ def _dense(coefficients: dict[int, float], n: int) -> np.ndarray:
     return vector
 
 
-def _rows(constraints, n: int, above: LpRelaxation | None = None) -> dict:
+def _rows(rows, n: int, above: LpRelaxation | None = None) -> dict:
     """``LpRelaxation`` row fields: ``above``'s rows as they are, then the
-    constraints' rows read from their dicts; one slack column per row."""
-    A = np.array([_dense(con.coefficients, n) for con in constraints] or np.zeros((0, n)))
-    b = np.array([con.rhs for con in constraints], dtype=float)
-    slack = np.array([_SLACK_BOUNDS[con.relation] for con in constraints]).reshape(-1, 2).T
+    ``(coefficients, relation, rhs)`` rows; one slack column per row."""
+    A = np.array([_dense(coefficients, n) for coefficients, _, _ in rows] or np.zeros((0, n)))
+    b = np.array([rhs for _, _, rhs in rows], dtype=float)
+    slack = np.array([_SLACK_BOUNDS[relation] for _, relation, _ in rows]).reshape(-1, 2).T
     if above is not None:
         A = np.vstack([above.A_full[:, :n], A])
         b = np.concatenate([above.b, b])
@@ -299,18 +306,19 @@ def relaxation_from_dicts(model: MipModel) -> LpRelaxation:
         lower=np.array([v.lower for v in variables], dtype=float),
         upper=np.array([v.upper for v in variables], dtype=float),
         integer=np.array([v.kind != CONTINUOUS for v in variables], dtype=bool),
-        **_rows(model.constraints, n),
+        **_rows([(con.coefficients, con.relation, con.rhs) for con in model.constraints], n),
     )
 
 
-def evaluate(model: MipModel, values) -> Solution:
-    """Score a full assignment: objective, feasibility, integrality.
+def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
+    """Score a full assignment on a model's or a sub-problem's arrays:
+    objective, feasibility, integrality.
 
     Never raises on an infeasible point; only the vector length is enforced.
     """
-    if len(values) != model.n_vars:
-        raise DimensionMismatch(f"expected {model.n_vars} values, got {len(values)}")
     relax = model.relaxation
+    if len(values) != relax.n_structural:
+        raise DimensionMismatch(f"expected {relax.n_structural} values, got {len(values)}")
     x = np.array(values, dtype=float)
     activity = relax.A_full[:, : relax.n_structural] @ x  # in [b - slack_upper, b - slack_lower]
     feasible = not (
@@ -323,67 +331,49 @@ def evaluate(model: MipModel, values) -> Solution:
     return Solution(tuple(x.tolist()), relax.offset + float(relax.c @ x), feasible, integral)
 
 
-def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> MipModel:
-    """Materialize a sub-problem: fixings become equal bounds, overrides and
-    extra constraints are applied, the objective is replaced if requested.
-    The sub-model's arrays are the model's with new bounds, the base rows
-    shared or stacked once with the appended rows, and any override's costs.
+def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
+    """A sub-problem's arrays, derived from the model's: fixings become equal
+    bounds, overrides narrow the bounds, the base rows are shared or stacked
+    once with the extra rows, and an objective override (stated directly in
+    minimization form) brings its own costs.
 
-    Pure: the input model is never modified. Raises :class:`ConflictingFixing`
-    when a fixed value violates the variable's original bounds or integrality.
+    Pure: the model is never modified. Raises :class:`ConflictingFixing` when
+    a fixed value violates the variable's bounds or integrality, or an
+    override leaves an empty range, and :class:`ModelError` for a malformed
+    extra row or objective; variable names serve the messages only.
     """
     n, base = model.n_vars, model.relaxation
     lower, upper = base.lower.copy(), base.upper.copy()
-    variables = list(model.variables)
     for i, value in spec.fixings.items():
-        var = variables[i]
-        if value < var.lower - BOUND_TOL or value > var.upper + BOUND_TOL:
-            raise ConflictingFixing(
-                f"fixing {var.name!r} at {value} outside bounds [{var.lower}, {var.upper}]"
-            )
-        if var.kind != CONTINUOUS and abs(value - round(value)) > INTEGRALITY_TOL:
-            raise ConflictingFixing(f"fixing integer {var.name!r} at fractional {value}")
-        variables[i] = Variable(var.name, var.kind, value, value)
+        lo, up = float(base.lower[i]), float(base.upper[i])
+        name = model.variables[i].name
+        if value < lo - BOUND_TOL or value > up + BOUND_TOL:
+            raise ConflictingFixing(f"fixing {name!r} at {value} outside bounds [{lo}, {up}]")
+        if base.integer[i] and abs(value - round(value)) > INTEGRALITY_TOL:
+            raise ConflictingFixing(f"fixing integer {name!r} at fractional {value}")
         lower[i] = upper[i] = value
     for i, (lo, up) in spec.bound_overrides.items():
         if i in spec.fixings:
             continue
-        var = variables[i]
-        new_lower = max(lo, var.lower)
-        new_upper = min(up, var.upper)
+        new_lower, new_upper = max(lo, float(base.lower[i])), min(up, float(base.upper[i]))
         if new_lower > new_upper + BOUND_TOL:
             raise ConflictingFixing(
-                f"override for {var.name!r} yields empty range [{new_lower}, {new_upper}]"
+                f"override for {model.variables[i].name!r} yields empty range "
+                f"[{new_lower}, {new_upper}]"
             )
-        variables[i] = Variable(var.name, var.kind, new_lower, new_upper)
         lower[i], upper[i] = new_lower, new_upper
 
-    appended = []
-    used = {c.name for c in model.constraints} if spec.extra_constraints else set()
-    for con in spec.extra_constraints:
-        name, k = con.name, 1
-        while name in used:
-            name, k = f"{con.name}_{k}", k + 1
-        used.add(name)
-        appended.append(
-            LinearConstraint(name, _strip_zeros(dict(con.coefficients)), con.relation, con.rhs)
-        )
-        _check_constraint(appended[-1], n)
-
-    fields = {"variables": tuple(variables), "constraints": model.constraints + tuple(appended)}
+    arrays = {"lower": lower, "upper": upper}
+    if spec.extra_constraints:
+        rows = []
+        for con in spec.extra_constraints:
+            coefficients = _strip_zeros(con.coefficients)
+            _check_constraint(con.name, coefficients, con.relation, n)
+            rows.append((coefficients, con.relation, con.rhs))
+        arrays.update(_rows(rows, n, above=base))
     if spec.objective_override is not None:
         coefficients, offset = spec.objective_override
-        objective = _strip_zeros(dict(coefficients))
+        objective = _strip_zeros(coefficients)
         _check_objective(objective, n)
-        # override objectives are stated directly in minimization form
-        fields.update(sense=MINIMIZE, objective=objective, objective_offset=offset)
-    # the model is valid, so only the appended rows and the objective need checks
-    derived = replace(model, **fields)
-
-    arrays = {"lower": lower, "upper": upper}
-    if spec.objective_override is not None:
-        arrays.update(c=_dense(derived.objective, n), offset=derived.objective_offset)
-    if appended:
-        arrays.update(_rows(appended, n, above=base))
-    derived.__dict__["relaxation"] = replace(base, **arrays)  # fills the cached_property
-    return derived
+        arrays.update(c=_dense(objective, n), offset=offset)
+    return replace(base, **arrays)

@@ -43,7 +43,8 @@ EXHAUSTIVE_CAP = 10**6
 
 @dataclass(frozen=True)
 class TraceDb:
-    """config id -> instance id -> GapTrace, rectangular unless ``missing``.
+    """config id -> instance id -> GapTrace, rectangular: every config has a
+    trace for every instance (``build_trace_db`` checks it).
 
     The traces' points are also kept as arrays (``point_arrays``), built
     once on first use, so that each grid only places them for its window.
@@ -52,11 +53,6 @@ class TraceDb:
     traces: dict[str, dict[str, GapTrace]]
     config_ids: tuple[str, ...]
     instance_ids: tuple[str, ...]
-    missing: tuple[tuple[str, str], ...] = ()
-
-    def require_rectangular(self) -> None:
-        if self.missing:
-            raise NotRectangular(f"missing traces for {list(self.missing)}")
 
     def horizon(self, instance_id: str) -> float:
         return max(self.traces[c][instance_id].horizon for c in self.config_ids)
@@ -65,7 +61,7 @@ class TraceDb:
     def point_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per instance, every config's points as arrays, built on first use:
         times, gaps and owning config index in time order (ties in config
-        order), and the distinct event times. Needs a rectangular db."""
+        order), and the distinct event times."""
         arrays = []
         for instance in self.instance_ids:
             traces = [self.traces[c][instance].points for c in self.config_ids]
@@ -84,10 +80,10 @@ def build_trace_db(traces: dict[str, dict[str, GapTrace]]) -> TraceDb:
     instance_ids = tuple(sorted({i for per in traces.values() for i in per}))
     if not instance_ids:
         raise ValueError(f"trace db has {len(config_ids)} configurations and no instance traces")
-    missing = tuple(
-        (c, i) for c in config_ids for i in instance_ids if i not in traces[c]
-    )
-    return TraceDb(traces=traces, config_ids=config_ids, instance_ids=instance_ids, missing=missing)
+    missing = [(c, i) for c in config_ids for i in instance_ids if i not in traces[c]]
+    if missing:
+        raise NotRectangular(f"missing traces for (config, instance) pairs {missing}")
+    return TraceDb(traces=traces, config_ids=config_ids, instance_ids=instance_ids)
 
 
 def load_trace_db(root, horizon: float | None = None) -> TraceDb:
@@ -151,7 +147,6 @@ class _Grid:
 def _grids(db: TraceDb, window) -> _Grid:
     """The window's grid, from the db's point arrays: per instance, the
     opening entries and then the points at or before t1, in time order."""
-    db.require_rectangular()
     t0, t1 = window
     if not 0 <= t0 <= t1:
         raise ValueError(f"bad window [{t0}, {t1}]")
@@ -258,6 +253,15 @@ class SimulationReport:
         return out
 
 
+def _records(db: TraceDb, window, subsets) -> list[RunRecord]:
+    """One record per subset of row indices, scored on the window's grid."""
+    grid = _grids(db, window)
+    return [
+        RunRecord(tuple(db.config_ids[r] for r in rows), *_subset_performance(grid, rows))
+        for rows in subsets
+    ]
+
+
 def _record_order(record: RunRecord):
     return (record.final_gap, record.primal_integral, record.config_ids)
 
@@ -281,15 +285,10 @@ def simulate(
         raise ValueError("runs must be >= 1")
     if stratified and (n != 1 or runs != len(db.config_ids)):
         raise ValueError("stratified mode needs n == 1 and runs == pool size")
-    grid = _grids(db, window)
     rng = random.Random(seed)
     indices = list(range(len(db.config_ids)))
-    records = []
-    for run in range(runs):
-        rows = [run] if stratified else sorted(rng.sample(indices, n))
-        final, pi = _subset_performance(grid, rows)
-        ids = tuple(db.config_ids[r] for r in rows)
-        records.append(RunRecord(ids, final, pi))
+    subsets = ([run] if stratified else sorted(rng.sample(indices, n)) for run in range(runs))
+    records = _records(db, window, subsets)
     finals = np.array([r.final_gap for r in records])
     pis = np.array([r.primal_integral for r in records])
     best = min(records, key=_record_order)
@@ -344,12 +343,7 @@ def exhaustive(db: TraceDb, n: int, window: tuple[float, float]) -> ExhaustiveRe
     count = math.comb(len(db.config_ids), n)
     if count > EXHAUSTIVE_CAP:
         raise TooManySubsets(f"{count} subsets exceed the cap of {EXHAUSTIVE_CAP}")
-    grid = _grids(db, window)
-    records = []
-    for combo in itertools.combinations(range(len(db.config_ids)), n):
-        final, pi = _subset_performance(grid, combo)
-        ids = tuple(db.config_ids[r] for r in combo)
-        records.append(RunRecord(ids, final, pi))
+    records = _records(db, window, itertools.combinations(range(len(db.config_ids)), n))
     finals = np.array([r.final_gap for r in records])
     pis = np.array([r.primal_integral for r in records])
     ranking = tuple(sorted(records, key=_record_order))
@@ -364,11 +358,6 @@ def exhaustive(db: TraceDb, n: int, window: tuple[float, float]) -> ExhaustiveRe
 
 
 def rank_configs(db: TraceDb, window: tuple[float, float]) -> list[str]:
-    """Config ids sorted by average final gap, ties by primal integral then id."""
-    grid = _grids(db, window)
-    scored = []
-    for k, config_id in enumerate(db.config_ids):
-        final, pi = _subset_performance(grid, [k])
-        scored.append((final, pi, config_id))
-    scored.sort()
-    return [config_id for _, _, config_id in scored]
+    """Config ids sorted by average final gap, ties by primal integral then id:
+    the order of ``exhaustive``'s ranking of singletons."""
+    return [record.config_ids[0] for record in exhaustive(db, 1, window).ranking]

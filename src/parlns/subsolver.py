@@ -3,20 +3,23 @@
 A backend is a ``Backend`` pair of calls, ``solve_mip`` and
 ``find_first_feasible``. A real solver plugs in as a ``Backend`` passed to
 ``run_worker`` or ``run_portfolio``; ``get_backend`` knows only the
-reference one. The reference backend is a deterministic single-threaded
-best-bound search over the model's shared arrays (``model.relaxation``)
-with depth-first plunging until the first incumbent, most-fractional
-branching (ties to the lowest index), and cooperative cancellation checked
-at node boundaries and before every simplex pivot. It closes once the gap
-falls to ``_GAP_LIMIT``. The root LP starts from the caller's ``root_basis``
-when one is given (the worker's base-model optimum with its basis inverse),
-and a child node's LP from its parent's optimal basis and basis inverse
-(dual simplex warm start); both children share the parent's read-only
-inverse. The open nodes hold at most ``_OPEN_INVERSE_BYTES`` of inverses: a
-child pushed past that carries the basis alone and inverts it when popped.
-Each node is one ``solve_relaxation`` call, which itself starts again from
-the slack basis when the warm start fails. A node whose LP still fails is
-dropped and counted, and the search goes on without claiming a proof.
+reference one. A backend gets a ``MipModel`` (the first-feasible call) or a
+sub-problem's ``LpRelaxation`` (every repair) and reads ``.relaxation`` from
+either: costs, ``[A, I]``, right-hand sides, variable and slack bounds and the
+integer mask. The reference backend is a deterministic single-threaded
+best-bound search over those shared arrays with depth-first plunging until
+the first incumbent, most-fractional branching (ties to the lowest index),
+and cooperative cancellation checked at node boundaries and before every
+simplex pivot. It closes once the gap falls to ``_GAP_LIMIT``. The root LP
+starts from the caller's ``root_basis`` when one is given (the worker's
+base-model optimum with its basis inverse), and a child node's LP from its
+parent's optimal basis and basis inverse (dual simplex warm start); both
+children share the parent's read-only inverse. The open nodes hold at most
+``_OPEN_INVERSE_BYTES`` of inverses: a child pushed past that carries the
+basis alone and inverts it when popped. Each node is one
+``solve_relaxation`` call, which itself starts again from the slack basis
+when the warm start fails. A node whose LP still fails is dropped and
+counted, and the search goes on without claiming a proof.
 """
 
 import heapq
@@ -28,7 +31,7 @@ import numpy as np
 
 from .clock import WallClock
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LP_STOPPED, build_relaxation, solve_relaxation
-from .model import INF, INTEGRALITY_TOL, MipModel, Solution, evaluate
+from .model import INF, INTEGRALITY_TOL, LpRelaxation, MipModel, Solution, evaluate
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -79,7 +82,7 @@ def _most_fractional(x, integer):
 
 
 def solve_mip(
-    model: MipModel,
+    model: MipModel | LpRelaxation,
     warm_start: Solution | None = None,
     budget: SolveBudget | None = None,
     *,
@@ -254,12 +257,15 @@ class Backend:
     separate workers and honor cooperative cancellation. The calls are
     ``solve_mip(model, warm_start, budget, *, clock, cancel, root_basis)``
     and ``find_first_feasible(model, budget, *, clock, cancel,
-    root_basis)``; neither gets a seed, so a randomized backend seeds
+    root_basis)``. From a worker, ``find_first_feasible`` gets its
+    ``MipModel`` and ``solve_mip`` a sub-problem's ``LpRelaxation``; a
+    backend reads ``model.relaxation`` from either (an ``LpRelaxation`` is
+    its own). Neither call gets a seed, so a randomized backend seeds
     itself. A backend without LP warm starts ignores ``root_basis``. The
     budget caps wall time and nodes; the gap at which a solve may stop and
     claim optimality is the backend's own (``_GAP_LIMIT`` for the reference
     one). The warm start ``solve_mip`` gets is the worker's current
-    solution, which may be infeasible for the sub-model; a backend must
+    solution, which may be infeasible for the sub-problem; a backend must
     check it."""
 
     name: str

@@ -2,11 +2,13 @@
 
 The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
-enumeration for LPs, a dict-loop ``evaluate`` for the array one, a dense
-gap grid for the simulator's subset scores, and hand-rolled step-function
-traces.
+enumeration for LPs, a dict-loop ``evaluate`` for the array one, a whole
+sub-model built from dicts for ``apply_neighborhood``'s derived arrays, a
+dense gap grid for the simulator's subset scores, and hand-rolled
+step-function traces.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -24,11 +26,14 @@ from parlns.model import (
     INTEGRALITY_TOL,
     LE,
     MINIMIZE,
+    ConflictingFixing,
     DimensionMismatch,
     LinearConstraint,
+    LpRelaxation,
     MipModel,
     Solution,
     Variable,
+    _validate,
     make_model,
 )
 
@@ -62,6 +67,58 @@ def evaluate_oracle(model: MipModel, values) -> Solution:
         for i in model.integer_indices()
     )
     return Solution(values=values, objective=objective, feasible=feasible, integral=integral)
+
+
+def apply_neighborhood_oracle(model: MipModel, spec) -> MipModel:
+    """``apply_neighborhood`` as a whole sub-model built from dicts: fixed and
+    narrowed ``Variable`` bounds, the extra rows appended under fresh names
+    without their zero coefficients, and an override objective stated in
+    minimization form; the result is validated like any model, so its
+    ``relaxation_from_dicts`` is the reference for the derived arrays."""
+    variables = list(model.variables)
+    for i, value in spec.fixings.items():
+        var = variables[i]
+        if value < var.lower - BOUND_TOL or value > var.upper + BOUND_TOL:
+            raise ConflictingFixing(
+                f"fixing {var.name!r} at {value} outside bounds [{var.lower}, {var.upper}]"
+            )
+        if var.kind != CONTINUOUS and abs(value - round(value)) > INTEGRALITY_TOL:
+            raise ConflictingFixing(f"fixing integer {var.name!r} at fractional {value}")
+        variables[i] = Variable(var.name, var.kind, value, value)
+    for i, (lo, up) in spec.bound_overrides.items():
+        if i in spec.fixings:
+            continue
+        var = variables[i]
+        lower, upper = max(lo, var.lower), min(up, var.upper)
+        if lower > upper + BOUND_TOL:
+            raise ConflictingFixing(f"override for {var.name!r} yields empty range")
+        variables[i] = Variable(var.name, var.kind, lower, upper)
+    used = {c.name for c in model.constraints}
+    appended = []
+    for con in spec.extra_constraints:
+        name, k = con.name, 1
+        while name in used:
+            name, k = f"{con.name}_{k}", k + 1
+        used.add(name)
+        coefficients = {i: c for i, c in con.coefficients.items() if c != 0.0}
+        appended.append(LinearConstraint(name, coefficients, con.relation, con.rhs))
+    fields = {"variables": tuple(variables), "constraints": model.constraints + tuple(appended)}
+    if spec.objective_override is not None:
+        coefficients, offset = spec.objective_override
+        objective = {i: c for i, c in coefficients.items() if c != 0.0}
+        fields.update(sense=MINIMIZE, objective=objective, objective_offset=offset)
+    return _validate(dataclasses.replace(model, **fields))
+
+
+def assert_same_arrays(got: LpRelaxation, want: LpRelaxation):
+    """Every field equal, arrays in dtype and byte for byte (a zero's sign too)."""
+    for f in dataclasses.fields(LpRelaxation):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 def most_fractional_oracle(values, int_indices):

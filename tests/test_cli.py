@@ -293,6 +293,19 @@ def test_simulate_on_configs_without_traces_is_data_error(tmp_path, capsys):
     assert "no instance traces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t1", [None, "50"])
+def test_simulate_on_a_missing_trace_is_data_error(tmp_path, capsys, t1):
+    # without --t1 the window end reads every (config, instance) horizon
+    root = _trace_dir(tmp_path)
+    (root / "cfg_3" / "b.csv").unlink()
+    out = tmp_path / "r.json"
+    args = ["simulate", "--traces", str(root), "--n", "2", "--runs", "5", "--out", str(out)]
+    code = main(args + ([] if t1 is None else ["--t1", t1]))
+    assert code == EXIT_DATA
+    assert not out.exists()
+    assert "('cfg_3', 'b')" in capsys.readouterr().err
+
+
 def test_simulate_on_non_finite_gap_is_data_error(tmp_path, capsys):
     root = _trace_dir(tmp_path)
     bad = root / "cfg_2" / "b.csv"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from parlns.model import (
@@ -11,6 +12,7 @@ from parlns.model import (
     ConflictingFixing,
     DimensionMismatch,
     LinearConstraint,
+    LpRelaxation,
     ModelError,
     NeighborhoodSpec,
     Variable,
@@ -19,7 +21,7 @@ from parlns.model import (
     make_model,
 )
 
-from support import tiny_cover_model
+from support import assert_same_arrays, tiny_cover_model
 
 
 def test_evaluate_feasible_integral():
@@ -106,21 +108,28 @@ def test_validation_rejects_duplicates_and_bad_indices():
 def test_apply_neighborhood_empty_spec_is_identity():
     model = tiny_cover_model()
     derived = apply_neighborhood(model, NeighborhoodSpec())
-    assert derived == model
+    assert isinstance(derived, LpRelaxation) and derived.relaxation is derived
+    assert_same_arrays(derived, model.relaxation)
 
 
 def test_apply_neighborhood_fixing_sets_equal_bounds():
     model = tiny_cover_model()
     derived = apply_neighborhood(model, NeighborhoodSpec(fixings={0: 1.0}))
-    assert derived.variables[0].lower == derived.variables[0].upper == 1.0
-    assert model.variables[0].lower == 0.0  # original untouched
+    assert derived.lower.tolist() == [1.0, 0.0]
+    assert derived.upper.tolist() == [1.0, 1.0]
+    assert model.relaxation.lower[0] == model.variables[0].lower == 0.0  # original untouched
 
 
 def test_apply_neighborhood_adds_constraint():
     model = tiny_cover_model()
     extra = LinearConstraint("cap", {0: 1.0, 1: 1.0}, LE, 1.0)
     derived = apply_neighborhood(model, NeighborhoodSpec(extra_constraints=(extra,)))
-    assert len(derived.constraints) == len(model.constraints) + 1
+    n, m = model.n_vars, len(model.constraints)
+    assert derived.A_full.shape == (m + 1, n + m + 1)
+    assert derived.A_full[m].tolist() == [1.0, 1.0, 0.0, 1.0]
+    assert derived.b[m] == 1.0
+    assert (derived.slack_lower[m], derived.slack_upper[m]) == (0.0, INF)
+    assert np.array_equal(derived.A_full[:m, : n + m], model.relaxation.A_full)
 
 
 def test_apply_neighborhood_rejects_conflicting_fixing():
@@ -153,7 +162,8 @@ def test_apply_neighborhood_is_pure_and_deterministic():
     )
     first = apply_neighborhood(model, spec)
     second = apply_neighborhood(model, spec)
-    assert first == second
+    assert_same_arrays(first, second)
+    assert_same_arrays(model.relaxation, tiny_cover_model().relaxation)
 
 
 def test_feasibility_transfers_to_base_model():
@@ -180,9 +190,10 @@ def test_objective_override_switches_to_minimize():
     derived = apply_neighborhood(
         model, NeighborhoodSpec(objective_override=({0: 1.0}, 0.5))
     )
-    assert derived.sense == MINIMIZE
-    assert derived.objective == {0: 1.0}
-    assert derived.objective_offset == 0.5
+    # the override is stated in minimization form and is not negated
+    assert derived.c.tolist() == [1.0]
+    assert derived.offset == 0.5
+    assert model.relaxation.c.tolist() == [-1.0]
 
 
 def test_json_dump_round_trips_names_and_sense():

@@ -33,6 +33,7 @@ from parlns.model import (
     MINIMIZE,
     LinearConstraint,
     LpRelaxation,
+    ModelError,
     Variable,
     apply_neighborhood,
     evaluate,
@@ -49,7 +50,7 @@ from parlns.operators import (
 )
 from parlns.subsolver import SolveBudget, find_first_feasible
 
-from support import evaluate_oracle
+from support import apply_neighborhood_oracle, assert_same_arrays, evaluate_oracle
 
 _BOUNDS = (
     (-INF, INF),
@@ -116,15 +117,6 @@ def test_evaluate_matches_dict_loop_oracle(case):
         assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def _assert_same_arrays(got: LpRelaxation, want: LpRelaxation):
-    for f in dataclasses.fields(LpRelaxation):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-        else:
-            assert a == b, f.name
-
-
 def _contexts():
     """Per model, an operator context with LP values and an archive partner."""
     for model in (knapsack(20, seed=1), independent_set(20, 0.3, seed=4)):
@@ -146,16 +138,82 @@ def test_derived_arrays_equal_a_build_from_dicts(family):
         base = model.relaxation
         spec = build_neighborhood(op, ctx, model)
         sub = apply_neighborhood(model, spec)
-        _assert_same_arrays(sub.relaxation, relaxation_from_dicts(sub))
-        assert sub.relaxation.integer is base.integer
+        assert_same_arrays(sub, relaxation_from_dicts(apply_neighborhood_oracle(model, spec)))
+        assert sub.integer is base.integer
         if spec.extra_constraints:
             m, n = base.A_full.shape[0], base.n_structural
-            assert np.array_equal(sub.relaxation.A_full[:m, :n], base.A_full[:, :n])
+            assert np.array_equal(sub.A_full[:m, :n], base.A_full[:, :n])
         else:
-            assert sub.relaxation.A_full is base.A_full
-            assert sub.relaxation.b is base.b
+            assert sub.A_full is base.A_full
+            assert sub.b is base.b
         if spec.objective_override is None:
-            assert sub.relaxation.c is base.c
+            assert sub.c is base.c
+
+
+_FIXING_OFFSETS = (0.0,) * 12 + (0.5, -1.0) + _offsets(BOUND_TOL) + _offsets(INTEGRALITY_TOL)
+_OVERRIDE_BOUNDS = (-INF, -2.0, 0.0, 1.0, 3.0, INF)
+
+
+@st.composite
+def _model_and_spec(draw):
+    """A model as in ``_model_and_point`` and a spec over it: fixings at or
+    near a bound or an integer inside, bound overrides, extra rows and an
+    objective override; each part is now and then malformed (a fixing off
+    its bounds or fractional, an empty override range, a row with only
+    zeros, an out-of-range index or an unknown relation)."""
+    model, _ = draw(_model_and_point())
+    n = model.n_vars
+    index = st.integers(0, n - 1)
+    fixings = {}
+    for j in draw(st.lists(index, max_size=n, unique=True)):
+        var = model.variables[j]
+        inside = min(max(float(draw(st.integers(-3, 3))), var.lower), var.upper)
+        anchors = [b for b in (var.lower, var.upper) if math.isfinite(b)] + [inside]
+        fixings[j] = draw(st.sampled_from(anchors)) + draw(st.sampled_from(_FIXING_OFFSETS))
+    overrides = {}
+    for j in draw(st.lists(index, max_size=n, unique=True)):
+        var = model.variables[j]
+        bound = st.sampled_from(_OVERRIDE_BOUNDS + (var.lower, var.upper))
+        lo, up = draw(bound), draw(bound)
+        overrides[j] = (lo, up) if draw(st.integers(0, 5)) == 0 else (min(lo, up), max(lo, up))
+    # mostly in range and nonzero; index n, zeros and "<" are malformed
+    coefficients = st.dictionaries(
+        st.integers(0, n) if draw(st.integers(0, 7)) == 0 else index,
+        st.sampled_from((1.0, -2.0, 3.0, 0.0, -0.0)),
+        min_size=1,
+        max_size=n,
+    )
+    relation = st.sampled_from((LE, GE, EQ, LE, GE, EQ, "<"))
+    rhs = st.integers(-4, 4).map(float)
+    # "r0" may be a base row's name too
+    row = st.builds(LinearConstraint, st.sampled_from(("r0", "e")), coefficients, relation, rhs)
+    extra = draw(st.lists(row, max_size=3))
+    override = draw(st.none() | st.tuples(coefficients, rhs))
+    spec = parlns.model.NeighborhoodSpec(
+        fixings=fixings, bound_overrides=overrides, extra_constraints=tuple(extra),
+        objective_override=override,
+    )
+    return model, spec
+
+
+def _outcome(apply, model, spec):
+    try:
+        return apply(model, spec)
+    except ModelError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_model_and_spec())
+def test_apply_neighborhood_matches_the_dict_model_oracle(case):
+    model, spec = case
+    got = _outcome(apply_neighborhood, model, spec)
+    want = _outcome(lambda m, s: relaxation_from_dicts(apply_neighborhood_oracle(m, s)), model, spec)
+    if isinstance(want, LpRelaxation):
+        assert isinstance(got, LpRelaxation)
+        assert_same_arrays(got, want)
+    else:
+        assert got is want
 
 
 def test_relaxation_arrays_are_read_only():
@@ -226,5 +284,5 @@ def test_threads_sharing_a_model_see_one_set_of_arrays():
     assert len(seen) == 8
     final = model.relaxation
     for relax, solution in seen:
-        _assert_same_arrays(relax, final)
+        assert_same_arrays(relax, final)
         assert solution == seen[0][1] and solution.feasible

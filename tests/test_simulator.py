@@ -36,13 +36,11 @@ def _synthetic_db(n_configs=6, instances=("a", "b", "c"), seed=1):
 
 def test_build_db_flags_missing_pairs():
     db = _synthetic_db()
-    assert db.missing == ()
     broken = {c: dict(per) for c, per in db.traces.items()}
     del broken["cfg_0"]["b"]
-    incomplete = build_trace_db(broken)
-    assert ("cfg_0", "b") in incomplete.missing
-    with pytest.raises(NotRectangular):
-        simulate(incomplete, 2, 10, seed=0, window=(0.0, 100.0))
+    del broken["cfg_4"]["c"]
+    with pytest.raises(NotRectangular, match=r"\('cfg_0', 'b'\), \('cfg_4', 'c'\)"):
+        build_trace_db(broken)
 
 
 def test_grid_matches_metrics_path():

@@ -361,27 +361,6 @@ def test_deadline_inside_a_node_lp_stops_the_search():
     assert res.status == UNKNOWN
 
 
-def test_restarted_warm_node_lp_is_not_retried(monkeypatch):
-    # a warm start that failed already restarted from the slack basis, so a
-    # cold retry would repeat that solve: the node is dropped at once
-    model = knapsack(12, seed=9)
-    real = parlns.subsolver.solve_relaxation
-    calls = []
-
-    def solve(*args, **kwargs):
-        calls.append(kwargs.get("warm") is not None)
-        if len(calls) == 2:
-            return LpResult(LP_ITERATION_LIMIT, iterations=1, restarted=True)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(parlns.subsolver, "solve_relaxation", solve)
-    warm = evaluate(model, tuple(0.0 for _ in model.variables))
-    res = solve_mip(model, warm_start=warm, budget=SolveBudget(wall_seconds=30.0))
-    assert calls[1] and calls[2]  # the failed warm child, then the next node
-    assert res.dropped_nodes == 1
-    assert res.status == FEASIBLE
-
-
 def test_open_list_past_the_inverse_cap_finds_the_same_optimum(monkeypatch):
     model = knapsack(30, seed=3)
     real = parlns.subsolver.solve_relaxation
