@@ -221,7 +221,7 @@ def cmd_simulate(args, parser) -> int:
         parser.error(f"--n {args.n} exceeds pool size {len(db.config_ids)}")
     t1 = args.t1
     if t1 is None:
-        t1 = min(db.horizon(instance) for instance in db.instance_ids)
+        t1 = min(db.horizons)
     window = (args.t0, t1)
     out = Path(args.out)
     if args.exhaustive:

@@ -142,16 +142,27 @@ def trace_to_csv(trace: GapTrace) -> str:
 
 
 def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
-    """The (t, objective, gap) rows of a trace CSV, not yet validated."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_seconds", "objective", "gap"]:
-            raise ValueError(f"{path}: expected header t_seconds,objective,gap")
-        try:
-            return tuple((float(t), float(obj), float(gap)) for t, obj, gap in reader)
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    """The (t, objective, gap) rows of a trace CSV, not yet validated.
+
+    The file is read with one call and decoded as UTF-8, and ``csv`` parses
+    its rows from memory, split into lines as in a file opened with
+    ``newline=""``. Every error is a ``ValueError`` that names the file: an
+    unreadable or undecodable file, a bad header, and a bad row with its
+    line number.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["t_seconds", "objective", "gap"]:
+        raise ValueError(f"{path}: expected header t_seconds,objective,gap")
+    try:
+        return tuple([(float(t), float(obj), float(gap)) for t, obj, gap in reader])
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def read_trace_csv(path, horizon: float | None = None) -> GapTrace:

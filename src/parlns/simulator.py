@@ -20,6 +20,7 @@ product per instance then gives its primal integral.
 
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,16 +47,22 @@ class TraceDb:
     """config id -> instance id -> GapTrace, rectangular: every config has a
     trace for every instance (``build_trace_db`` checks it).
 
-    The traces' points are also kept as arrays (``point_arrays``), built
-    once on first use, so that each grid only places them for its window.
+    The traces' points are also kept as arrays (``point_arrays``), and each
+    instance's horizon (``horizons``), both built once on first use, so that
+    each grid only checks its window and places the points for it.
     """
 
     traces: dict[str, dict[str, GapTrace]]
     config_ids: tuple[str, ...]
     instance_ids: tuple[str, ...]
 
-    def horizon(self, instance_id: str) -> float:
-        return max(self.traces[c][instance_id].horizon for c in self.config_ids)
+    @cached_property
+    def horizons(self) -> tuple[float, ...]:
+        """Per instance, the latest horizon of its traces, computed on first use."""
+        return tuple(
+            max(self.traces[c][instance].horizon for c in self.config_ids)
+            for instance in self.instance_ids
+        )
 
     @cached_property
     def point_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -86,20 +93,37 @@ def build_trace_db(traces: dict[str, dict[str, GapTrace]]) -> TraceDb:
     return TraceDb(traces=traces, config_ids=config_ids, instance_ids=instance_ids)
 
 
+def _listing(path, keep) -> list[tuple[str, str]]:
+    """(name, path) of the entries of one directory scan that ``keep``
+    accepts, in name order."""
+    with os.scandir(path) as entries:
+        return sorted((entry.name, entry.path) for entry in entries if keep(entry))
+
+
+def _is_trace(entry: os.DirEntry) -> bool:
+    return entry.name.endswith(".csv") and entry.is_file()
+
+
 def load_trace_db(root, horizon: float | None = None) -> TraceDb:
     """Read a ``<root>/<config_id>/<instance_id>.csv`` directory layout.
 
-    CSV files carry no horizon of their own: per instance, traces get the
-    given ``horizon`` or, failing that, the latest event time seen across
-    configurations.
+    The root and each config directory are listed with one scan each, in
+    name order: the root's subdirectories are the configs, and a config's
+    regular files named ``*.csv`` are its traces. Each trace is read with
+    one call, and every trace is parsed and validated before this returns;
+    an error names the file. CSV files carry no horizon of their own: per
+    instance, traces get the given ``horizon`` or, failing that, the latest
+    event time seen across configurations.
     """
     root = Path(root)
-    points = {
-        folder.name: {path.stem: read_trace_points(path) for path in sorted(folder.glob("*.csv"))}
-        for folder in sorted(p for p in root.iterdir() if p.is_dir())
+    # the instance id is the file's stem: ".csv" alone has no suffix
+    paths = {
+        config: {name[:-4] or name: path for name, path in _listing(folder, _is_trace)}
+        for config, folder in _listing(root, os.DirEntry.is_dir)
     }
-    if not points:
+    if not paths:
         raise ValueError(f"no trace directories under {root}")
+    points = {c: {i: read_trace_points(p) for i, p in per.items()} for c, per in paths.items()}
     latest: dict[str, float] = {}
     for per in points.values():
         for instance, pts in per.items():
@@ -116,7 +140,7 @@ def load_trace_db(root, horizon: float | None = None) -> TraceDb:
                     GapTrace(pts, pts[-1][0] if pts else 0.0)
                 except ValueError as own:
                     exc = own
-                raise ValueError(f"{root / c / instance}.csv: {exc}") from None
+                raise ValueError(f"{paths[c][instance]}: {exc}") from None
     return build_trace_db(traces)
 
 
@@ -150,8 +174,8 @@ def _grids(db: TraceDb, window) -> _Grid:
     t0, t1 = window
     if not 0 <= t0 <= t1:
         raise ValueError(f"bad window [{t0}, {t1}]")
-    for instance in db.instance_ids:
-        if t1 > db.horizon(instance) + 1e-9:
+    for instance, horizon in zip(db.instance_ids, db.horizons):
+        if t1 > horizon + 1e-9:
             raise ValueError(f"window end {t1} beyond horizon of instance {instance!r}")
     configs = len(db.config_ids)
     spans, owners, columns, gaps, ends = [], [], [], [], []

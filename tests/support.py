@@ -4,14 +4,18 @@ The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
 enumeration for LPs, a dict-loop ``evaluate`` for the array one, a whole
 sub-model built from dicts for ``apply_neighborhood``'s derived arrays, a
-dense gap grid for the simulator's subset scores, and hand-rolled
-step-function traces.
+dense gap grid for the simulator's subset scores, a ``csv.reader`` over the
+open file and a ``pathlib`` listing for the trace database loader, and
+hand-rolled step-function traces.
 """
 
+import csv
 import dataclasses
 import itertools
 import math
 import random
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from parlns.model import (
     _validate,
     make_model,
 )
+from parlns.simulator import build_trace_db
 
 
 def evaluate_oracle(model: MipModel, values) -> Solution:
@@ -186,6 +191,58 @@ def subset_performance_oracle(db, window, rows) -> tuple[float, float]:
     finals = [float(low[hi]) for _, hi, _ in spans]
     pis = [float(low[lo:hi] @ durations) for lo, hi, durations in spans]
     return sum(finals) / len(finals), sum(pis) / len(pis)
+
+
+def read_trace_points_oracle(path) -> tuple[tuple[float, float, float], ...]:
+    """``metrics.read_trace_points`` as a ``csv.reader`` that pulls the rows
+    line by line from the open file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["t_seconds", "objective", "gap"]:
+            raise ValueError(f"{path}: expected header t_seconds,objective,gap")
+        try:
+            return tuple((float(t), float(obj), float(gap)) for t, obj, gap in reader)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def trace_files_oracle(root) -> dict[str, dict[str, Path]]:
+    """``load_trace_db``'s listing by ``pathlib``: the root's directories,
+    and in each its ``*.csv`` paths by stem, both sorted as paths."""
+    return {
+        folder.name: {path.stem: path for path in sorted(folder.glob("*.csv"))}
+        for folder in sorted(p for p in Path(root).iterdir() if p.is_dir())
+    }
+
+
+def load_trace_db_oracle(root, horizon: float | None = None):
+    """``load_trace_db`` on a tree of valid traces, from the two oracles
+    above: an instance's traces get ``horizon`` or, failing that, its latest
+    event time over all configs."""
+    points = {
+        config: {instance: read_trace_points_oracle(path) for instance, path in per.items()}
+        for config, per in trace_files_oracle(root).items()
+    }
+    latest: dict[str, float] = {}
+    for per in points.values():
+        for instance, pts in per.items():
+            latest[instance] = max(latest.get(instance, 0.0), pts[-1][0] if pts else 0.0)
+    return build_trace_db(
+        {
+            config: {
+                instance: GapTrace(pts, latest[instance] if horizon is None else horizon)
+                for instance, pts in per.items()
+            }
+            for config, per in points.items()
+        }
+    )
+
+
+def point_bits(points) -> list[bytes]:
+    """Each (t, objective, gap) point as its 24 bytes, so that points compare
+    bit for bit (NaN equal to NaN, 0.0 unequal to -0.0)."""
+    return [struct.pack("<3d", *point) for point in points]
 
 
 def binary_optimum(model: MipModel) -> float | None:

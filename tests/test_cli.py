@@ -269,7 +269,7 @@ def test_simulate_exhaustive_flag_matches_library(tmp_path):
     from parlns.simulator import exhaustive, load_trace_db
 
     db = load_trace_db(root)
-    t1 = min(db.horizon(i) for i in db.instance_ids)
+    t1 = min(db.horizons)
     oracle = exhaustive(db, 2, (0.0, t1))
     assert report["final_gap"]["mean"] == oracle.expected_final_gap
     assert report["best"]["config_ids"] == list(oracle.best.config_ids)
@@ -316,6 +316,28 @@ def test_simulate_on_non_finite_gap_is_data_error(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert str(bad) in err and "gap nan" in err
+
+
+def test_simulate_skips_a_directory_named_like_a_trace(tmp_path):
+    # it used to reach open() and end the run with an IsADirectoryError
+    root = _trace_dir(tmp_path)
+    (root / "cfg_1" / "junk.csv").mkdir()
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--traces", str(root), "--n", "2", "--runs", "5", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["runs"] == 5
+
+
+def test_simulate_on_a_non_utf8_trace_names_the_file(tmp_path, capsys):
+    root = _trace_dir(tmp_path)
+    bad = root / "cfg_2" / "bin.csv"
+    bad.write_bytes(b"t_seconds,objective,gap\n1.0,5.0,0.5\xff\n")
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--traces", str(root), "--n", "2", "--runs", "5", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(bad) in err and "can't decode byte 0xff" in err
 
 
 def test_simulate_n_larger_than_pool_is_usage_error(tmp_path):

@@ -1,6 +1,10 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parlns.metrics import (
     GapTrace,
@@ -10,11 +14,12 @@ from parlns.metrics import (
     primal_gap,
     primal_integral,
     read_trace_csv,
+    read_trace_points,
     trace_to_csv,
     write_trace_csv,
 )
 
-from support import random_step_trace
+from support import point_bits, random_step_trace, read_trace_points_oracle
 
 
 def test_primal_gap_basic_cases():
@@ -211,3 +216,87 @@ def test_trace_csv_row_error_names_file_and_line(tmp_path):
     path.write_text("t_seconds,objective,gap\n1.0,5.0,half\n")
     with pytest.raises(ValueError, match=r"short\.csv, line 2: could not convert"):
         read_trace_csv(path)
+
+
+# --- the in-memory reader against a csv.reader over the open file ----------
+
+# besides \r and \n, str.splitlines also breaks lines at \v, \f, \x1c-\x1e,
+# \x85, \u2028 and \u2029; a file read line by line does not, and neither
+# may the reader. float() takes all of them but \x1c-\x1e as padding.
+_PAD = st.text(alphabet=" \t\v\f\x85\u2028", max_size=2)
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10, 10**6).map(str),
+    st.sampled_from(["1e-3", ".5", "5.", "-0.0", "1_000", "inf", "NaN", "0x10"]),
+)
+_JUNK = st.text(alphabet="0123456789.,e- \"ab\r\n\t\v\f\x1c\x85\u2028", max_size=6)
+
+
+@st.composite
+def _fields(draw):
+    # one field in eight is not a number
+    junk = draw(st.booleans()) and draw(st.booleans()) and draw(st.booleans())
+    text = draw(_JUNK if junk else _NUMBERS)
+    if draw(st.booleans()):
+        text = draw(_PAD) + text + draw(_PAD)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_GOOD_HEADERS = ["t_seconds,objective,gap", '"t_seconds" ,objective, gap\t']
+_BAD_HEADERS = ["t_seconds,objective", "t_seconds,objective,gap,x", "time,obj,gap", ""]
+
+
+@st.composite
+def _trace_texts(draw):
+    # mostly a good header and rows of three fields; bad headers and short,
+    # long and blank rows too
+    if draw(st.booleans()) or draw(st.booleans()):
+        header = draw(st.sampled_from(_GOOD_HEADERS))
+    else:
+        header = draw(st.sampled_from(_BAD_HEADERS) | st.lists(_fields(), max_size=4).map(",".join))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.integers(0, 5)) if draw(st.booleans()) and draw(st.booleans()) else 3
+        lines.append(",".join(draw(st.lists(_fields(), min_size=width, max_size=width))))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, path):
+    try:
+        return point_bits(read(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_trace_texts())
+@example("t_seconds,objective,gap\r\n1.0,5.0,0.5\r\n2.0,4.0,0.25\r\n")
+@example("t_seconds,objective,gap\r1.0,5.0,0.5\r2.0,4.0,0.25")
+@example("t_seconds,objective,gap\n1.0,5.0,0.5\n\n2.0,4.0,0.25\n")
+@example('t_seconds,objective,gap\n"1.\n0",5.0,0.5\n')
+@example("t_seconds,objective,gap\n1.0,5.0,0.5\f2.0,4.0,0.25\n")
+@example("t_seconds,objective,gap\n1.0\f,5.0,0.5\n")
+@example("")
+def test_trace_reader_matches_file_reader(text):
+    # the same points bit for bit, or the same error naming the same line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(read_trace_points, path) == _outcome(read_trace_points_oracle, path)
+
+
+def test_trace_reader_errors_name_the_file(tmp_path):
+    with pytest.raises(ValueError, match=r"missing\.csv: .*No such file"):
+        read_trace_points(tmp_path / "missing.csv")
+    (tmp_path / "dir.csv").mkdir()
+    with pytest.raises(ValueError, match=r"dir\.csv: .*Is a directory"):
+        read_trace_points(tmp_path / "dir.csv")
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t_seconds,objective,gap\n1.0,5.0,0.5\xff\n")
+    with pytest.raises(ValueError, match=r"latin\.csv: 'utf-8' codec can't decode byte 0xff"):
+        read_trace_points(path)

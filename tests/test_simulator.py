@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parlns.metrics import GapTrace, aggregate_min, primal_integral
+from parlns.metrics import GapTrace, aggregate_min, primal_integral, write_trace_csv
 from parlns.simulator import (
     NotRectangular,
     TooManySubsets,
@@ -21,7 +23,12 @@ from parlns.simulator import (
     simulate,
 )
 
-from support import random_step_trace, subset_performance_oracle
+from support import (
+    load_trace_db_oracle,
+    point_bits,
+    random_step_trace,
+    subset_performance_oracle,
+)
 
 
 def _synthetic_db(n_configs=6, instances=("a", "b", "c"), seed=1):
@@ -181,6 +188,64 @@ def test_load_trace_db_round_trip(tmp_path):
     for config_id in db.config_ids:
         for inst in db.instance_ids:
             assert loaded.traces[config_id][inst].points == db.traces[config_id][inst].points
+
+
+# names a config directory may hold: traces, a hidden trace, the bare ".csv"
+# (whose stem is itself), names with more dots, and files that are not traces
+_TREE_FILES = ["a.csv", "b.csv", ".h.csv", ".csv", "x..csv", "notes.txt", "a.csv.bak", "A.CSV"]
+
+
+def _db_outcome(load, root, horizon):
+    try:
+        db = load(root, horizon=horizon)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    traces = {
+        (c, i): (point_bits(trace.points), trace.horizon)
+        for c, per in db.traces.items()
+        for i, trace in per.items()
+    }
+    return db.config_ids, db.instance_ids, traces
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(["c1", "c2", ".c3", "c 4"]), min_size=1, max_size=4, unique=True),
+    st.sets(st.sampled_from(_TREE_FILES), min_size=1),
+    st.integers(0, 2),
+    st.sampled_from([None, 100.0]),
+    st.integers(0, 2**16),
+)
+def test_load_trace_db_matches_pathlib_listing(configs, files, empty, horizon, seed):
+    # the last `empty` configs hold no files, which leaves the db not
+    # rectangular (or without instances): then both refuse it alike
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "top.csv").write_text("t_seconds,objective,gap\n")
+        for k, config in enumerate(configs):
+            (root / config).mkdir()
+            if k >= len(configs) - empty:
+                continue
+            for name in files:
+                write_trace_csv(random_step_trace(rng), root / config / name)
+        assert _db_outcome(load_trace_db, root, horizon) == _db_outcome(
+            load_trace_db_oracle, root, horizon
+        )
+
+
+def test_horizons_bound_the_window_per_instance():
+    short = GapTrace(points=((1.0, 1.0, 0.5),), horizon=40.0)
+    db = build_trace_db(
+        {
+            "x": {"a": short, "b": GapTrace(points=(), horizon=60.0)},
+            "y": {"a": GapTrace(points=(), horizon=50.0), "b": short},
+        }
+    )
+    assert db.horizons == (50.0, 60.0)
+    simulate(db, 1, 2, 0, (0.0, 50.0))
+    with pytest.raises(ValueError, match="window end 50.5 beyond horizon of instance 'a'"):
+        simulate(db, 1, 2, 0, (0.0, 50.5))
 
 
 # --- the grid against the metrics path, on the window's edge cases ----------
