@@ -6,7 +6,12 @@ picks a destroy arm, the resulting sub-MIP is repaired under a small
 per-iteration budget from the current solution, which the backend drops if
 the sub-problem excludes it, the candidate is scored on the original model,
 classified into exactly one of best/better/accept/reject, and the bandit is
-updated. Every new global best appends a trace point. Every sub-MIP's root
+updated. The configured acceptance criterion is read-only; simulated
+annealing's temperature is the loop's own float, starting at 1 and cooled by
+each acceptance decision. Every new global best appends a trace point, and
+the gap trace is built from those points once the loop ends, against the
+given reference or else the worker's own best; a worker that finds no
+initial solution returns an empty trace. Every sub-MIP's root
 LP starts from the optimal basis and basis inverse of the worker's
 relaxation, the inverse extended by the sub-MIP's appended rows. The root LP,
 like every sub-MIP, stops once the worker is cancelled or past its deadline.
@@ -40,7 +45,6 @@ STATUS_NO_FEASIBLE = "no_feasible_solution"
 class AcceptanceCriterion:
     kind: str
     step: float | None = None
-    temperature: float | None = None
 
     def __post_init__(self):
         if self.kind not in (HILL_CLIMBING, SIMULATED_ANNEALING):
@@ -50,50 +54,40 @@ class AcceptanceCriterion:
                 raise ValueError("simulated annealing step must be in [0.01, 1]")
 
 
-def initial_criterion(descriptor: AcceptanceCriterion) -> AcceptanceCriterion:
-    if descriptor.kind == HILL_CLIMBING:
-        return descriptor
-    return AcceptanceCriterion(
-        SIMULATED_ANNEALING, step=descriptor.step, temperature=INITIAL_TEMPERATURE
-    )
-
-
 def accept(
-    criterion: AcceptanceCriterion, candidate_obj: float, current_obj: float, rng
-) -> tuple[bool, AcceptanceCriterion]:
-    """Acceptance decision plus the evolved criterion (SA cools on each call).
+    criterion: AcceptanceCriterion,
+    temperature: float,
+    candidate_obj: float,
+    current_obj: float,
+    rng,
+) -> tuple[bool, float]:
+    """Acceptance decision plus the next temperature (SA cools on each call).
 
-    Hill climbing accepts when the candidate is no worse. Simulated annealing
-    always accepts improvements and accepts a worsening with probability
-    exp(-delta_rel / T) on the relative-delta scale.
+    Hill climbing accepts when the candidate is no worse and leaves the
+    temperature alone. Simulated annealing always accepts improvements and
+    accepts a worsening with probability exp(-delta_rel / temperature) on the
+    relative-delta scale; only a worsening candidate draws from ``rng``.
     """
     if criterion.kind == HILL_CLIMBING:
-        return candidate_obj <= current_obj, criterion
+        return candidate_obj <= current_obj, temperature
     if candidate_obj <= current_obj:
         accepted = True
     else:
         delta_rel = (candidate_obj - current_obj) / max(abs(current_obj), 1e-10)
-        accepted = rng.random() < math.exp(-delta_rel / criterion.temperature)
-    cooled = AcceptanceCriterion(
-        SIMULATED_ANNEALING,
-        step=criterion.step,
-        temperature=max(MIN_TEMPERATURE, criterion.temperature * criterion.step),
-    )
-    return accepted, cooled
+        accepted = rng.random() < math.exp(-delta_rel / temperature)
+    return accepted, max(MIN_TEMPERATURE, temperature * criterion.step)
 
 
 @dataclass(frozen=True)
 class WorkerResult:
-    config_id: str
     status: str
     best: Solution | None
-    trace: GapTrace | None  # None only from run_worker(..., with_trace=False)
+    trace: GapTrace
     iterations: int
     skipped: int
     pulls: tuple[int, ...]
     outcome_counts: tuple[dict, ...]
     raw_points: tuple[tuple[float, float], ...]  # (t, internal objective)
-    seed: int
 
 
 def _make_policy(descriptor, n_arms: int):
@@ -147,15 +141,13 @@ def run_worker(
     reference_objective: float | None = None,
     backend: Backend | None = None,
     cancel=None,
-    with_trace: bool = True,
 ) -> WorkerResult:
     """Run one configured worker until its wall budget is spent.
 
     ``reference_objective`` is in internal (minimization) scale; when absent
-    the worker's own final best is used for gap reporting. Without
-    ``with_trace`` a worker that found a solution returns ``trace=None``, for
-    a caller that learns the reference only later and builds the trace from
-    ``raw_points`` itself.
+    the worker's own final best is used for gap reporting. The trace is
+    built from ``raw_points`` against that reference; a worker without an
+    initial solution returns an empty trace over ``wall_seconds``.
     """
     if wall_seconds <= 0:
         raise ValueError("wall_seconds must be positive")
@@ -175,7 +167,7 @@ def run_worker(
     # basis and inverse start the root LP of every sub-MIP, whose rows extend
     # the model's
     root = solve_lp(model, stop=out_of_time)
-    clock.charge_nodes(1)
+    clock.charge_nodes()
     lp_values = root.values if root.status == LP_OPTIMAL else None
     root_basis = None if root.basis is None else root.warm
 
@@ -183,35 +175,21 @@ def run_worker(
     first = backend.find_first_feasible(
         model, initial_budget, clock=clock, cancel=cancel, root_basis=root_basis
     )
-    if first.incumbent is None:
-        return WorkerResult(
-            config_id=config.id,
-            status=STATUS_NO_FEASIBLE,
-            best=None,
-            trace=GapTrace(points=(), horizon=wall_seconds),
-            iterations=0,
-            skipped=0,
-            pulls=tuple(pulls),
-            outcome_counts=tuple(outcome_counts),
-            raw_points=(),
-            seed=seed,
-        )
-
     current = best = first.incumbent
-    raw_points = [(clock.now() - start, best.objective)]
+    raw_points = [] if best is None else [(clock.now() - start, best.objective)]
 
     policy = _make_policy(config.policy, n_arms)
-    criterion = initial_criterion(config.acceptance)
-    archive: deque[Solution] = deque(maxlen=ARCHIVE_CAPACITY)
-    archive.append(best)
+    temperature = INITIAL_TEMPERATURE
+    archive: deque[Solution] = deque((best,), maxlen=ARCHIVE_CAPACITY)
     per_iter = _per_iteration_seconds(wall_seconds)
     iterations = 0
     skipped = 0
 
-    while not out_of_time():
+    # without an initial solution there is nothing to search from
+    while best is not None and not out_of_time():
         arm = policy.select_arm(rng)
         op = config.destroy_ops[arm]
-        clock.charge_nodes(1)  # iteration overhead; guarantees progress on skips
+        clock.charge_nodes()  # iteration overhead; guarantees progress on skips
         ctx = operators.OperatorContext(
             incumbent=current,
             archive=tuple(archive),
@@ -247,8 +225,8 @@ def run_worker(
             if not (candidate.feasible and candidate.integral):
                 outcome = REJECT
             else:
-                accepted, criterion = accept(
-                    criterion, candidate.objective, current.objective, rng
+                accepted, temperature = accept(
+                    config.acceptance, temperature, candidate.objective, current.objective, rng
                 )
                 if candidate.objective < best.objective:
                     outcome = bandit.BEST
@@ -267,18 +245,13 @@ def run_worker(
         outcome_counts[arm][outcome] += 1
         policy.update(arm, outcome, config.rewards)
 
-    trace = None
-    if with_trace:
-        trace = build_trace(model, raw_points, reference_objective, wall_seconds)
     return WorkerResult(
-        config_id=config.id,
-        status=STATUS_OK,
+        status=STATUS_NO_FEASIBLE if best is None else STATUS_OK,
         best=best,
-        trace=trace,
+        trace=build_trace(model, raw_points, reference_objective, wall_seconds),
         iterations=iterations,
         skipped=skipped,
         pulls=tuple(pulls),
         outcome_counts=tuple(outcome_counts),
         raw_points=tuple(raw_points),
-        seed=seed,
     )

@@ -71,8 +71,6 @@ BINARY_REWARD_POOL = tuple(v for v in REWARD_POOL if v.is_binary())
 class _Policy:
     """Shared per-arm statistics; update() is the only mutator."""
 
-    kind = ""
-
     def __init__(self, n_arms: int):
         if n_arms < 1:
             raise ValueError("n_arms must be >= 1")
@@ -112,8 +110,6 @@ def _argmax_lowest_index(scores) -> int:
 
 
 class EpsilonGreedy(_Policy):
-    kind = EPSILON_GREEDY
-
     def __init__(self, n_arms: int, epsilon: float):
         super().__init__(n_arms)
         self.epsilon = epsilon
@@ -125,8 +121,6 @@ class EpsilonGreedy(_Policy):
 
 
 class Softmax(_Policy):
-    kind = SOFTMAX
-
     def __init__(self, n_arms: int, tau: float):
         super().__init__(n_arms)
         self.tau = tau
@@ -150,8 +144,6 @@ class Softmax(_Policy):
 
 
 class ThompsonSampling(_Policy):
-    kind = THOMPSON
-
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
         self.successes = [0] * n_arms

@@ -30,19 +30,24 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_EMPTY = 4
 
-_MANIFEST_KEYS = {
-    "instance",
-    "pool",
-    "configs",
-    "n",
-    "threads_per_worker",
-    "core_cap",
-    "wall_seconds",
-    "master_seed",
-    "reference_objective",
-    "clock",
-    "node_seconds",
-    "backend",
+_STRING = ((str,), "a string")
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+# every manifest key with the JSON type of its value; true and false are
+# neither integers nor numbers
+_MANIFEST_TYPES = {
+    "instance": _STRING,
+    "pool": _STRING,
+    "configs": ((list,), "a list"),
+    "n": _INTEGER,
+    "threads_per_worker": _INTEGER,
+    "core_cap": _INTEGER,
+    "wall_seconds": _NUMBER,
+    "master_seed": _INTEGER,
+    "reference_objective": _NUMBER,
+    "clock": _STRING,
+    "node_seconds": _NUMBER,
+    "backend": _STRING,
 }
 
 CORE_CAP_ENV = "PARLNS_CORE_CAP"
@@ -147,9 +152,13 @@ def _read_manifest(path: str) -> dict:
         raise DataError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError("manifest must be a JSON object")
-    unknown = set(manifest) - _MANIFEST_KEYS
+    unknown = set(manifest) - set(_MANIFEST_TYPES)
     if unknown:
         raise DataError(f"unknown manifest keys: {sorted(unknown)}")
+    for key, value in manifest.items():
+        types, name = _MANIFEST_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise DataError(f"manifest key {key!r} must be {name}, got {value!r}")
     for key in ("instance", "wall_seconds"):
         if key not in manifest:
             raise DataError(f"manifest misses required key {key!r}")

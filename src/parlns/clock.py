@@ -17,7 +17,7 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def charge_nodes(self, count: int = 1) -> None:
+    def charge_nodes(self) -> None:
         pass
 
 
@@ -33,5 +33,5 @@ class SimulatedClock:
     def now(self) -> float:
         return self._t
 
-    def charge_nodes(self, count: int = 1) -> None:
-        self._t += count * self.node_seconds
+    def charge_nodes(self) -> None:
+        self._t += self.node_seconds

@@ -147,8 +147,8 @@ def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
     The file is read with one call and decoded as UTF-8, and ``csv`` parses
     its rows from memory, split into lines as in a file opened with
     ``newline=""``. Every error is a ``ValueError`` that names the file: an
-    unreadable or undecodable file, a bad header, and a bad row with its
-    line number.
+    unreadable or undecodable file, a bad header, and a bad row or a line
+    ``csv`` cannot parse (a field over its size limit) with its line number.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -156,12 +156,15 @@ def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if header is None or [h.strip() for h in header] != ["t_seconds", "objective", "gap"]:
         raise ValueError(f"{path}: expected header t_seconds,objective,gap")
     try:
         return tuple([(float(t), float(obj), float(gap)) for t, obj, gap in reader])
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
 

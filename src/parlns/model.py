@@ -84,7 +84,6 @@ class NeighborhoodSpec:
     bound_overrides: dict[int, tuple[float, float]] = field(default_factory=dict)
     extra_constraints: tuple[LinearConstraint, ...] = ()
     objective_override: tuple[dict[int, float], float] | None = None
-    tag: str = ""
 
 
 @dataclass(frozen=True)

@@ -140,11 +140,11 @@ def _fix_value(ctx: OperatorContext, index: int) -> float:
     return float(round(ctx.incumbent.values[index]))
 
 
-def _mutation(percentage, ctx, discrete, rng, tag=None):
+def _mutation(percentage, ctx, discrete, rng):
     free_count = math.ceil(percentage * len(discrete) / 100)
     free = set(rng.sample(discrete, free_count))
     fixings = {j: _fix_value(ctx, j) for j in discrete if j not in free}
-    return NeighborhoodSpec(fixings=fixings, tag=tag or f"m_{percentage:02d}")
+    return NeighborhoodSpec(fixings=fixings)
 
 
 def _crossover(ctx, discrete, rng):
@@ -152,7 +152,7 @@ def _crossover(ctx, discrete, rng):
     partners = [s for s in ctx.archive if s.values != incumbent]
     if not partners:
         # no second solution to cross with yet
-        return _mutation(30, ctx, discrete, rng, tag="c")
+        return _mutation(30, ctx, discrete, rng)
     other = rng.choice(partners)
     fixings = {
         j: _fix_value(ctx, j)
@@ -161,7 +161,7 @@ def _crossover(ctx, discrete, rng):
     }
     if len(fixings) == len(discrete):
         raise EmptyNeighborhood("archive partner agrees on every integer variable")
-    return NeighborhoodSpec(fixings=fixings, tag="c")
+    return NeighborhoodSpec(fixings=fixings)
 
 
 def _hamming_terms(ctx, binaries):
@@ -189,7 +189,7 @@ def _local_branching(percentage, ctx, model):
         relation=LE,
         rhs=float(radius - ones),
     )
-    return NeighborhoodSpec(extra_constraints=(constraint,), tag=f"lb_{percentage:02d}")
+    return NeighborhoodSpec(extra_constraints=(constraint,))
 
 
 def _proximity(percentage, ctx, model):
@@ -210,7 +210,6 @@ def _proximity(percentage, ctx, model):
     return NeighborhoodSpec(
         extra_constraints=(cutoff,),
         objective_override=(coefficients, float(ones)),
-        tag=f"p_{percentage:02d}",
     )
 
 
@@ -240,9 +239,7 @@ def _rens(percentage, ctx, model, discrete, rng):
         else:
             overrides[j] = (float(math.floor(lp_v)), float(math.ceil(lp_v)))
     _cap_unfixed(percentage, ctx, discrete, fixings, overrides, rng)
-    return NeighborhoodSpec(
-        fixings=fixings, bound_overrides=overrides, tag=f"r_{percentage:02d}"
-    )
+    return NeighborhoodSpec(fixings=fixings, bound_overrides=overrides)
 
 
 def _rins(percentage, ctx, model, discrete, rng):
@@ -254,4 +251,4 @@ def _rins(percentage, ctx, model, discrete, rng):
         if abs(ctx.lp_values[j] - ctx.incumbent.values[j]) <= INTEGRALITY_TOL
     }
     _cap_unfixed(percentage, ctx, discrete, fixings, {}, rng)
-    return NeighborhoodSpec(fixings=fixings, tag=f"ri_{percentage:02d}")
+    return NeighborhoodSpec(fixings=fixings)

@@ -83,11 +83,10 @@ def plan_for_threads(
     threads_per_worker: int,
     core_cap: int,
     ranking: list[str] | None = None,
-    wall_seconds: float = 3600.0,
-    master_seed: int = 0,
 ) -> PortfolioPlan:
     """N = min(floor(core_cap / T), available configs), taken from the
-    ranking when one is given, else from pool order."""
+    ranking when one is given, else from pool order; the plan's budget is
+    one hour."""
     if not pool:
         raise PlanInvalid("empty configuration pool")
     if threads_per_worker < 1:
@@ -107,8 +106,7 @@ def plan_for_threads(
         configs=tuple(ordered[:n]),
         threads_per_worker=threads_per_worker,
         core_cap=core_cap,
-        wall_seconds=wall_seconds,
-        master_seed=master_seed,
+        wall_seconds=3600.0,
     )
     validate_plan(plan)
     return plan
@@ -147,7 +145,6 @@ def run_portfolio(
             clock,
             backend=backend,
             cancel=cancel,
-            with_trace=False,
         )
 
     results: dict[str, WorkerResult] = {}
@@ -182,7 +179,8 @@ def run_portfolio(
     if not ok_ids:
         raise AllWorkersInfeasible(f"every worker failed on {model.name}")
 
-    # each trace is built once, here, where the reference is known
+    # a worker's own trace is against its own best: rebuild the traces
+    # against the portfolio's reference
     if reference_internal is None:
         reference_internal = min(results[i].best.objective for i in ok_ids)
     for config_id in ok_ids:

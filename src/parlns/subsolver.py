@@ -68,7 +68,6 @@ class MipResult:
     incumbent: Solution | None
     dual_bound: float
     nodes: int
-    elapsed: float
     dropped_nodes: int = 0  # nodes whose LP failed even from the slack basis
 
 
@@ -104,8 +103,7 @@ def solve_mip(
     if budget is None:
         raise ValueError("a SolveBudget is required")
     clock = clock or WallClock()
-    start = clock.now()
-    deadline = start + budget.wall_seconds
+    deadline = clock.now() + budget.wall_seconds
     relax = build_relaxation(model)
 
     incumbent = None
@@ -172,7 +170,7 @@ def solve_mip(
             interrupted = True
             break
         nodes += 1
-        clock.charge_nodes(1)
+        clock.charge_nodes()
         if res.status == LP_INFEASIBLE:
             continue
         if res.status != LP_OPTIMAL:
@@ -223,17 +221,16 @@ def solve_mip(
         push(first)
         push(second)  # a plunge pops it first: toward the rounding
 
-    elapsed = clock.now() - start
     exhausted = not open_nodes and not interrupted
     if dropped == 0 and (proven or exhausted):
         if incumbent is None:
-            return MipResult(INFEASIBLE, None, INF, nodes, elapsed)
+            return MipResult(INFEASIBLE, None, INF, nodes)
         bound = proven_dual if proven else best_obj
-        return MipResult(OPTIMAL, incumbent, bound, nodes, elapsed)
+        return MipResult(OPTIMAL, incumbent, bound, nodes)
     dual = proven_dual if proven else open_dual()
     status = UNKNOWN if incumbent is None else FEASIBLE
     dual = -INF if dual is None else dual
-    return MipResult(status, incumbent, dual, nodes, elapsed, dropped_nodes=dropped)
+    return MipResult(status, incumbent, dual, nodes, dropped_nodes=dropped)
 
 
 def find_first_feasible(

@@ -14,13 +14,13 @@ from parlns.alns import (
     STATUS_OK,
     AcceptanceCriterion,
     accept,
-    initial_criterion,
     run_worker,
 )
 from parlns.bandit import OUTCOMES, RewardVector
 from parlns.clock import SimulatedClock
 from parlns.configspace import DEFAULT_CONFIG, Configuration, PolicyDescriptor
 from parlns.instances import independent_set, knapsack, set_cover
+from parlns.metrics import GapTrace
 from parlns.model import (
     BINARY,
     GE,
@@ -36,34 +36,36 @@ from parlns.subsolver import Backend, get_backend
 from support import binary_optimum, tiny_cover_model
 
 
-def _single_arm_config(op_token: str) -> Configuration:
+def _single_arm_config(
+    op_token: str, acceptance=AcceptanceCriterion(HILL_CLIMBING)
+) -> Configuration:
     # degenerate test-only configuration; bypasses pool validation on purpose
     return Configuration(
         id=f"single_{op_token}",
         destroy_ops=(OperatorSpec.from_identifier(op_token),),
-        acceptance=AcceptanceCriterion(HILL_CLIMBING),
+        acceptance=acceptance,
         policy=PolicyDescriptor("epsilon_greedy", epsilon=0.0),
         rewards=RewardVector(3, 2, 1, 0),
     )
 
 
 def test_hill_climbing_accepts_equal():
-    ok, criterion = accept(
-        AcceptanceCriterion(HILL_CLIMBING), 5.0, 5.0, random.Random(0)
-    )
+    criterion = AcceptanceCriterion(HILL_CLIMBING)
+    ok, temperature = accept(criterion, 1.0, 5.0, 5.0, random.Random(0))
     assert ok
-    ok, _ = accept(criterion, 5.1, 5.0, random.Random(0))
+    ok, _ = accept(criterion, temperature, 5.1, 5.0, random.Random(0))
     assert not ok
 
 
 def test_sa_acceptance_frequency_matches_formula():
     rng = random.Random(1)
     # step 1 keeps the temperature constant so the frequency is stationary
-    criterion = AcceptanceCriterion(SIMULATED_ANNEALING, step=1.0, temperature=1.0)
+    criterion = AcceptanceCriterion(SIMULATED_ANNEALING, step=1.0)
+    temperature = 1.0
     draws = 10_000
     accepted = 0
     for _ in range(draws):
-        ok, criterion = accept(criterion, 1.1, 1.0, rng)
+        ok, temperature = accept(criterion, temperature, 1.1, 1.0, rng)
         accepted += ok
     p = math.exp(-0.1)
     sigma = math.sqrt(draws * p * (1 - p))
@@ -71,25 +73,39 @@ def test_sa_acceptance_frequency_matches_formula():
 
 
 def test_sa_step_one_keeps_temperature_constant():
-    criterion = AcceptanceCriterion(SIMULATED_ANNEALING, step=1.0, temperature=1.0)
+    criterion = AcceptanceCriterion(SIMULATED_ANNEALING, step=1.0)
+    temperature = 1.0
     for _ in range(100):
-        _, criterion = accept(criterion, 0.5, 1.0, random.Random(0))
-    assert criterion.temperature == 1.0
+        _, temperature = accept(criterion, temperature, 0.5, 1.0, random.Random(0))
+    assert temperature == 1.0
 
 
 def test_sa_cools_geometrically_and_floors():
-    criterion = AcceptanceCriterion(SIMULATED_ANNEALING, step=0.5, temperature=1.0)
-    _, criterion = accept(criterion, 0.5, 1.0, random.Random(0))
-    assert criterion.temperature == 0.5
+    criterion = AcceptanceCriterion(SIMULATED_ANNEALING, step=0.5)
+    _, temperature = accept(criterion, 1.0, 0.5, 1.0, random.Random(0))
+    assert temperature == 0.5
     for _ in range(100):
-        _, criterion = accept(criterion, 0.5, 1.0, random.Random(0))
-    assert criterion.temperature == pytest.approx(1e-6)
+        _, temperature = accept(criterion, temperature, 0.5, 1.0, random.Random(0))
+    assert temperature == pytest.approx(1e-6)
 
 
-def test_initial_criterion_sets_unit_temperature():
-    descriptor = AcceptanceCriterion(SIMULATED_ANNEALING, step=0.3)
-    live = initial_criterion(descriptor)
-    assert live.temperature == 1.0
+def test_worker_carries_the_temperature_accept_returns(monkeypatch):
+    # a worker that dropped the returned temperature would pass 1.0 each time
+    temperatures = []
+    real_accept = parlns.alns.accept
+
+    def recording(criterion, temperature, candidate_obj, current_obj, rng):
+        temperatures.append(temperature)
+        return real_accept(criterion, temperature, candidate_obj, current_obj, rng)
+
+    monkeypatch.setattr(parlns.alns, "accept", recording)
+    config = _single_arm_config("m_50", AcceptanceCriterion(SIMULATED_ANNEALING, step=0.5))
+    result = run_worker(knapsack(12, seed=21), config, 1.0, seed=1, clock=SimulatedClock(0.001))
+    assert result.status == STATUS_OK
+    assert len(temperatures) >= 30
+    assert temperatures[0] == 1.0
+    for previous, passed in zip(temperatures, temperatures[1:]):
+        assert passed == max(1e-6, previous * 0.5)
 
 
 def test_budget_smaller_than_initial_phase_yields_single_point():
@@ -147,7 +163,7 @@ def test_no_feasible_solution_reports_empty_trace():
     result = run_worker(model, DEFAULT_CONFIG, 1.0, seed=1, clock=SimulatedClock(0.001))
     assert result.status == STATUS_NO_FEASIBLE
     assert result.best is None
-    assert result.trace.points == ()
+    assert result.trace == GapTrace((), 1.0)
 
 
 def test_outcomes_partition_iterations():

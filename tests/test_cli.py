@@ -217,6 +217,30 @@ def test_portfolio_rejects_unknown_manifest_keys(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", 1.5),
+        ("wall_seconds", "1"),
+        ("threads_per_worker", "1"),
+        ("core_cap", None),
+        ("node_seconds", "0.01"),
+        ("reference_objective", "5"),
+        ("master_seed", True),
+    ],
+)
+def test_portfolio_rejects_a_manifest_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    # each used to end the run with a TypeError traceback (exit 1)
+    instance = _write_instance(tmp_path, knapsack(10, seed=2))
+    pool_path = tmp_path / "pool.json"
+    main(["gen-configs", "--size", "2", "--seed", "3", "--out", str(pool_path)])
+    manifest = _portfolio_manifest(tmp_path, instance, pool_path, n=2, cap=2)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    code = main(["portfolio", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert f"manifest key {key!r}" in capsys.readouterr().err
+
+
 def test_portfolio_rerun_is_byte_identical(tmp_path):
     instance = _write_instance(tmp_path, knapsack(12, seed=2))
     pool_path = tmp_path / "pool.json"
@@ -338,6 +362,22 @@ def test_simulate_on_a_non_utf8_trace_names_the_file(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert str(bad) in err and "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_simulate_on_an_oversized_field_names_the_file(tmp_path, capsys, line):
+    # csv's field size limit used to end the run with a bare _csv.Error
+    root = _trace_dir(tmp_path)
+    bad = root / "cfg_2" / "b.csv"
+    rows = ["t_seconds,objective,gap", "1.0,5.0,0.5"]
+    rows[line - 1] += "," + "7" * 200_000
+    bad.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--traces", str(root), "--n", "2", "--runs", "5", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{bad}, line {line}: field larger than field limit" in err
 
 
 def test_simulate_n_larger_than_pool_is_usage_error(tmp_path):
