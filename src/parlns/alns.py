@@ -1,7 +1,8 @@
 """One bandit-guided LNS worker: select-destroy, repair, accept, learn.
 
-The worker solves the model's LP relaxation once, finds an initial incumbent
-with the sub-solver, then loops until its wall budget expires: the bandit
+The worker takes the model's root LP result from its caller, or else solves
+the LP relaxation itself, finds an initial incumbent with the sub-solver, then
+loops until its wall budget expires: the bandit
 picks a destroy arm, the resulting sub-MIP is repaired under a small
 per-iteration budget from the current solution, which the backend drops if
 the sub-problem excludes it, the candidate is scored on the original model,
@@ -12,9 +13,10 @@ each acceptance decision. Every new global best appends a trace point, and
 the gap trace is built from those points once the loop ends, against the
 given reference or else the worker's own best; a worker that finds no
 initial solution returns an empty trace. Every sub-MIP's root
-LP starts from the optimal basis and basis inverse of the worker's
-relaxation, the inverse extended by the sub-MIP's appended rows. The root LP,
-like every sub-MIP, stops once the worker is cancelled or past its deadline.
+LP starts from the optimal basis and basis inverse of the model's
+relaxation, the inverse extended by the sub-MIP's appended rows. A root LP
+the worker solves itself, like every sub-MIP, stops once the worker is
+cancelled or past its deadline.
 """
 
 import math
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from . import bandit, operators
 from .bandit import REJECT
 from .clock import WallClock
-from .lp import LP_OPTIMAL, solve_lp
+from .lp import LP_OPTIMAL, LpResult, solve_lp
 from .metrics import GapTrace, primal_gap
 from .model import MipModel, Solution, apply_neighborhood, evaluate
 from .subsolver import Backend, SolveBudget, get_backend
@@ -141,16 +143,21 @@ def run_worker(
     reference_objective: float | None = None,
     backend: Backend | None = None,
     cancel=None,
+    root: LpResult | None = None,
 ) -> WorkerResult:
     """Run one configured worker until its wall budget is spent.
 
     ``reference_objective`` is in internal (minimization) scale; when absent
     the worker's own final best is used for gap reporting. The trace is
     built from ``raw_points`` against that reference; a worker without an
-    initial solution returns an empty trace over ``wall_seconds``.
+    initial solution returns an empty trace over ``wall_seconds``. ``root``
+    is ``solve_lp(model)``'s result when the caller has solved it, as
+    ``run_portfolio`` does once for all its workers; without it the worker
+    solves its own. Either way the root LP is charged as one node. An
+    infinite ``wall_seconds`` runs until ``cancel`` is set.
     """
-    if wall_seconds <= 0:
-        raise ValueError("wall_seconds must be positive")
+    if not wall_seconds > 0:
+        raise ValueError(f"wall_seconds must be positive, got {wall_seconds!r}")
     clock = clock or WallClock()
     backend = backend or get_backend()
     rng = random.Random(seed)
@@ -163,10 +170,11 @@ def run_worker(
     def out_of_time():
         return (cancel is not None and cancel.is_set()) or clock.now() >= deadline
 
-    # one root relaxation per worker: it feeds rens/rins, and its optimal
+    # one root relaxation per model: it feeds rens/rins, and its optimal
     # basis and inverse start the root LP of every sub-MIP, whose rows extend
     # the model's
-    root = solve_lp(model, stop=out_of_time)
+    if root is None:
+        root = solve_lp(model, stop=out_of_time)
     clock.charge_nodes()
     lp_values = root.values if root.status == LP_OPTIMAL else None
     root_basis = None if root.basis is None else root.warm

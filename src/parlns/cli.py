@@ -12,6 +12,7 @@ result.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -145,6 +146,10 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 def _read_manifest(path: str) -> dict:
     try:
         manifest = json.loads(Path(path).read_text())
@@ -162,6 +167,10 @@ def _read_manifest(path: str) -> dict:
     for key in ("instance", "wall_seconds"):
         if key not in manifest:
             raise DataError(f"manifest misses required key {key!r}")
+    for key in ("wall_seconds", "node_seconds"):
+        # JSON's NaN and Infinity parse as floats; neither ends a run
+        if key in manifest and not _positive_finite(manifest[key]):
+            raise DataError(f"manifest key {key!r} must be positive and finite, got {manifest[key]!r}")
     if ("pool" in manifest) == ("configs" in manifest):
         raise DataError("manifest needs exactly one of 'pool' or 'configs'")
     return manifest
@@ -391,8 +400,12 @@ def main(argv=None) -> int:
             parser.error("--size must be >= 1")
         if args.size > configspace.POOL_SIZE_CAP:
             parser.error(f"--size exceeds the sanity cap of {configspace.POOL_SIZE_CAP}")
-    if args.command == "solve" and args.seconds <= 0:
-        parser.error("--seconds must be positive")
+    if args.command == "solve":
+        # a solve has no other way to stop than its budget
+        if not _positive_finite(args.seconds):
+            parser.error("--seconds must be positive and finite")
+        if not _positive_finite(args.node_seconds):
+            parser.error("--node-seconds must be positive and finite")
     if args.command == "simulate":
         if args.runs < 1:
             parser.error("--runs must be >= 1")

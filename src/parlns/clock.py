@@ -5,6 +5,7 @@ The simulated clock advances by a fixed amount per charged unit of work
 runs deterministic and test-friendly.
 """
 
+import math
 import time
 
 
@@ -25,8 +26,9 @@ class SimulatedClock:
     """Virtual time advanced only by explicit charges."""
 
     def __init__(self, node_seconds: float = 0.001):
-        if node_seconds <= 0:
-            raise ValueError("node_seconds must be positive")
+        # NaN fails the check; an infinite step would make every reading inf
+        if not (math.isfinite(node_seconds) and node_seconds > 0):
+            raise ValueError(f"node_seconds must be positive and finite, got {node_seconds!r}")
         self.node_seconds = node_seconds
         self._t = 0.0
 

@@ -130,16 +130,14 @@ def solve_relaxation(
     again.
     """
     n = relax.n_structural
-    m = relax.A_full.shape[0]
     lo = relax.lower if lower is None else lower
     up = relax.upper if upper is None else upper
-    if np.any(lo > up + 1e-12):
+    if np.count_nonzero(lo > up + 1e-12):
         return LpResult(LP_INFEASIBLE)
 
-    c_full = np.concatenate([relax.c, np.zeros(m)])
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
-    system = (relax.A_full, relax.b, c_full, lower_full, upper_full)
+    system = (relax.A_full, relax.b, relax.c_full, lower_full, upper_full)
 
     iterations = 0
     for start in ([] if warm is None else [warm]) + [None]:
@@ -153,11 +151,8 @@ def solve_relaxation(
             x = tab.x
             x[tab.basis] = tab.xb
             # sanity: a reported optimum must actually satisfy the system
-            residual = float(np.max(np.abs(relax.A_full @ x - relax.b), initial=0.0))
-            off_bounds = max(
-                float(np.max(np.maximum(lower_full - x, 0.0), initial=0.0)),
-                float(np.max(np.maximum(x - upper_full, 0.0), initial=0.0)),
-            )
+            residual = np.abs(relax.A_full @ x - relax.b).max(initial=0.0)
+            off_bounds = np.maximum(lower_full - x, x - upper_full).max(initial=0.0)
             if residual <= _FEAS_TOL and off_bounds <= 1e-6:
                 break
             status = LP_ITERATION_LIMIT
@@ -185,8 +180,11 @@ class _Tableau:
 
     ``x`` holds the nonbasic columns' values; the basic columns' values and
     bounds live in basis order in ``xb``, ``lb`` and ``ub``, and ``x`` holds
-    them only after a refactor or where a caller writes them back. The start
-    pivots until ``limit`` or until ``stop`` returns true.
+    them only after a refactor or where a caller writes them back. ``moves``
+    is the way each column may move off its position (``_MOVES``), zero for
+    a basic, free or fixed column; ``start`` sets it from ``pos`` and every
+    pivot and bound flip keeps it. The start pivots until ``limit`` or until
+    ``stop`` returns true.
     """
 
     def __init__(self, A, b, lower, upper, stop=None):
@@ -199,7 +197,7 @@ class _Tableau:
         self.A_struct = A[:, : self.n]
         # fixed columns (equality slacks) may never enter the basis
         self.enterable = (upper - lower) > _PIVOT_TOL
-        self.pos = np.full(self.n_cols, _AT_LOWER, dtype=np.int8)
+        self.pos = np.zeros(self.n_cols, dtype=np.int8)  # _AT_LOWER
         self.stop = stop
         self.limit = _ITERATION_LIMIT
         self.iterations = 0
@@ -213,21 +211,7 @@ class _Tableau:
         self.xb = self.binv @ (self.b - self.A_struct @ x[: self.n] - x[self.n :])
         self.lb = self.lower[self.basis]
         self.ub = self.upper[self.basis]
-
-    def halted(self):
-        """The status that ends a pivot loop before its next pivot, or None."""
-        if self.iterations >= self.limit:
-            return LP_ITERATION_LIMIT
-        if self.stop is not None and self.stop():
-            return LP_STOPPED
-        return None
-
-    def tally(self, t):
-        """Count an iteration, a pivot or a bound flip, of step ``t``."""
-        if t <= _DEGENERATE_TOL:
-            self.degenerate += 1
-        self.iterations += 1
-        self.since_refactor += 1
+        self.moves = np.where(self.enterable, _MOVES[self.pos], 0.0)
 
     def refactor(self):
         self.x[self.basis] = self.xb
@@ -253,21 +237,27 @@ class _Tableau:
         leaving column goes to its upper bound or its lower one. Zeroes
         ``w[r]``."""
         leaving = self.basis[r]
-        self.xb -= step * w
-        self.xb[r] = self.x[j] + step
+        xb = self.xb
+        xb -= step * w
+        xb[r] = self.x[j] + step
         self.lb[r] = self.lower[j]
         self.ub[r] = self.upper[j]
-        self.x[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
-        self.pos[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+        code = _AT_UPPER if to_upper else _AT_LOWER
+        self.x[leaving] = (self.upper if to_upper else self.lower)[leaving]
+        self.pos[leaving] = code
+        self.moves[leaving] = _MOVES[code] if self.enterable[leaving] else 0.0
         self.pos[j] = _BASIC
+        self.moves[j] = 0.0
         self.basis[r] = j
-        self.binv[r] /= w[r]
-        row = self.binv[r].copy()  # BLAS must not read a row it writes
+        binv = self.binv
+        row = binv[r] / w[r]
+        binv[r] = row  # BLAS must not read a row it writes: row is a copy
         w[r] = 0.0
         # binv -= outer(w, row), in place: binv is C-ordered, so its
         # transpose is the Fortran-ordered matrix BLAS updates without a copy
-        updated = dger(-1.0, row, w, a=self.binv.T, overwrite_a=1)
-        if not np.shares_memory(updated, self.binv):
+        a = binv.T
+        updated = dger(-1.0, row, w, a=a, overwrite_a=1)
+        if updated is not a:
             self.binv = updated.T  # binv was not contiguous and BLAS worked on a copy
 
 
@@ -304,8 +294,10 @@ def _extended_inverse(binv, appended):
     """The inverse of ``[[B, 0], [R, I]]`` from ``binv``, B's inverse, and
     ``appended``, R: B's columns in the rows appended below B, whose slacks
     are the new basic columns. It is ``[[binv, 0], [-R binv, I]]``: a copy of
-    ``binv`` when no row was appended, the identity when B is empty."""
+    ``binv`` when no row was appended."""
     m, k = binv.shape[0], appended.shape[0]
+    if not k:
+        return binv.copy()
     out = np.empty((m + k, m + k))
     out[:m, :m] = binv
     out[:m, m:] = 0.0
@@ -332,46 +324,62 @@ def _solve_from(system, stop, basis=None, pos=None, binv=None, since_refactor=0)
     """
     A, b, c, lower, upper = system
     tab = _Tableau(A, b, lower, upper, stop)
-    if basis is None:
-        basis, binv = np.empty(0, dtype=int), np.empty((0, 0))
-    appended = tab.m - len(basis)
+    n_cols = tab.n_cols
+    kept = 0 if basis is None else len(basis)
+    appended = tab.m - kept
     if appended < 0:
         return None, tab
-    if pos is not None:
-        tab.pos[: len(pos)] = pos
-    tab.basis = np.concatenate([basis, np.arange(tab.n_cols - appended, tab.n_cols)])
-    if binv is None:
-        try:
-            tab.binv = _invert(A[:, tab.basis])
-        except np.linalg.LinAlgError:
-            return None, tab
-        if not np.all(np.isfinite(tab.binv)):
-            return None, tab
+    slacks = np.arange(n_cols - appended, n_cols)
+    if basis is None:
+        tab.basis = slacks
+        tab.binv = np.eye(appended)
     else:
-        tab.binv = _extended_inverse(binv, A[len(basis) :, basis])
-        tab.since_refactor = since_refactor
+        tab.basis = np.concatenate([basis, slacks])
+        if binv is None:
+            try:
+                tab.binv = _invert(A[:, tab.basis])
+            except np.linalg.LinAlgError:
+                return None, tab
+            if not np.isfinite(tab.binv).all():
+                return None, tab
+        else:
+            tab.binv = _extended_inverse(binv, A[kept:, basis])
+            tab.since_refactor = since_refactor
     d = c - tab.price(c[tab.basis] @ tab.binv)
-    # a zero reduced cost keeps the earlier bound while that bound is finite
-    at_upper = np.where(
-        np.abs(d) <= _COST_TOL,
-        ((tab.pos == _AT_UPPER) & (upper < INF)) | (lower == -INF),
-        d < 0,
-    )
-    nonbasic = np.ones(tab.n_cols, dtype=bool)
-    nonbasic[tab.basis] = False
-    shifted = nonbasic & np.isinf(np.where(at_upper, upper, lower))
-    at_upper ^= shifted
-    bound = np.where(at_upper, upper, lower)
-    free = shifted & np.isinf(bound)
-    tab.pos = np.where(at_upper, _AT_UPPER, _AT_LOWER).astype(np.int8)
-    tab.pos[free] = _FREE
-    tab.pos[tab.basis] = _BASIC
-    tab.start(np.where(nonbasic & ~free, bound, 0.0))
 
-    shift = np.where(shifted, d, 0.0)
-    status = _dual_optimize(tab, c - shift, d - shift)
+    # a zero reduced cost keeps the earlier bound while that bound is finite
+    keep = lower == -INF
+    if pos is not None:
+        was_upper = pos == _AT_UPPER
+        if appended:
+            was_upper = np.concatenate([was_upper, np.zeros(appended, dtype=bool)])
+        keep |= was_upper & (upper < INF)
+    at_upper = np.where(np.abs(d) <= _COST_TOL, keep, d < 0)
+    bound = np.where(at_upper, upper, lower)
+    shifted = np.isinf(bound)
+    shifted[tab.basis] = False
+    dual_c = c
+    if np.count_nonzero(shifted):
+        at_upper ^= shifted
+        bound = np.where(at_upper, upper, lower)
+        free = shifted & np.isinf(bound)
+        bound[free] = 0.0
+        tab.pos = at_upper.astype(np.int8)  # _AT_UPPER where true, else _AT_LOWER
+        tab.pos[free] = _FREE
+        shift = np.where(shifted, d, 0.0)
+        dual_c, d = c - shift, d - shift
+    else:
+        tab.pos = at_upper.astype(np.int8)
+    tab.pos[tab.basis] = _BASIC
+    bound[tab.basis] = 0.0
+    tab.start(bound)
+
+    # d stays the reduced costs of c at the start basis unless the dual
+    # simplex pivots, refactors or runs on shifted costs
+    unchanged = dual_c is c and tab.since_refactor < _REFACTOR_EVERY
+    status = _dual_optimize(tab, dual_c, d)
     if status == LP_OPTIMAL:
-        status = _optimize(tab, c)
+        status = _optimize(tab, c, d if unchanged and not tab.iterations else None)
     return status, tab
 
 
@@ -380,29 +388,34 @@ def _dual_optimize(tab, c, d):
     for the costs ``c`` are ``d``, until primal feasible.
 
     Returns None when a row looks infeasible but its certificate does not
-    hold on the original system.
+    hold on the original system. Updates ``d`` in place.
     """
     if not tab.m:
         return LP_OPTIMAL  # no basic column to make feasible
-    free_cols = bool(np.any(tab.pos == _FREE))  # a free nonbasic column only enters
-    moves = _MOVES[tab.pos]  # kept up to date by the pivots
+    free_cols = np.count_nonzero(tab.pos == _FREE) > 0  # a free nonbasic column only enters
+    stop, limit, moves, lb, ub = tab.stop, tab.limit, tab.moves, tab.lb, tab.ub
+    # the pivot row y @ A, y = binv[r], in one buffer: tab.price without a
+    # new array per pivot
+    alpha = np.empty(tab.n_cols)
+    alpha_struct, alpha_slack = alpha[: tab.n], alpha[tab.n :]
     while True:
-        halted = tab.halted()
-        if halted is not None:
-            return halted
+        if tab.iterations >= limit:
+            return LP_ITERATION_LIMIT
+        if stop is not None and stop():
+            return LP_STOPPED
         if tab.since_refactor >= _REFACTOR_EVERY:
             tab.refactor()
             d = c - tab.price(c[tab.basis] @ tab.binv)
 
-        below = tab.lb - tab.xb
-        above = tab.xb - tab.ub
-        infeasibility = np.maximum(below, above)
+        xb = tab.xb
+        below = lb - xb
+        infeasibility = np.maximum(below, xb - ub)
         bland = tab.degenerate >= _BLAND_AFTER
         if bland:
             rows = np.flatnonzero(infeasibility > _PRIMAL_TOL)
             if rows.size == 0:
                 return LP_OPTIMAL
-            r = int(rows[np.argmin(tab.basis[rows])])
+            r = int(rows[tab.basis[rows].argmin()])
         else:
             r = int(infeasibility.argmax())
             if infeasibility[r] <= _PRIMAL_TOL:
@@ -410,33 +423,37 @@ def _dual_optimize(tab, c, d):
         rise = below[r] > 0  # the leaving variable goes up to its lower bound
 
         # x_B[r] moves by -alpha_j per unit of x_j; candidates move it toward
-        # its bound as they move off their own bound the way _MOVES allows,
+        # its bound as they move off their own bound the way ``moves`` allows,
         # and a free column, whose reduced cost is zero, moves either way
-        alpha = tab.price(tab.binv[r])
+        y = tab.binv[r]
+        np.matmul(y, tab.A_struct, out=alpha_struct)
+        alpha_slack[:] = y
         moved = moves * alpha
-        candidates = tab.enterable & ((moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL))
+        candidates = (moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL)
         if free_cols:
             free = tab.pos == _FREE
             candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
         idx = candidates.nonzero()[0]
         if idx.size == 0:
             return LP_INFEASIBLE if _certifies_infeasible(tab, r) else None
-        ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+        # |d| / |alpha|, which is |d / alpha|
+        ratios = np.abs(d[idx] / alpha[idx])
         if free_cols:
             ratios[free[idx]] = 0.0
-        t = float(ratios.min())
+        t = ratios[ratios.argmin()]
         ties = idx[ratios <= t + _PIVOT_TOL]
-        j = int(ties[0]) if bland else int(ties[np.abs(alpha[ties]).argmax()])
+        # the first tie, or the tie with the largest pivot (the first of those)
+        j = int(ties[0] if bland or ties.size == 1 else ties[np.abs(alpha[ties]).argmax()])
 
-        leaving = tab.basis[r]
-        target = tab.lb[r] if rise else tab.ub[r]
+        target = lb[r] if rise else ub[r]
         w = tab.column(j)
-        tab.pivot(j, r, w, (tab.xb[r] - target) / w[r], not rise)
-        moves[leaving] = _MOVES[tab.pos[leaving]]
-        moves[j] = 0.0
+        tab.pivot(j, r, w, (xb[r] - target) / w[r], not rise)
         d -= (d[j] / alpha[j]) * alpha
         d[j] = 0.0
-        tab.tally(t)
+        if t <= _DEGENERATE_TOL:
+            tab.degenerate += 1
+        tab.iterations += 1
+        tab.since_refactor += 1
 
 
 def _certifies_infeasible(tab, r):
@@ -458,35 +475,40 @@ def _certifies_infeasible(tab, r):
     return rhs > most + tol or rhs < least - tol
 
 
-def _optimize(tab, c):
-    """Primal simplex from a primal feasible basis until optimal."""
-    neg_inf = -INF
+def _optimize(tab, c, d=None):
+    """Primal simplex from a primal feasible basis until optimal; ``d``, when
+    given, is the reduced costs of ``c`` at that basis.
+
+    A column's score is its reduced cost times ``moves``: negative where
+    moving it off its bound improves the objective, zero where it may not
+    move, and minus the reduced cost's size for a free column.
+    """
+    stop, limit, moves = tab.stop, tab.limit, tab.moves
+    free_cols = np.count_nonzero(tab.pos == _FREE) > 0  # an entering free column stays basic
     while True:
-        halted = tab.halted()
-        if halted is not None:
-            return halted
+        if tab.iterations >= limit:
+            return LP_ITERATION_LIMIT
+        if stop is not None and stop():
+            return LP_STOPPED
         if tab.since_refactor >= _REFACTOR_EVERY:
             tab.refactor()
+            d = None
 
-        d = c - tab.price(c[tab.basis] @ tab.binv)
+        if d is None:
+            d = c - tab.price(c[tab.basis] @ tab.binv)
+        score = d * moves
+        if free_cols:
+            free = tab.pos == _FREE
+            score[free] = -np.abs(d[free])
         bland = tab.degenerate >= _BLAND_AFTER
-
-        pos = tab.pos
-        score = np.full(tab.n_cols, neg_inf)
-        at_lower = (pos == _AT_LOWER) & tab.enterable
-        at_upper = (pos == _AT_UPPER) & tab.enterable
-        free = pos == _FREE
-        score[at_lower] = -d[at_lower]
-        score[at_upper] = d[at_upper]
-        score[free] = np.abs(d[free])
         if bland:
-            eligible = np.where(score > _COST_TOL)[0]
+            eligible = np.flatnonzero(score < -_COST_TOL)
             if eligible.size == 0:
                 return LP_OPTIMAL
             j = int(eligible[0])
         else:
-            j = int(score.argmax())
-            if score[j] <= _COST_TOL:
+            j = int(score.argmin())
+            if score[j] >= -_COST_TOL:
                 return LP_OPTIMAL
         direction = 1.0 if (tab.pos[j] == _AT_LOWER or d[j] < 0) else -1.0
 
@@ -494,14 +516,20 @@ def _optimize(tab, c):
         t, r = _ratio_test(tab, j, direction, w, bland)
         if t == INF:
             return LP_UNBOUNDED
-        tab.tally(t)
+        if t <= _DEGENERATE_TOL:
+            tab.degenerate += 1
+        tab.iterations += 1
+        tab.since_refactor += 1
         if r < 0:
             # bound flip, no basis change
             tab.xb -= direction * t * w
-            tab.x[j] = tab.upper[j] if direction > 0 else tab.lower[j]
-            tab.pos[j] = _AT_UPPER if direction > 0 else _AT_LOWER
+            code = _AT_UPPER if direction > 0 else _AT_LOWER
+            tab.x[j] = (tab.upper if direction > 0 else tab.lower)[j]
+            tab.pos[j] = code
+            moves[j] = _MOVES[code]
         else:
             tab.pivot(j, r, w, direction * t, direction * w[r] < 0)
+        d = None
 
 
 def _ratio_test(tab, j_enter, direction, w, bland):
@@ -510,20 +538,20 @@ def _ratio_test(tab, j_enter, direction, w, bland):
     xb, lb, ub = tab.xb, tab.lb, tab.ub
     limits = np.full(tab.m, INF)
     # a basic variable only limits the step toward a finite bound
-    dec = (delta < -_PIVOT_TOL) & (lb > -INF)
-    inc = (delta > _PIVOT_TOL) & (ub < INF)
+    dec = ((delta < -_PIVOT_TOL) & (lb > -INF)).nonzero()[0]
+    inc = ((delta > _PIVOT_TOL) & (ub < INF)).nonzero()[0]
     limits[dec] = (xb[dec] - lb[dec]) / (-delta[dec])
     limits[inc] = (ub[inc] - xb[inc]) / delta[inc]
     np.maximum(limits, 0.0, out=limits)
 
     flip = tab.upper[j_enter] - tab.lower[j_enter]
-    t_row = float(limits.min()) if tab.m else INF
+    t_row = float(limits[limits.argmin()]) if tab.m else INF
     if flip <= t_row:
         # bound flip is at least as tight (inf == inf signals unboundedness)
         return flip, -1
-    ties = np.where(limits <= t_row + _PIVOT_TOL)[0]
+    ties = (limits <= t_row + _PIVOT_TOL).nonzero()[0]
     if bland:
-        r = int(ties[int(np.argmin(tab.basis[ties]))])
+        r = ties[tab.basis[ties].argmin()]
     else:
-        r = int(ties[np.abs(delta[ties]).argmax()])
-    return t_row, r
+        r = ties[np.abs(delta[ties]).argmax()]
+    return t_row, int(r)

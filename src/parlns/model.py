@@ -113,6 +113,13 @@ class LpRelaxation:
         """Itself: code that takes a model or its arrays reads ``.relaxation``."""
         return self
 
+    @cached_property
+    def c_full(self) -> np.ndarray:
+        """The costs of ``A_full``'s columns: the slacks cost nothing."""
+        c_full = np.concatenate([self.c, np.zeros(self.b.shape[0])])
+        c_full.flags.writeable = False
+        return c_full
+
 
 @dataclass(frozen=True)
 class MipModel:

@@ -3,8 +3,8 @@
 Whitespace-delimited MPS with sections NAME, OBJSENSE, ROWS, COLUMNS (with
 INTORG/INTEND markers), RHS, RANGES, BOUNDS, ENDATA. Fixed-format column
 positions are not enforced. Defaults: continuous and integer variables get
-[0, +inf), BV bounds give [0, 1], missing RHS entries are 0, sense is
-minimize unless OBJSENSE says otherwise.
+[0, +inf), BV bounds give [0, 1], UI and LI bounds make their column integer,
+missing RHS entries are 0, sense is minimize unless OBJSENSE says otherwise.
 """
 
 from .model import (
@@ -72,6 +72,7 @@ def parse_mps(text: str) -> MipModel:
     ranges: list[tuple[str, float, int]] = []
     bounds: dict[int, list[float | None]] = {}  # index -> [lower, upper]
     explicit_binary: set[int] = set()
+    integer_bound: set[int] = set()  # columns given a UI or LI bound
     offset = 0.0
 
     section = None
@@ -192,6 +193,8 @@ def parse_mps(text: str) -> MipModel:
                 raise DanglingReference(f"BOUNDS entry for unknown column {col!r}", line_no)
             j = var_index[col]
             lo_up = bounds.setdefault(j, [None, None])
+            if kind in {"UI", "LI"}:
+                integer_bound.add(j)
             if kind in {"UP", "UI"}:
                 lo_up[1] = _to_float(tokens[3], line_no)
             elif kind in {"LO", "LI"}:
@@ -225,7 +228,7 @@ def parse_mps(text: str) -> MipModel:
         lo, up = bounds.get(j, [None, None])
         if j in explicit_binary:
             kind = BINARY
-        elif var_is_int[col]:
+        elif var_is_int[col] or j in integer_bound:
             kind = INTEGER
         else:
             kind = CONTINUOUS

@@ -1,19 +1,24 @@
 """Run N configured workers under a core cap and aggregate their gap traces.
 
 Total parallelism is the product of worker count and per-worker solver
-threads and must stay within the core cap. Under the wall clock, workers run
-on a thread pool and share one cancellation event, set when the wall budget
-runs out or a worker raises; under the simulated clock they run one after
-another in config order, which makes whole portfolio runs reproducible bit
-for bit. The CLI's ``portfolio`` and ``repro`` commands both launch their
-workers here.
+threads and must stay within the core cap. A portfolio solves its model's
+root LP once and hands the result to every worker, each of which still
+charges it as one node. Under the wall clock, workers run on a thread pool
+and share one cancellation event, set when the wall budget runs out or a
+worker raises; the root LP runs after the wall timer has started and stops
+on that event. Under the simulated clock the workers run one after another
+in config order, which makes whole portfolio runs reproducible bit for bit.
+The CLI's ``portfolio`` and ``repro`` commands both launch their workers
+here.
 """
 
 import hashlib
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
+from . import alns
 from .alns import STATUS_OK, WorkerResult, build_trace, run_worker
 from .clock import SimulatedClock
 from .configspace import Configuration
@@ -57,8 +62,9 @@ def validate_plan(plan: PortfolioPlan) -> None:
             f"{n} workers x {plan.threads_per_worker} threads exceed core cap "
             f"{plan.core_cap}"
         )
-    if plan.wall_seconds <= 0:
-        raise PlanInvalid("wall_seconds must be positive")
+    if not (math.isfinite(plan.wall_seconds) and plan.wall_seconds > 0):
+        # the wall timer and the trace horizon need a finite budget
+        raise PlanInvalid(f"wall_seconds must be positive and finite, got {plan.wall_seconds!r}")
     ids = [c.id for c in plan.configs]
     if len(set(ids)) != len(ids):
         raise PlanInvalid("duplicate configuration ids in plan")
@@ -135,22 +141,30 @@ def run_portfolio(
         else None
     )
 
-    def launch(config: Configuration, cancel) -> WorkerResult:
-        clock = SimulatedClock(node_seconds) if clock_mode == SIMULATED else None
+    # every worker owns its clock, made before any work starts
+    clocks = {
+        config.id: SimulatedClock(node_seconds) if clock_mode == SIMULATED else None
+        for config in plan.configs
+    }
+
+    def launch(config: Configuration, root, cancel) -> WorkerResult:
         return run_worker(
             model,
             config,
             plan.wall_seconds,
             worker_seed(plan.master_seed, config.id),
-            clock,
+            clocks[config.id],
             backend=backend,
             cancel=cancel,
+            root=root,
         )
 
     results: dict[str, WorkerResult] = {}
     if clock_mode == SIMULATED:
+        # a simulated worker's root LP never runs out of time: nothing stops it
+        root = alns.solve_lp(model)
         for config in plan.configs:
-            results[config.id] = launch(config, None)
+            results[config.id] = launch(config, root, None)
     else:
         cancel = threading.Event()
         timer = threading.Timer(plan.wall_seconds, cancel.set)
@@ -163,9 +177,10 @@ def run_portfolio(
                 cancel.set()
 
         try:
+            root = alns.solve_lp(model, stop=cancel.is_set)
             with ThreadPoolExecutor(max_workers=plan.n_workers) as pool:
                 futures = {
-                    config.id: pool.submit(launch, config, cancel)
+                    config.id: pool.submit(launch, config, root, cancel)
                     for config in plan.configs
                 }
                 for future in futures.values():

@@ -54,8 +54,8 @@ class SolveBudget:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.wall_seconds < 0:
-            raise ValueError("wall_seconds must be >= 0")
+        if not self.wall_seconds >= 0:  # NaN fails; INF is no wall cap
+            raise ValueError(f"wall_seconds must be >= 0, got {self.wall_seconds!r}")
         if self.wall_seconds == INF and self.node_limit is None:
             raise ValueError("at least one of wall_seconds/node_limit must be finite")
         if self.node_limit is not None and self.node_limit < 0:

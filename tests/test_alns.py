@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import threading
 
 import pytest
 
@@ -317,3 +318,26 @@ def test_worker_inverts_a_basis_only_to_refactor(monkeypatch):
     assert result.iterations > 0
     assert len(node_lps) > 500 and sum(node_lps) > parlns.lp._REFACTOR_EVERY
     assert callers and set(callers) == {"refactor"}
+
+
+@pytest.mark.parametrize("wall", [float("nan"), 0.0, -1.0])
+def test_worker_rejects_a_budget_that_is_not_positive(wall):
+    # NaN passed a `<= 0` check, and its deadline never came; the set event
+    # ends a worker that gets past the check before its search starts
+    cancel = threading.Event()
+    cancel.set()
+    with pytest.raises(ValueError, match="wall_seconds"):
+        run_worker(
+            knapsack(12, seed=2), DEFAULT_CONFIG, wall, seed=1, clock=SimulatedClock(0.001),
+            cancel=cancel,
+        )
+
+
+def test_worker_with_a_given_root_solves_no_root_lp(monkeypatch):
+    model = independent_set(30, 0.2, seed=5)
+    root = parlns.alns.solve_lp(model)
+    monkeypatch.setattr(parlns.alns, "solve_lp", None)  # any call fails
+    result = run_worker(
+        model, DEFAULT_CONFIG, 0.5, seed=1, clock=SimulatedClock(0.01), root=root
+    )
+    assert result.iterations > 0

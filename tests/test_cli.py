@@ -2,11 +2,17 @@ import json
 
 import pytest
 
+import parlns.cli
+import parlns.orchestrator
 from parlns.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, main
 from parlns.instances import knapsack
 from parlns.mps import write_mps
 
 from support import tiny_cover_model
+
+
+def _search_started(*args, **kwargs):
+    raise AssertionError("the search started")
 
 
 def _write_instance(tmp_path, model, name="inst.mps"):
@@ -94,6 +100,22 @@ def test_solve_zero_seconds_is_usage_error(tmp_path):
             ]
         )
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seconds", "nan"), ("--seconds", "inf"), ("--node-seconds", "nan"), ("--node-seconds", "0")],
+)
+def test_solve_budget_that_cannot_end_is_usage_error(tmp_path, capsys, monkeypatch, flag, value):
+    # NaN passed `<= 0` and the worker never reached its deadline
+    monkeypatch.setattr(parlns.cli, "run_worker", _search_started)
+    instance = _write_instance(tmp_path, knapsack(10, seed=2))
+    args = ["solve", "--instance", str(instance), "--seconds", "1", "--clock", "simulated"]
+    args += [flag, value, "--out-dir", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
 
 def test_solve_infeasible_instance_exits_4(tmp_path):
@@ -239,6 +261,24 @@ def test_portfolio_rejects_a_manifest_value_of_the_wrong_type(tmp_path, capsys, 
     code = main(["portfolio", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert f"manifest key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["wall_seconds", "node_seconds"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "0"])
+def test_portfolio_rejects_a_budget_that_cannot_end(tmp_path, capsys, monkeypatch, key, value):
+    # Python's json reads NaN and Infinity as floats
+    monkeypatch.setattr(parlns.orchestrator, "run_portfolio", _search_started)
+    instance = _write_instance(tmp_path, knapsack(10, seed=2))
+    pool_path = tmp_path / "pool.json"
+    main(["gen-configs", "--size", "2", "--seed", "3", "--out", str(pool_path)])
+    manifest = _portfolio_manifest(tmp_path, instance, pool_path, n=2, cap=2)
+    text = manifest.read_text()
+    manifest.write_text(text.replace(f'"{key}": {json.loads(text)[key]}', f'"{key}": {value}'))
+    assert json.loads(manifest.read_text())[key] != json.loads(text)[key]
+    code = main(["portfolio", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert f"manifest key {key!r} must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_portfolio_rerun_is_byte_identical(tmp_path):

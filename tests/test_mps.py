@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from parlns.model import BINARY, GE, INTEGER, LE, MAXIMIZE, MINIMIZE
+from parlns.model import BINARY, CONTINUOUS, GE, INTEGER, LE, MAXIMIZE, MINIMIZE
 from parlns.mps import (
     DanglingReference,
     DuplicateName,
@@ -177,6 +177,34 @@ ENDATA
     assert by_name["f"].lower == -float("inf") and by_name["f"].upper == float("inf")
     assert by_name["i"].kind == INTEGER
     assert (by_name["i"].lower, by_name["i"].upper) == (0.0, 7.0)
+
+
+def test_ui_and_li_bounds_make_a_column_integer():
+    # outside INTORG/INTEND; other MPS readers take both kinds as integer
+    text = """NAME intbnd
+ROWS
+ N  OBJ
+ L  c1
+COLUMNS
+    x  c1  1.0
+    y  c1  1.0
+    z  c1  1.0
+RHS
+    RHS  c1  5.0
+BOUNDS
+ UI BND  x  3
+ LI BND  y  -2
+ UP BND  z  4
+ENDATA
+"""
+    model = parse_mps(text)
+    got = [(v.name, v.kind, v.lower, v.upper) for v in model.variables]
+    assert got == [
+        ("x", INTEGER, 0.0, 3.0),
+        ("y", INTEGER, -2.0, float("inf")),
+        ("z", CONTINUOUS, 0.0, 4.0),
+    ]
+    assert parse_mps(write_mps(model)) == model
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -3,10 +3,13 @@ import time
 
 import pytest
 
-from parlns.alns import STATUS_OK
+import parlns.alns
+import parlns.orchestrator
+from parlns.alns import STATUS_OK, run_worker
 from parlns.clock import SimulatedClock
-from parlns.configspace import generate_pool
-from parlns.instances import knapsack
+from parlns.configspace import DEFAULT_CONFIG, generate_pool
+from parlns.instances import independent_set, knapsack
+from parlns.lp import LP_OPTIMAL, LP_STOPPED
 from parlns.metrics import aggregate_min
 from parlns.model import BINARY, GE, LE, MINIMIZE, LinearConstraint, Variable, make_model
 from parlns.orchestrator import (
@@ -174,3 +177,91 @@ def test_a_failing_worker_stops_its_siblings():
     with pytest.raises(RuntimeError, match="backend failed"):
         run_portfolio(knapsack(40, seed=7), plan, clock_mode="wall", backend=backend)
     assert time.perf_counter() - start < plan.wall_seconds / 4
+
+
+@pytest.mark.parametrize("wall", [float("nan"), float("inf"), 0.0, -1.0])
+def test_plan_validation_rejects_a_budget_that_is_not_positive_and_finite(wall):
+    # a NaN budget used to pass and never end the wall timer or a worker
+    with pytest.raises(PlanInvalid, match="wall_seconds"):
+        validate_plan(_plan(generate_pool(2, seed=1), wall=wall))
+
+
+def test_portfolio_rejects_a_nan_node_seconds_before_any_work(monkeypatch):
+    solves = []
+    monkeypatch.setattr(parlns.alns, "solve_lp", lambda *a, **k: solves.append(a))
+    plan = _plan(generate_pool(2, seed=1), wall=1.0)
+    with pytest.raises(ValueError, match="node_seconds"):
+        run_portfolio(knapsack(10, seed=2), plan, clock_mode="simulated", node_seconds=float("nan"))
+    assert solves == []
+
+
+def _counting_solve_lp(monkeypatch):
+    """Record every root LP a portfolio solves, by the name the portfolio
+    looks it up by."""
+    roots = []
+    real = parlns.alns.solve_lp
+
+    def solve_lp(model, **kwargs):
+        roots.append(real(model, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(parlns.alns, "solve_lp", solve_lp)
+    return roots
+
+
+@pytest.mark.parametrize("clock_mode", ["simulated", "wall"])
+def test_a_portfolio_solves_its_root_lp_once(monkeypatch, clock_mode):
+    roots = _counting_solve_lp(monkeypatch)
+    pool = generate_pool(3, seed=12)
+    result = run_portfolio(knapsack(10, seed=2), _plan(pool, wall=0.3, seed=6), clock_mode=clock_mode)
+    assert len(roots) == 1 and roots[0].status == LP_OPTIMAL
+    assert set(result.workers) == {c.id for c in pool}
+
+
+def test_simulated_portfolio_workers_equal_workers_run_alone(monkeypatch):
+    # the shared root LP is the one each worker would solve for itself
+    model = independent_set(30, 0.2, seed=5)
+    pool = [DEFAULT_CONFIG] + generate_pool(2, seed=4)
+    plan = _plan(pool, wall=0.5, seed=9)
+    roots = _counting_solve_lp(monkeypatch)
+    result = run_portfolio(model, plan, -12.0, clock_mode="simulated", node_seconds=0.01)
+    assert len(roots) == 1
+    reference = model.to_internal_objective(-12.0)
+    for config in pool:
+        alone = run_worker(
+            model,
+            config,
+            plan.wall_seconds,
+            worker_seed(plan.master_seed, config.id),
+            SimulatedClock(0.01),
+            reference_objective=reference,
+        )
+        assert result.workers[config.id] == alone
+    assert len(roots) == 1 + len(pool)  # each lone worker solved its own
+
+
+class _ExpiredTimer:
+    """A wall timer whose budget has run out when it starts."""
+
+    def __init__(self, interval, function):
+        self.function = function
+        self.daemon = False
+
+    def start(self):
+        self.function()
+
+    def cancel(self):
+        pass
+
+
+def test_a_wall_portfolio_cancelled_before_its_root_lp_stops(monkeypatch):
+    roots = _counting_solve_lp(monkeypatch)
+    monkeypatch.setattr(parlns.orchestrator.threading, "Timer", _ExpiredTimer)
+    plan = _plan(generate_pool(2, seed=7), wall=60.0, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(AllWorkersInfeasible):
+        run_portfolio(knapsack(40, seed=7), plan, clock_mode="wall")
+    assert time.perf_counter() - start < 10.0
+    # the stopped root reaches the workers as a worker's own stopped root did
+    assert len(roots) == 1
+    assert roots[0].status == LP_STOPPED and roots[0].basis is None

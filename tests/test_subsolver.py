@@ -61,6 +61,20 @@ def test_budget_requires_a_finite_cap():
     SolveBudget(node_limit=5)
 
 
+def test_budget_rejects_a_nan_wall_cap_and_keeps_inf_as_none():
+    with pytest.raises(ValueError, match="wall_seconds"):
+        SolveBudget(wall_seconds=float("nan"), node_limit=5)
+    with pytest.raises(ValueError, match="wall_seconds"):
+        SolveBudget(wall_seconds=-1.0, node_limit=5)
+    SolveBudget(wall_seconds=float("inf"), node_limit=5)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5])
+def test_simulated_clock_needs_a_positive_finite_step(step):
+    with pytest.raises(ValueError, match="node_seconds"):
+        SimulatedClock(step)
+
+
 def test_knapsack_matches_enumeration():
     model = knapsack(12, seed=9)
     res = solve_mip(model, budget=SolveBudget(wall_seconds=30.0))
