@@ -12,11 +12,11 @@ annealing's temperature is the loop's own float, starting at 1 and cooled by
 each acceptance decision. Every new global best appends a trace point, and
 the gap trace is built from those points once the loop ends, against the
 given reference or else the worker's own best; a worker that finds no
-initial solution returns an empty trace. Every sub-MIP's root
-LP starts from the optimal basis and basis inverse of the model's
-relaxation, the inverse extended by the sub-MIP's appended rows. A root LP
-the worker solves itself, like every sub-MIP, stops once the worker is
-cancelled or past its deadline.
+initial solution returns an empty trace. The root LP's optimal
+``LpResult`` is the warm start of every sub-MIP's root LP, its basis
+inverse extended by the sub-MIP's appended rows. A root LP the worker
+solves itself, like every sub-MIP, stops once the worker is cancelled or
+past its deadline.
 """
 
 import math
@@ -153,11 +153,11 @@ def run_worker(
     initial solution returns an empty trace over ``wall_seconds``. ``root``
     is ``solve_lp(model)``'s result when the caller has solved it, as
     ``run_portfolio`` does once for all its workers; without it the worker
-    solves its own. Either way the root LP is charged as one node. An
-    infinite ``wall_seconds`` runs until ``cancel`` is set.
+    solves its own. Either way the root LP is charged as one node.
+    ``wall_seconds`` must be positive and finite.
     """
-    if not wall_seconds > 0:
-        raise ValueError(f"wall_seconds must be positive, got {wall_seconds!r}")
+    if not (math.isfinite(wall_seconds) and wall_seconds > 0):
+        raise ValueError(f"wall_seconds must be positive and finite, got {wall_seconds!r}")
     clock = clock or WallClock()
     backend = backend or get_backend()
     rng = random.Random(seed)
@@ -176,8 +176,7 @@ def run_worker(
     if root is None:
         root = solve_lp(model, stop=out_of_time)
     clock.charge_nodes()
-    lp_values = root.values if root.status == LP_OPTIMAL else None
-    root_basis = None if root.basis is None else root.warm
+    root_basis = root if root.status == LP_OPTIMAL else None
 
     initial_budget = SolveBudget(wall_seconds=min(0.2 * wall_seconds, 60.0))
     first = backend.find_first_feasible(
@@ -201,7 +200,7 @@ def run_worker(
         ctx = operators.OperatorContext(
             incumbent=current,
             archive=tuple(archive),
-            lp_values=lp_values,
+            lp_values=root.values,
             rng=rng,
         )
         try:

@@ -2,25 +2,26 @@
 
 Dense revised simplex over a model's ``LpRelaxation``: ``[A, I]``, one slack
 column per row; a model without rows has no basic columns at all. A solve
-makes at most two starts: the caller's ``warm`` basis, an earlier optimum as
-a branch-and-bound child starts from its parent's, and then the all-slack
-basis, which is never singular; without a warm basis only the second. The
-earlier relaxation may have fewer rows: a sub-MIP appends its local-branching or proximity row to
-the worker's base rows, so the base rows keep their slack columns' indices
-and the appended rows' slacks join the basis.
+makes at most two starts: the caller's ``warm`` start, an earlier optimal
+``LpResult`` as a branch-and-bound child starts from its parent's, and then
+the all-slack basis, which is never singular; without a warm start only the
+second. The earlier relaxation may have fewer rows: a sub-MIP appends its
+local-branching or proximity row to the worker's base rows, so the base rows
+keep their slack columns' indices and the appended rows' slacks join the
+basis.
 
-The start basis comes with its inverse. An optimum returns its basis inverse,
-read-only, and the pivots it has taken since it was last factored
-(``LpResult.warm``). A warm start that carries them starts from a copy, so
-both children of a node share their parent's inverse and neither writes
-through it. Rows appended since extend it in closed form: with R the
-appended rows' entries in the basic columns, the inverse of
+An optimum carries its basis, column positions and basis inverse, read-only,
+and the pivots that inverse has taken since it was last factored; a warm
+start is such a result, with or without its inverse. One that carries it
+starts from a copy, so both children of a node share their parent's inverse
+and neither writes through it. Rows appended since extend it in closed form:
+with R the appended rows' entries in the basic columns, the inverse of
 ``[[B, 0], [R, I]]`` is ``[[B^-1, 0], [-R B^-1, I]]``. The slack basis starts
 from the identity. A basis is inverted (``_invert``) only to refactor: every
 ``_REFACTOR_EVERY`` pivots, counted along the whole chain of warm starts so
 that rounding drift stays bounded; once at the optimum of a slack start,
-whose inverse every warm start below it shares; and when a caller gives a
-warm basis without its inverse.
+whose inverse every warm start below it shares; and for a warm start without
+its inverse.
 
 The slack block of ``[A, I]`` is the identity, so a pivot row or reduced
 costs, ``y @ [A, I]``, cost one product with the structural block, and an
@@ -93,11 +94,6 @@ class LpResult:
     binv: np.ndarray | None = field(default=None, compare=False, repr=False)
     since_refactor: int = field(default=0, compare=False, repr=False)
 
-    @property
-    def warm(self) -> tuple:
-        """The ``warm`` argument that re-solves from this optimum."""
-        return (self.basis, self.pos, self.binv, self.since_refactor)
-
 
 def build_relaxation(model: MipModel | LpRelaxation) -> LpRelaxation:
     """A model's arrays, built once per model; a sub-problem's arrays
@@ -114,17 +110,17 @@ def solve_relaxation(
     relax: LpRelaxation,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    warm: tuple | None = None,
+    warm: LpResult | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> LpResult:
     """Solve a relaxation, optionally overriding the structural bounds.
 
     Bound overrides let a branch-and-bound caller reuse the constraint matrix
-    across nodes. ``warm`` is an earlier optimum's ``LpResult.warm``, or just
-    its ``(basis, pos)``, over this relaxation or one with the same variables
-    and only a prefix of its rows; the solve then starts from that basis, and
-    from its inverse when one is given, and starts again from the slack basis
-    when that start fails. Each start gets ``_ITERATION_LIMIT`` pivots, and
+    across nodes. ``warm`` is an earlier optimal ``LpResult``, with or without
+    its ``binv``, over this relaxation or one with the same variables and only
+    a prefix of its rows; the solve then starts from its basis, and from its
+    inverse when it has one, and starts again from the slack basis when that
+    start fails. Each start gets ``_ITERATION_LIMIT`` pivots, and
     ``iterations`` counts them all. ``stop`` is called before every pivot;
     once it returns true the solve returns ``LP_STOPPED`` without starting
     again.
@@ -141,7 +137,7 @@ def solve_relaxation(
 
     iterations = 0
     for start in ([] if warm is None else [warm]) + [None]:
-        status, tab = _solve_from(system, stop, *(start or ()))
+        status, tab = _solve_from(system, stop, start)
         iterations += tab.iterations
         if status == LP_OPTIMAL:
             if start is None and tab.since_refactor:
@@ -306,36 +302,37 @@ def _extended_inverse(binv, appended):
     return out
 
 
-def _solve_from(system, stop, basis=None, pos=None, binv=None, since_refactor=0):
+def _solve_from(system, stop, warm):
     """Solve ``system`` = (A, b, c, lower, upper) from a start basis; returns
     (status, tableau), status None as in ``_dual_optimize`` or when the
     start basis is singular.
 
-    The start basis is ``basis``, extended by the slacks of the rows
-    appended since (the last columns of ``A``), or the all-slack basis when
-    ``basis`` is None. Its inverse is ``binv``, which has taken
-    ``since_refactor`` pivots, extended by ``_extended_inverse``; only a
-    ``basis`` given without ``binv`` is inverted. Each nonbasic column sits
-    at the bound its reduced cost prefers. Where that bound is infinite the
-    column sits at its other bound (a free column at zero) and its cost is
-    shifted so that its reduced cost is zero, which makes the basis dual
-    feasible. A dual simplex on the shifted costs reaches a primal feasible
-    basis, and a primal simplex on the true costs takes it to an optimum.
+    The start basis is the basis of ``warm``, an optimal ``LpResult``,
+    extended by the slacks of the rows appended since (the last columns of
+    ``A``), or the all-slack basis when ``warm`` is None. Its inverse is
+    ``warm.binv``, which has taken ``warm.since_refactor`` pivots, extended
+    by ``_extended_inverse``; only a ``warm`` without ``binv`` is inverted.
+    Each nonbasic column sits at the bound its reduced cost prefers. Where
+    that bound is infinite the column sits at its other bound (a free column
+    at zero) and its cost is shifted so that its reduced cost is zero, which
+    makes the basis dual feasible. A dual simplex on the shifted costs
+    reaches a primal feasible basis, and a primal simplex on the true costs
+    takes it to an optimum.
     """
     A, b, c, lower, upper = system
     tab = _Tableau(A, b, lower, upper, stop)
     n_cols = tab.n_cols
-    kept = 0 if basis is None else len(basis)
+    kept = 0 if warm is None else len(warm.basis)
     appended = tab.m - kept
     if appended < 0:
         return None, tab
     slacks = np.arange(n_cols - appended, n_cols)
-    if basis is None:
+    if warm is None:
         tab.basis = slacks
         tab.binv = np.eye(appended)
     else:
-        tab.basis = np.concatenate([basis, slacks])
-        if binv is None:
+        tab.basis = np.concatenate([warm.basis, slacks])
+        if warm.binv is None:
             try:
                 tab.binv = _invert(A[:, tab.basis])
             except np.linalg.LinAlgError:
@@ -343,14 +340,14 @@ def _solve_from(system, stop, basis=None, pos=None, binv=None, since_refactor=0)
             if not np.isfinite(tab.binv).all():
                 return None, tab
         else:
-            tab.binv = _extended_inverse(binv, A[kept:, basis])
-            tab.since_refactor = since_refactor
+            tab.binv = _extended_inverse(warm.binv, A[kept:, warm.basis])
+            tab.since_refactor = warm.since_refactor
     d = c - tab.price(c[tab.basis] @ tab.binv)
 
     # a zero reduced cost keeps the earlier bound while that bound is finite
     keep = lower == -INF
-    if pos is not None:
-        was_upper = pos == _AT_UPPER
+    if warm is not None:
+        was_upper = warm.pos == _AT_UPPER
         if appended:
             was_upper = np.concatenate([was_upper, np.zeros(appended, dtype=bool)])
         keep |= was_upper & (upper < INF)

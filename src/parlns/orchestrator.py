@@ -206,15 +206,9 @@ def run_portfolio(
         )
 
     aggregate = aggregate_min([results[i].trace for i in ok_ids])
-    best_id = ok_ids[0]
-    best_gap = results[best_id].trace.final_gap()
-    for config_id in ok_ids[1:]:
-        gap = results[config_id].trace.final_gap()
-        if gap < best_gap:
-            best_id, best_gap = config_id, gap
     return PortfolioResult(
         workers=results,
         aggregate=aggregate,
-        best_config_id=best_id,
+        best_config_id=min(ok_ids, key=lambda i: results[i].trace.final_gap()),
         reference_objective=reference_internal,
     )

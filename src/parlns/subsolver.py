@@ -10,21 +10,23 @@ integer mask. The reference backend is a deterministic single-threaded
 best-bound search over those shared arrays with depth-first plunging until
 the first incumbent, most-fractional branching (ties to the lowest index),
 and cooperative cancellation checked at node boundaries and before every
-simplex pivot. It closes once the gap falls to ``_GAP_LIMIT``. The root LP
-starts from the caller's ``root_basis`` when one is given (the worker's
-base-model optimum with its basis inverse), and a child node's LP from its
-parent's optimal basis and basis inverse (dual simplex warm start); both
-children share the parent's read-only inverse. The open nodes hold at most
-``_OPEN_INVERSE_BYTES`` of inverses: a child pushed past that carries the
-basis alone and inverts it when popped. Each node is one
-``solve_relaxation`` call, which itself starts again from the slack basis
-when the warm start fails. A node whose LP still fails is dropped and
-counted, and the search goes on without claiming a proof.
+simplex pivot. It closes once the gap falls to ``_GAP_LIMIT``, and its
+status and dual bound are read from its open list (``solve_mip``). A warm
+start is an optimal ``LpResult``, with or without its basis inverse: the
+root LP starts from the caller's ``root_basis`` when one is given (the
+worker's base-model optimum with its inverse), and a child node's LP from
+its parent's result (dual simplex warm start); both children share the
+parent's read-only inverse. The open nodes hold at most
+``_OPEN_INVERSE_BYTES`` of inverses: a child pushed past that carries its
+parent's result without the inverse and inverts the basis when popped. Each
+node is one ``solve_relaxation`` call, which itself starts again from the
+slack basis when the warm start fails. A node whose LP still fails is
+dropped and counted, and its estimate keeps bounding the search.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -94,11 +96,17 @@ def solve_mip(
 
     Never returns an incumbent worse than the warm start, which is re-scored
     on ``model`` and ignored unless feasible and integral. The search is
-    deterministic, so it takes no seed. ``root_basis`` is the
-    ``LpResult.warm`` of an LP optimum over the same variables and a prefix
-    of the model's rows, or just its ``(basis, pos)``; the root LP starts
-    from it. ``stop_at_first`` ends the search at the first improving
-    integral solution.
+    deterministic, so it takes no seed. ``root_basis`` is an optimal
+    ``LpResult`` over the same variables and a prefix of the model's rows,
+    with or without its basis inverse; the root LP starts from it.
+    ``stop_at_first`` ends the search at the first improving integral
+    solution.
+
+    The result reads the open list: the dual bound is the least estimate
+    over the open nodes and the dropped ones, capped by the incumbent. With
+    no incumbent the search is infeasible when nothing is open or dropped,
+    else unknown; with one it is optimal when no node was dropped and the
+    gap is at most ``_GAP_LIMIT``, else feasible.
     """
     if budget is None:
         raise ValueError("a SolveBudget is required")
@@ -117,14 +125,12 @@ def solve_mip(
     # (estimate, seq, lower, upper, warm start): a LIFO plunge while no
     # incumbent exists, a best-bound heap from the first incumbent on
     open_nodes = [(-INF, seq, relax.lower, relax.upper, root_basis)]
-    carried = 0  # open nodes whose warm start carries a basis inverse
+    carried = 0  # open children whose warm start carries a basis inverse
+    node_limit = INF if budget.node_limit is None else budget.node_limit
 
     nodes = 0
     dropped = 0
     dropped_bound = INF  # a dropped node's subtree stays open for the dual bound
-    interrupted = False
-    proven = False
-    proven_dual = INF
 
     def push(node):
         if incumbent is None:
@@ -132,42 +138,26 @@ def solve_mip(
         else:
             heapq.heappush(open_nodes, node)
 
-    def open_dual():
-        cands = [entry[0] for entry in open_nodes]
-        if dropped:
-            cands.append(dropped_bound)
-        return min(cands) if cands else None
+    def dual_bound():
+        return min([entry[0] for entry in open_nodes] + [dropped_bound, best_obj])
+
+    def gap_met(dual):
+        return best_obj - dual <= _GAP_LIMIT * max(abs(best_obj), 1e-10)
 
     def out_of_time():
         return (cancel is not None and cancel.is_set()) or clock.now() >= deadline
 
-    def gap_met():
-        dual = open_dual()
-        if dual is None:
-            return True
-        return best_obj - dual <= _GAP_LIMIT * max(abs(best_obj), 1e-10)
-
-    while True:
-        if out_of_time():
-            interrupted = True
-            break
-        if budget.node_limit is not None and nodes >= budget.node_limit:
-            interrupted = True
-            break
-        if not open_nodes:
-            break
+    while not out_of_time() and nodes < node_limit and open_nodes:
         node = open_nodes.pop() if incumbent is None else heapq.heappop(open_nodes)
         estimate, seq_id, lower, upper, warm = node
-        if seq_id and warm is not None and len(warm) > 2:
+        if seq_id and warm.binv is not None:
             carried -= 1  # a child's inverse leaves the open list
         if estimate >= best_obj - _PRUNE_TOL:
             continue
 
         res = solve_relaxation(relax, lower, upper, warm=warm, stop=out_of_time)
         if res.status == LP_STOPPED:
-            # the node stays open, so its estimate still bounds the search
-            push(node)
-            interrupted = True
+            push(node)  # the node stays open, so its estimate still bounds the search
             break
         nodes += 1
         clock.charge_nodes()
@@ -192,22 +182,16 @@ def solve_mip(
                     heapq.heapify(open_nodes)
                 incumbent = candidate
                 best_obj = candidate.objective
-                if stop_at_first:
-                    break
-                if gap_met():
-                    proven = True
-                    dual = open_dual()
-                    proven_dual = best_obj if dual is None else min(dual, best_obj)
+                if stop_at_first or gap_met(dual_bound()):
                     break
             continue
 
         x = res.values[branch_j]
-        child_warm = None if res.basis is None else res.warm
-        if child_warm is not None:
-            if (carried + 2) * res.binv.nbytes <= _OPEN_INVERSE_BYTES:
-                carried += 2  # both children share the one read-only inverse
-            else:
-                child_warm = child_warm[:2]
+        child_warm = res
+        if (carried + 2) * res.binv.nbytes <= _OPEN_INVERSE_BYTES:
+            carried += 2  # both children share the one read-only inverse
+        else:
+            child_warm = replace(res, binv=None)
         floor_child_upper = upper.copy()
         floor_child_upper[branch_j] = math.floor(x)
         ceil_child_lower = lower.copy()
@@ -221,15 +205,11 @@ def solve_mip(
         push(first)
         push(second)  # a plunge pops it first: toward the rounding
 
-    exhausted = not open_nodes and not interrupted
-    if dropped == 0 and (proven or exhausted):
-        if incumbent is None:
-            return MipResult(INFEASIBLE, None, INF, nodes)
-        bound = proven_dual if proven else best_obj
-        return MipResult(OPTIMAL, incumbent, bound, nodes)
-    dual = proven_dual if proven else open_dual()
-    status = UNKNOWN if incumbent is None else FEASIBLE
-    dual = -INF if dual is None else dual
+    dual = dual_bound()
+    if incumbent is None:
+        status = UNKNOWN if open_nodes or dropped else INFEASIBLE
+    else:
+        status = OPTIMAL if not dropped and gap_met(dual) else FEASIBLE
     return MipResult(status, incumbent, dual, nodes, dropped_nodes=dropped)
 
 
@@ -258,12 +238,13 @@ class Backend:
     ``MipModel`` and ``solve_mip`` a sub-problem's ``LpRelaxation``; a
     backend reads ``model.relaxation`` from either (an ``LpRelaxation`` is
     its own). Neither call gets a seed, so a randomized backend seeds
-    itself. A backend without LP warm starts ignores ``root_basis``. The
-    budget caps wall time and nodes; the gap at which a solve may stop and
-    claim optimality is the backend's own (``_GAP_LIMIT`` for the reference
-    one). The warm start ``solve_mip`` gets is the worker's current
-    solution, which may be infeasible for the sub-problem; a backend must
-    check it."""
+    itself. ``root_basis`` is None or an optimal ``LpResult`` of the
+    model's base relaxation, with or without its basis inverse; a backend
+    without LP warm starts ignores it. The budget caps wall time and nodes;
+    the gap at which a solve may stop and claim optimality is the backend's
+    own (``_GAP_LIMIT`` for the reference one). The warm start
+    ``solve_mip`` gets is the worker's current solution, which may be
+    infeasible for the sub-problem; a backend must check it."""
 
     name: str
     solve_mip: Callable

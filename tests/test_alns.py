@@ -267,7 +267,7 @@ def test_root_lp_is_solved_once_per_worker(monkeypatch):
     assert warm is not None and pivots == 0
     assert len(roots) == result.iterations + 1
     assert all(root is roots[0] for root in roots)
-    assert roots[0][0] is warm[0]
+    assert roots[0].basis is warm.basis
 
 
 def test_cancelled_worker_stops_its_root_lp(monkeypatch):
@@ -320,9 +320,10 @@ def test_worker_inverts_a_basis_only_to_refactor(monkeypatch):
     assert callers and set(callers) == {"refactor"}
 
 
-@pytest.mark.parametrize("wall", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("wall", [float("nan"), 0.0, -1.0, float("inf")])
 def test_worker_rejects_a_budget_that_is_not_positive(wall):
-    # NaN passed a `<= 0` check, and its deadline never came; the set event
+    # NaN passed a `<= 0` check, and its deadline never came; an infinite
+    # budget has no trace horizon, so it failed only after the run; the set event
     # ends a worker that gets past the check before its search starts
     cancel = threading.Event()
     cancel.set()

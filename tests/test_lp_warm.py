@@ -15,6 +15,7 @@ a model without rows solves to its closed-form box optimum, cold and warm.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from parlns.lp import (
     LP_OPTIMAL,
     LP_STOPPED,
     LP_UNBOUNDED,
+    LpResult,
     build_relaxation,
     solve_lp,
     solve_relaxation,
@@ -153,7 +155,7 @@ def test_warm_branching_matches_cold_and_oracle(case):
             upper[j] = math.floor(value) if value != math.floor(value) else value - 0.5
         expected = _oracle(model, lower, upper, box)
         cold = solve_relaxation(relax, lower, upper)
-        warm = solve_relaxation(relax, lower, upper, warm=(parent.basis, parent.pos))
+        warm = solve_relaxation(relax, lower, upper, warm=replace(parent, binv=None))
         _assert_matches(cold, *expected)
         _assert_matches(warm, *expected)
         parent = warm
@@ -162,7 +164,7 @@ def test_warm_branching_matches_cold_and_oracle(case):
 def test_unchanged_bounds_resolve_without_pivots():
     relax = build_relaxation(independent_set(20, 0.3, seed=4))
     root = solve_relaxation(relax)
-    again = solve_relaxation(relax, warm=(root.basis, root.pos))
+    again = solve_relaxation(relax, warm=replace(root, binv=None))
     assert again.status == LP_OPTIMAL
     assert again.iterations == 0
     assert abs(again.objective - root.objective) <= 1e-9
@@ -179,7 +181,7 @@ def test_warm_child_takes_fewer_pivots_than_cold():
         upper = relax.upper.copy()
         upper[j] = 0.0
         cold = solve_relaxation(relax, upper=upper)
-        warm = solve_relaxation(relax, upper=upper, warm=(root.basis, root.pos))
+        warm = solve_relaxation(relax, upper=upper, warm=replace(root, binv=None))
         assert warm.status == cold.status == LP_OPTIMAL
         assert abs(warm.objective - cold.objective) <= 1e-6
         warm_pivots += warm.iterations
@@ -192,7 +194,7 @@ def test_singular_warm_basis_falls_back_to_cold():
     root = solve_relaxation(relax)
     singular = root.basis.copy()
     singular[1] = singular[0]
-    res = solve_relaxation(relax, warm=(singular, root.pos))
+    res = solve_relaxation(relax, warm=replace(root, basis=singular, binv=None))
     assert res.status == LP_OPTIMAL
     assert abs(res.objective - root.objective) <= 1e-9
 
@@ -224,7 +226,7 @@ def test_dual_infeasible_or_free_nonbasic_warm_basis_falls_back_to_cold():
         m = len(model.constraints)
         slack_basis = np.arange(model.n_vars, model.n_vars + m)
         pos = np.zeros(model.n_vars + m, dtype=np.int8)
-        res = solve_relaxation(relax, warm=(slack_basis, pos))
+        res = solve_relaxation(relax, warm=LpResult(LP_OPTIMAL, basis=slack_basis, pos=pos))
         assert res.status == LP_OPTIMAL
         assert abs(res.objective - optimum) <= 1e-9
 
@@ -272,7 +274,7 @@ def test_warm_start_from_a_smaller_relaxation_matches_cold_and_oracle(case):
     relax = build_relaxation(sub)
     expected = _oracle(sub, relax.lower, relax.upper, box)
     _assert_matches(solve_relaxation(relax), *expected)
-    _assert_matches(solve_relaxation(relax, warm=(root.basis, root.pos)), *expected)
+    _assert_matches(solve_relaxation(relax, warm=replace(root, binv=None)), *expected)
 
 
 def test_appended_row_keeps_the_base_optimum_without_pivots():
@@ -282,7 +284,7 @@ def test_appended_row_keeps_the_base_optimum_without_pivots():
     root = solve_lp(base)
     loose = LinearConstraint("loose", {j: 1.0 for j in range(base.n_vars)}, LE, base.n_vars)
     sub = apply_neighborhood(base, NeighborhoodSpec(extra_constraints=(loose,)))
-    res = solve_relaxation(build_relaxation(sub), warm=(root.basis, root.pos))
+    res = solve_relaxation(build_relaxation(sub), warm=replace(root, binv=None))
     assert res.status == LP_OPTIMAL
     assert res.iterations == 0
     assert abs(res.objective - root.objective) <= 1e-9
@@ -305,7 +307,7 @@ def test_proximity_root_warm_starts_from_the_dual_infeasible_base_basis():
     for percentage in (5, 15):
         root, relax = _proximity_root(model, percentage)
         cold = solve_relaxation(relax)
-        warm = solve_relaxation(relax, warm=(root.basis, root.pos))
+        warm = solve_relaxation(relax, warm=replace(root, binv=None))
         assert cold.status == warm.status == LP_OPTIMAL
         assert abs(warm.objective - cold.objective) <= 1e-6 * max(1.0, abs(cold.objective))
         assert warm.iterations < cold.iterations
@@ -316,7 +318,7 @@ def test_proximity_root_past_the_lp_bound_is_proven_infeasible_warm():
     # cutoff row is infeasible and the base basis certifies it
     root, relax = _proximity_root(set_cover(30, 40, seed=7), 5)
     cold = solve_relaxation(relax)
-    warm = solve_relaxation(relax, warm=(root.basis, root.pos))
+    warm = solve_relaxation(relax, warm=replace(root, binv=None))
     assert cold.status == warm.status == LP_INFEASIBLE
     assert warm.iterations < cold.iterations
 
@@ -395,10 +397,10 @@ def test_stop_ends_a_warm_solve_without_a_cold_fallback():
     fractional = [j for j, v in enumerate(root.values) if abs(v - round(v)) > 1e-6]
     upper = relax.upper.copy()
     upper[fractional] = 0.0
-    full = solve_relaxation(relax, upper=upper, warm=(root.basis, root.pos))
+    full = solve_relaxation(relax, upper=upper, warm=replace(root, binv=None))
     assert full.status == LP_OPTIMAL and full.iterations > 2
     res = solve_relaxation(
-        relax, upper=upper, warm=(root.basis, root.pos), stop=_stop_after(2)
+        relax, upper=upper, warm=replace(root, binv=None), stop=_stop_after(2)
     )
     assert res.status == LP_STOPPED
     assert res.iterations <= 2
@@ -411,23 +413,23 @@ def test_failed_warm_start_is_followed_by_the_slack_start(monkeypatch, failure):
     fractional = [j for j, v in enumerate(root.values) if abs(v - round(v)) > 1e-6]
     upper = relax.upper.copy()
     upper[fractional] = 0.0
-    warm_alone = solve_relaxation(relax, upper=upper, warm=root.warm)
+    warm_alone = solve_relaxation(relax, upper=upper, warm=root)
     cold = solve_relaxation(relax, upper=upper)
     assert warm_alone.status == cold.status == LP_OPTIMAL and warm_alone.iterations > 0
     real = lp._solve_from
     starts = []
 
-    def solve_from(system, stop, *warm):
-        status, tab = real(system, stop, *warm)
-        starts.append(bool(warm))
-        if warm and failure == "unbounded":
+    def solve_from(system, stop, warm):
+        status, tab = real(system, stop, warm)
+        starts.append(warm is not None)
+        if warm is not None and failure == "unbounded":
             status = LP_UNBOUNDED
-        elif warm:
+        elif warm is not None:
             tab.xb = tab.xb + 1.0  # basic values off the rows
         return status, tab
 
     monkeypatch.setattr(lp, "_solve_from", solve_from)
-    res = solve_relaxation(relax, upper=upper, warm=root.warm)
+    res = solve_relaxation(relax, upper=upper, warm=root)
     assert starts == [True, False]
     assert res.status == LP_OPTIMAL
     assert res.objective == cold.objective
@@ -438,9 +440,9 @@ def _with_starts(solve, *args, **kwargs):
     """A solve's result and, per start it made, whether it was warm."""
     real, starts = lp._solve_from, []
 
-    def solve_from(system, stop, *warm):
-        starts.append(bool(warm))
-        return real(system, stop, *warm)
+    def solve_from(system, stop, warm):
+        starts.append(warm is not None)
+        return real(system, stop, warm)
 
     with mock.patch.object(lp, "_solve_from", solve_from):
         return solve(*args, **kwargs), starts
@@ -501,7 +503,7 @@ def test_rowless_model_solves_to_the_box_optimum_cold_and_warm(columns):
     assert res.values == tuple(expected)
     assert res.objective == pytest.approx(sum(c * v for (_, c), v in zip(columns, expected)))
     assert res.iterations == 0
-    warm, starts = _with_starts(solve_relaxation, build_relaxation(model), warm=res.warm)
+    warm, starts = _with_starts(solve_relaxation, build_relaxation(model), warm=res)
     assert warm.status == LP_OPTIMAL and starts == [True]  # one start: the warm one
     assert warm.values == res.values
     assert warm.iterations == 0
@@ -547,7 +549,7 @@ def test_carried_inverse_chain_matches_cold_and_oracle(case, refactor_every):
                 upper[j] = math.floor(value) if value != math.floor(value) else value - 0.5
             expected = _oracle(model, lower, upper, box)
             _assert_matches(solve_relaxation(relax, lower, upper), *expected)
-            child, starts = _with_starts(solve_relaxation, relax, lower, upper, warm=parent.warm)
+            child, starts = _with_starts(solve_relaxation, relax, lower, upper, warm=parent)
             _assert_matches(child, *expected)
             # crossed bounds need no start; otherwise the warm start holds
             assert starts in ([], [True])
@@ -576,7 +578,7 @@ def test_carried_inverse_runs_past_the_refactorization_interval():
             fractional = [j for j, v in enumerate(parent.values) if v > 1e-6][:1]
         upper[fractional[0]] = 0.0
         with mock.patch.object(lp._Tableau, "refactor", refactor):
-            child = solve_relaxation(relax, upper=upper, warm=parent.warm)
+            child = solve_relaxation(relax, upper=upper, warm=parent)
         cold = solve_relaxation(relax, upper=upper)
         assert child.status == cold.status == LP_OPTIMAL
         assert abs(child.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
@@ -598,7 +600,7 @@ def test_appended_rows_extend_the_inverse_in_closed_form():
     extended = lp._extended_inverse(root.binv, sub.A_full[m:, root.basis])
     basis = np.concatenate([root.basis, [n + m, n + m + 1]])
     assert np.max(np.abs(extended - lp._invert(sub.A_full[:, basis]))) <= 1e-9
-    res = solve_relaxation(sub, warm=root.warm)
+    res = solve_relaxation(sub, warm=root)
     cold = solve_relaxation(sub)
     assert res.status == cold.status == LP_OPTIMAL
     assert abs(res.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
@@ -612,12 +614,12 @@ def test_solving_a_child_leaves_the_shared_inverse_unchanged():
     assert not root.binv.flags.writeable
     upper = relax.upper.copy()
     upper[j] = 0.0
-    floor_child = solve_relaxation(relax, upper=upper, warm=root.warm)
+    floor_child = solve_relaxation(relax, upper=upper, warm=root)
     assert floor_child.status == LP_OPTIMAL and floor_child.iterations > 0
     assert np.array_equal(root.binv, before)
     lower = relax.lower.copy()
     lower[j] = 1.0
-    ceil_child = solve_relaxation(relax, lower=lower, warm=root.warm)
+    ceil_child = solve_relaxation(relax, lower=lower, warm=root)
     cold = solve_relaxation(relax, lower=lower)
     assert ceil_child.status == cold.status
     if cold.status == LP_OPTIMAL:

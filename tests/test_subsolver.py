@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parlns.clock import SimulatedClock
@@ -151,8 +151,9 @@ def test_find_first_feasible_stops_early():
     assert first.nodes <= full.nodes
 
 
-def test_infeasible_toy_is_proven():
-    model = make_model(
+def _infeasible_toy():
+    """x >= 1 and x <= 0 over one binary: its root LP is infeasible."""
+    return make_model(
         "inf",
         MINIMIZE,
         [Variable("x", BINARY)],
@@ -162,6 +163,10 @@ def test_infeasible_toy_is_proven():
         ],
         {0: 1.0},
     )
+
+
+def test_infeasible_toy_is_proven():
+    model = _infeasible_toy()
     res = find_first_feasible(model, SolveBudget(wall_seconds=10.0))
     assert res.status == INFEASIBLE
     res = solve_mip(model, budget=SolveBudget(wall_seconds=10.0))
@@ -201,6 +206,75 @@ def test_oracle_equivalence_and_dual_bounds():
         assert res.incumbent.objective == optimum
         assert res.dual_bound <= optimum + 1e-9
         assert optimum <= res.incumbent.objective
+
+
+@st.composite
+def small_binary_models(draw):
+    """A model ``binary_optimum`` can enumerate: a small generated knapsack,
+    set cover or independent set, or up to eight binaries under random rows,
+    which may leave it infeasible."""
+    kind = draw(st.sampled_from(("knapsack", "set_cover", "independent_set", "rows")))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "knapsack":
+        return knapsack(draw(st.integers(8, 14)), seed=seed)
+    if kind == "set_cover":
+        return set_cover(draw(st.integers(6, 12)), draw(st.integers(8, 14)), seed=seed)
+    if kind == "independent_set":
+        return independent_set(draw(st.integers(8, 14)), 0.3, seed=seed)
+    n = draw(st.integers(1, 8))
+    coefs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(
+        st.lists(st.tuples(coefs, st.sampled_from((LE, GE)), st.integers(-3, 6)), max_size=4)
+    )
+    constraints = [
+        LinearConstraint(
+            f"r{i}", {j: float(a) for j, a in enumerate(row) if a} or {0: 1.0}, relation, rhs
+        )
+        for i, (row, relation, rhs) in enumerate(rows)
+    ]
+    objective = {j: float(c) for j, c in enumerate(draw(coefs)) if c}
+    variables = [Variable(f"x{j}", BINARY) for j in range(n)]
+    return make_model("rows", MINIMIZE, variables, constraints, objective)
+
+
+def _assert_bound_rule(res, optimum):
+    """A result's dual bound is below its incumbent and the true optimum, and
+    a proof matches the enumeration."""
+    if res.incumbent is not None:
+        assert res.dual_bound <= res.incumbent.objective
+    if optimum is not None:
+        assert res.dual_bound <= optimum + 1e-9
+    if res.status == OPTIMAL:
+        assert abs(res.incumbent.objective - optimum) <= 1e-9
+    if res.status == INFEASIBLE:
+        assert optimum is None and res.incumbent is None
+        assert res.dual_bound == float("inf")
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(small_binary_models())
+# full searches of 6 and 36 nodes that a node limit at that count stops with
+# open nodes that the incumbent prunes: a proof, bound -58 and -181
+@example(independent_set(14, 0.3, seed=1))
+@example(knapsack(12, seed=6))
+# a deadline on its one node leaves nothing open: infeasible, bound inf
+@example(_infeasible_toy())
+def test_every_node_limit_bounds_the_optimum_and_the_full_count_proves_it(model):
+    optimum = binary_optimum(model)
+    full = solve_mip(model, budget=SolveBudget(node_limit=1 << 20))
+    assert full.status == (INFEASIBLE if optimum is None else OPTIMAL)
+    for limit in range(1, full.nodes + 1):
+        res = solve_mip(model, budget=SolveBudget(node_limit=limit))
+        assert res.nodes == limit
+        _assert_bound_rule(res, optimum)
+    assert res.status == full.status
+    # a simulated deadline that lands on the last node stops the search
+    # where the node limit does
+    clock = SimulatedClock(1.0)
+    res = solve_mip(model, budget=SolveBudget(wall_seconds=float(full.nodes)), clock=clock)
+    assert res.nodes == full.nodes and clock.now() == full.nodes
+    _assert_bound_rule(res, optimum)
+    assert res.status == full.status
 
 
 def test_seed_determinism_with_node_limit():
@@ -265,9 +339,9 @@ def test_failed_warm_node_lp_is_retried_cold(monkeypatch):
     real = lp._solve_from
     starts = []
 
-    def solve_from(system, stop, *warm):
-        status, tab = real(system, stop, *warm)
-        starts.append(bool(warm))
+    def solve_from(system, stop, warm):
+        status, tab = real(system, stop, warm)
+        starts.append(warm is not None)
         return (LP_UNBOUNDED if len(starts) == 2 else status), tab
 
     monkeypatch.setattr(lp, "_solve_from", solve_from)
@@ -300,16 +374,7 @@ def test_node_lp_failing_once_is_dropped_and_the_search_goes_on(monkeypatch):
 
 
 def test_dropped_node_never_claims_infeasibility(monkeypatch):
-    model = make_model(
-        "inf",
-        MINIMIZE,
-        [Variable("x", BINARY)],
-        [
-            LinearConstraint("ge", {0: 1.0}, GE, 1.0),
-            LinearConstraint("le", {0: 1.0}, LE, 0.0),
-        ],
-        {0: 1.0},
-    )
+    model = _infeasible_toy()
     _failing_lp(monkeypatch, {1})
     res = solve_mip(model, budget=SolveBudget(wall_seconds=10.0))
     assert res.status == UNKNOWN
@@ -389,12 +454,12 @@ def test_open_list_past_the_inverse_cap_finds_the_same_optimum(monkeypatch):
         monkeypatch.setattr(parlns.subsolver, "solve_relaxation", solve)
         monkeypatch.setattr(parlns.subsolver, "_OPEN_INVERSE_BYTES", cap)
         res = solve_mip(model, budget=SolveBudget(wall_seconds=60.0))
-        return res, [len(w) for w in warms if w is not None]
+        return res, [w.binv is not None for w in warms if w is not None]
 
-    uncapped, warm_sizes = search(1 << 30)
-    assert warm_sizes and set(warm_sizes) == {4}
-    capped, warm_sizes = search(8 * 8)  # room for eight 1x1 inverses
-    assert {2, 4} <= set(warm_sizes)  # children past the cap carry no inverse
+    uncapped, with_inverse = search(1 << 30)
+    assert with_inverse and set(with_inverse) == {True}
+    capped, with_inverse = search(8 * 8)  # room for eight 1x1 inverses
+    assert {False, True} <= set(with_inverse)  # children past the cap carry no inverse
     assert capped.status == uncapped.status == OPTIMAL
     assert capped.incumbent.objective == uncapped.incumbent.objective
     assert capped.dual_bound == pytest.approx(uncapped.dual_bound)
