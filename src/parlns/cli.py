@@ -53,6 +53,11 @@ _MANIFEST_TYPES = {
 
 CORE_CAP_ENV = "PARLNS_CORE_CAP"
 
+# per command, the options that must be at least 1, and the budgets that must
+# be positive and finite: a run has no other way to stop than its budget
+_AT_LEAST_ONE = {"gen-configs": ("size",), "simulate": ("runs", "n"), "repro": ("scale", "pool_size", "runs")}
+_POSITIVE_FINITE = {"solve": ("seconds", "node_seconds"), "repro": ("wall", "node_seconds")}
+
 
 def default_core_cap() -> int:
     """The cores this process may run on (its affinity set where the
@@ -277,9 +282,9 @@ def _repro_instances(seed: int):
 def cmd_repro(args) -> int:
     """Scaled-down end-to-end methodology run under the simulated clock."""
     scale = args.scale
-    pool_size = args.pool_size or max(6, round(180 / scale))
-    runs = args.runs or max(20, round(1000 / scale))
-    wall = args.wall or max(2.0, 3600.0 / scale / 60.0)
+    pool_size = max(6, round(180 / scale)) if args.pool_size is None else args.pool_size
+    runs = max(20, round(1000 / scale)) if args.runs is None else args.runs
+    wall = max(2.0, 3600.0 / scale / 60.0) if args.wall is None else args.wall
     out_dir = Path(args.out_dir)
     trace_dir = out_dir / "traces"
     pool = configspace.generate_pool(pool_size, args.seed)
@@ -395,22 +400,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "gen-configs":
-        if args.size < 1:
-            parser.error("--size must be >= 1")
-        if args.size > configspace.POOL_SIZE_CAP:
-            parser.error(f"--size exceeds the sanity cap of {configspace.POOL_SIZE_CAP}")
-    if args.command == "solve":
-        # a solve has no other way to stop than its budget
-        if not _positive_finite(args.seconds):
-            parser.error("--seconds must be positive and finite")
-        if not _positive_finite(args.node_seconds):
-            parser.error("--node-seconds must be positive and finite")
-    if args.command == "simulate":
-        if args.runs < 1:
-            parser.error("--runs must be >= 1")
-        if args.n < 1:
-            parser.error("--n must be >= 1")
+    # all before any work; an option left out (None) takes its default
+    for dest in _AT_LEAST_ONE.get(args.command, ()):
+        if getattr(args, dest) is not None and getattr(args, dest) < 1:
+            parser.error(f"--{dest.replace('_', '-')} must be >= 1")
+    for dest in _POSITIVE_FINITE.get(args.command, ()):
+        if getattr(args, dest) is not None and not _positive_finite(getattr(args, dest)):
+            parser.error(f"--{dest.replace('_', '-')} must be positive and finite")
+    if args.command == "gen-configs" and args.size > configspace.POOL_SIZE_CAP:
+        parser.error(f"--size exceeds the sanity cap of {configspace.POOL_SIZE_CAP}")
 
     try:
         if args.command == "gen-configs":

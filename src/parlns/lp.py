@@ -1,11 +1,12 @@
 """Bounded-variable simplex for LP relaxations.
 
-Dense revised simplex over a model's ``LpRelaxation``: ``[A, I]``, one slack
-column per row; a model without rows has no basic columns at all. A solve
-makes at most two starts: the caller's ``warm`` start, an earlier optimal
-``LpResult`` as a branch-and-bound child starts from its parent's, and then
-the all-slack basis, which is never singular; without a warm start only the
-second. The earlier relaxation may have fewer rows: a sub-MIP appends its
+Dense revised simplex over ``[A, I]``, of which a model's ``LpRelaxation``
+holds the rows ``A`` only: row i's slack is column n + i, coefficient 1. A
+model without rows has no basic columns at all. A solve makes at most two
+starts: the caller's ``warm`` start, an earlier optimal ``LpResult`` as a
+branch-and-bound child starts from its parent's, and then the all-slack
+basis, which is never singular; without a warm start only the second. The
+earlier relaxation may have fewer rows: a sub-MIP appends its
 local-branching or proximity row to the worker's base rows, so the base rows
 keep their slack columns' indices and the appended rows' slacks join the
 basis.
@@ -23,9 +24,8 @@ that rounding drift stays bounded; once at the optimum of a slack start,
 whose inverse every warm start below it shares; and for a warm start without
 its inverse.
 
-The slack block of ``[A, I]`` is the identity, so a pivot row or reduced
-costs, ``y @ [A, I]``, cost one product with the structural block, and an
-entering slack's column ``B^-1 e_i`` is a column of the inverse.
+A pivot row or reduced costs, ``y @ [A, I]``, cost one product with ``A``,
+and an entering slack's column ``B^-1 e_i`` is a column of the inverse.
 
 Each nonbasic column goes to the bound its reduced cost prefers. Where that
 bound is infinite the column goes to its other bound (a free column sits at
@@ -133,7 +133,7 @@ def solve_relaxation(
 
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
-    system = (relax.A_full, relax.b, relax.c_full, lower_full, upper_full)
+    system = (relax.A, relax.b, relax.c_full, lower_full, upper_full)
 
     iterations = 0
     for start in ([] if warm is None else [warm]) + [None]:
@@ -147,7 +147,7 @@ def solve_relaxation(
             x = tab.x
             x[tab.basis] = tab.xb
             # sanity: a reported optimum must actually satisfy the system
-            residual = np.abs(relax.A_full @ x - relax.b).max(initial=0.0)
+            residual = np.abs(relax.A @ x[:n] + x[n:] - relax.b).max(initial=0.0)
             off_bounds = np.maximum(lower_full - x, x - upper_full).max(initial=0.0)
             if residual <= _FEAS_TOL and off_bounds <= 1e-6:
                 break
@@ -172,11 +172,11 @@ def solve_relaxation(
 
 
 class _Tableau:
-    """The mutable state of one simplex start over ``A = [A_struct, I]``.
+    """The mutable state of one simplex start over ``[A, I]``, holding ``A``.
 
     ``x`` holds the nonbasic columns' values; the basic columns' values and
     bounds live in basis order in ``xb``, ``lb`` and ``ub``, and ``x`` holds
-    them only after a refactor or where a caller writes them back. ``moves``
+    them only where a caller writes them back. ``moves``
     is the way each column may move off its position (``_MOVES``), zero for
     a basic, free or fixed column; ``start`` sets it from ``pos`` and every
     pivot and bound flip keeps it. The start pivots until ``limit`` or until
@@ -188,9 +188,8 @@ class _Tableau:
         self.b = b
         self.lower = lower
         self.upper = upper
-        self.m, self.n_cols = A.shape
-        self.n = self.n_cols - self.m
-        self.A_struct = A[:, : self.n]
+        self.m, self.n = A.shape
+        self.n_cols = self.n + self.m
         # fixed columns (equality slacks) may never enter the basis
         self.enterable = (upper - lower) > _PIVOT_TOL
         self.pos = np.zeros(self.n_cols, dtype=np.int8)  # _AT_LOWER
@@ -204,29 +203,30 @@ class _Tableau:
         """Nonbasic columns at ``x``, which is zero at the basic ones; the
         basic columns' values follow from the rows."""
         self.x = x
-        self.xb = self.binv @ (self.b - self.A_struct @ x[: self.n] - x[self.n :])
+        self.xb = self.basic_values()
         self.lb = self.lower[self.basis]
         self.ub = self.upper[self.basis]
         self.moves = np.where(self.enterable, _MOVES[self.pos], 0.0)
 
+    def basic_values(self):
+        """The basic columns' values, from ``x`` zero at the basic ones."""
+        return self.binv @ (self.b - self.A @ self.x[: self.n] - self.x[self.n :])
+
     def refactor(self):
-        self.x[self.basis] = self.xb
-        B = self.A[:, self.basis]
-        self.binv = _invert(B)
-        nonbasic_part = self.b - self.A @ self.x + B @ self.x[self.basis]
-        self.xb = self.binv @ nonbasic_part
+        self.binv = _invert(self.A, self.basis)
+        self.x[self.basis] = 0.0
+        self.xb = self.basic_values()
         self.since_refactor = 0
 
     def price(self, y):
-        """``y @ A``: the slack block is the identity, so only the structural
-        block costs a product."""
-        return np.concatenate([y @ self.A_struct, y])
+        """``y @ [A, I]``, one product with ``A``."""
+        return np.concatenate([y @ self.A, y])
 
     def column(self, j):
-        """``binv @ A[:, j]``: a slack column is a unit vector."""
+        """``binv @ [A, I][:, j]``: a slack column is a unit vector."""
         if j >= self.n:
             return self.binv[:, j - self.n].copy()  # a pivot writes binv
-        return self.binv @ self.A_struct[:, j]
+        return self.binv @ self.A[:, j]
 
     def pivot(self, j, r, w, step, to_upper):
         """Column j, whose column is ``w``, enters in row r by ``step``; the
@@ -257,59 +257,58 @@ class _Tableau:
             self.binv = updated.T  # binv was not contiguous and BLAS worked on a copy
 
 
-def _invert(B):
-    """Inverse of a basis matrix whose columns are mostly unit vectors.
+def _invert(A, basis):
+    """Inverse of the basis B of ``basis``'s columns of ``[A, I]``.
 
-    Slack columns have one nonzero each. Ordering their rows and columns
-    last makes B block lower triangular, [[P, 0], [Q, D]] with D diagonal,
-    so only the square block P of the other columns needs a dense inverse.
-    Raises LinAlgError when B is singular.
+    A basic slack is a unit column. Ordering the slacks' rows and columns
+    last makes B block lower triangular, [[P, 0], [Q, I]], so only the block
+    P of the structural columns needs a dense inverse. Raises LinAlgError
+    when P is singular or not square (a slack basic twice).
     """
-    m = B.shape[0]
-    is_unit = np.count_nonzero(B, axis=0) == 1
-    unit_cols = np.flatnonzero(is_unit)
-    unit_rows = np.argmax(B[:, unit_cols] != 0, axis=0)
+    m, n = A.shape
+    is_slack = basis >= n
+    slack_cols = np.flatnonzero(is_slack)
+    slack_rows = basis[slack_cols] - n
     row_taken = np.zeros(m, dtype=bool)
-    row_taken[unit_rows] = True
-    if np.count_nonzero(row_taken) < unit_rows.size:
-        raise np.linalg.LinAlgError("two basic unit columns share a row")
-    other_cols = np.flatnonzero(~is_unit)
+    row_taken[slack_rows] = True
+    other_cols = np.flatnonzero(~is_slack)
     other_rows = np.flatnonzero(~row_taken)
-    diag = B[unit_rows, unit_cols]
+    structural = basis[other_cols]
+    p_inv = np.linalg.inv(A[np.ix_(other_rows, structural)])
     binv = np.zeros((m, m))
-    binv[unit_cols, unit_rows] = 1.0 / diag
-    if other_cols.size:
-        p_inv = np.linalg.inv(B[np.ix_(other_rows, other_cols)])
-        binv[np.ix_(other_cols, other_rows)] = p_inv
-        q = B[np.ix_(unit_rows, other_cols)]
-        binv[np.ix_(unit_cols, other_rows)] = -(q @ p_inv) / diag[:, None]
+    binv[slack_cols, slack_rows] = 1.0
+    binv[np.ix_(other_cols, other_rows)] = p_inv
+    binv[np.ix_(slack_cols, other_rows)] = -(A[np.ix_(slack_rows, structural)] @ p_inv)
     return binv
 
 
-def _extended_inverse(binv, appended):
-    """The inverse of ``[[B, 0], [R, I]]`` from ``binv``, B's inverse, and
-    ``appended``, R: B's columns in the rows appended below B, whose slacks
-    are the new basic columns. It is ``[[binv, 0], [-R binv, I]]``: a copy of
-    ``binv`` when no row was appended."""
-    m, k = binv.shape[0], appended.shape[0]
+def _extended_inverse(binv, basis, appended):
+    """The inverse of ``[[B, 0], [R, I]]`` from ``binv``, the inverse of the
+    basis B of ``basis``'s columns, and ``appended``, rows of ``A`` below B's
+    whose slacks are the new basic columns; R is B's columns in those rows,
+    zero at its slacks. It is ``[[binv, 0], [-R binv, I]]``."""
+    m, (k, n) = binv.shape[0], appended.shape
     if not k:
         return binv.copy()
+    structural = basis < n
+    R = np.zeros((k, m))
+    R[:, structural] = appended[:, basis[structural]]
     out = np.empty((m + k, m + k))
     out[:m, :m] = binv
     out[:m, m:] = 0.0
-    np.matmul(-appended, binv, out=out[m:, :m])
+    np.matmul(-R, binv, out=out[m:, :m])
     out[m:, m:] = np.eye(k)
     return out
 
 
 def _solve_from(system, stop, warm):
-    """Solve ``system`` = (A, b, c, lower, upper) from a start basis; returns
-    (status, tableau), status None as in ``_dual_optimize`` or when the
-    start basis is singular.
+    """Solve ``system`` = (A, b, c, lower, upper), ``c`` and the bounds over
+    ``[A, I]``, from a start basis; returns (status, tableau), status None as
+    in ``_dual_optimize`` or when the start basis is singular.
 
     The start basis is the basis of ``warm``, an optimal ``LpResult``,
-    extended by the slacks of the rows appended since (the last columns of
-    ``A``), or the all-slack basis when ``warm`` is None. Its inverse is
+    extended by the slacks of the rows appended since (the last slack
+    columns), or the all-slack basis when ``warm`` is None. Its inverse is
     ``warm.binv``, which has taken ``warm.since_refactor`` pivots, extended
     by ``_extended_inverse``; only a ``warm`` without ``binv`` is inverted.
     Each nonbasic column sits at the bound its reduced cost prefers. Where
@@ -334,13 +333,13 @@ def _solve_from(system, stop, warm):
         tab.basis = np.concatenate([warm.basis, slacks])
         if warm.binv is None:
             try:
-                tab.binv = _invert(A[:, tab.basis])
+                tab.binv = _invert(A, tab.basis)
             except np.linalg.LinAlgError:
                 return None, tab
             if not np.isfinite(tab.binv).all():
                 return None, tab
         else:
-            tab.binv = _extended_inverse(warm.binv, A[kept:, warm.basis])
+            tab.binv = _extended_inverse(warm.binv, warm.basis, A[kept:])
             tab.since_refactor = warm.since_refactor
     d = c - tab.price(c[tab.basis] @ tab.binv)
 
@@ -423,7 +422,7 @@ def _dual_optimize(tab, c, d):
         # its bound as they move off their own bound the way ``moves`` allows,
         # and a free column, whose reduced cost is zero, moves either way
         y = tab.binv[r]
-        np.matmul(y, tab.A_struct, out=alpha_struct)
+        np.matmul(y, tab.A, out=alpha_struct)
         alpha_slack[:] = y
         moved = moves * alpha
         candidates = (moved < -_PIVOT_TOL) if rise else (moved > _PIVOT_TOL)

@@ -4,9 +4,9 @@ Models are normalized to minimization on construction; objectives stated as
 maximization are negated once and un-negated only at reporting boundaries
 (see :meth:`MipModel.to_external_objective`). A model's one numeric form is
 its read-only :class:`LpRelaxation`, built on first use; ``evaluate`` and the
-LP read it. A sub-problem is only its arrays: ``apply_neighborhood`` derives
-them from the model's, and an ``LpRelaxation``'s ``relaxation`` is itself, so
-``evaluate`` and the LP take either.
+LP read it, and only the LP knows the rows' slack columns. A sub-problem is
+only its arrays: ``apply_neighborhood`` derives them from the model's, and an
+``LpRelaxation``'s ``relaxation`` is itself, so both take either.
 """
 
 from dataclasses import dataclass, field, replace
@@ -90,17 +90,17 @@ class NeighborhoodSpec:
 class LpRelaxation:
     """A model's dense arrays, its LP relaxation plus an integer mask, all
     read-only so that sub-problems and solves share them without copying.
-    ``A_full`` carries one slack column per row, so B&B nodes swap only bounds."""
+    Row i is ``A[i] @ x + s_i = b[i]``, its slack ``s_i`` implicit and bounded
+    by ``slack_lower[i]`` and ``slack_upper[i]``, so B&B nodes swap only bounds."""
 
     c: np.ndarray
     offset: float
-    A_full: np.ndarray
+    A: np.ndarray
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     slack_lower: np.ndarray
     slack_upper: np.ndarray
-    n_structural: int
     integer: np.ndarray
 
     def __post_init__(self):
@@ -113,9 +113,13 @@ class LpRelaxation:
         """Itself: code that takes a model or its arrays reads ``.relaxation``."""
         return self
 
+    @property
+    def n_structural(self) -> int:
+        return self.A.shape[1]
+
     @cached_property
     def c_full(self) -> np.ndarray:
-        """The costs of ``A_full``'s columns: the slacks cost nothing."""
+        """The costs of the structural columns, then the slacks' zero costs."""
         c_full = np.concatenate([self.c, np.zeros(self.b.shape[0])])
         c_full.flags.writeable = False
         return c_full
@@ -292,23 +296,22 @@ def _dense(coefficients: dict[int, float], n: int) -> np.ndarray:
 
 def _rows(rows, n: int, above: LpRelaxation | None = None) -> dict:
     """``LpRelaxation`` row fields: ``above``'s rows as they are, then the
-    ``(coefficients, relation, rhs)`` rows; one slack column per row."""
+    ``(coefficients, relation, rhs)`` rows; one slack per row."""
     A = np.array([_dense(coefficients, n) for coefficients, _, _ in rows] or np.zeros((0, n)))
     b = np.array([rhs for _, _, rhs in rows], dtype=float)
     slack = np.array([_SLACK_BOUNDS[relation] for _, relation, _ in rows]).reshape(-1, 2).T
     if above is not None:
-        A = np.vstack([above.A_full[:, :n], A])
+        A = np.vstack([above.A, A])
         b = np.concatenate([above.b, b])
         slack = np.hstack([(above.slack_lower, above.slack_upper), slack])
-    A_full = np.hstack([A, np.eye(len(A))])
-    return {"A_full": A_full, "b": b, "slack_lower": slack[0], "slack_upper": slack[1]}
+    return {"A": A, "b": b, "slack_lower": slack[0], "slack_upper": slack[1]}
 
 
 def relaxation_from_dicts(model: MipModel) -> LpRelaxation:
     """Build a model's arrays from its dicts; ``MipModel.relaxation`` caches it."""
     n, variables = model.n_vars, model.variables
     return LpRelaxation(
-        c=_dense(model.objective, n), offset=model.objective_offset, n_structural=n,
+        c=_dense(model.objective, n), offset=model.objective_offset,
         lower=np.array([v.lower for v in variables], dtype=float),
         upper=np.array([v.upper for v in variables], dtype=float),
         integer=np.array([v.kind != CONTINUOUS for v in variables], dtype=bool),
@@ -326,11 +329,11 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
     if len(values) != relax.n_structural:
         raise DimensionMismatch(f"expected {relax.n_structural} values, got {len(values)}")
     x = np.array(values, dtype=float)
-    activity = relax.A_full[:, : relax.n_structural] @ x  # in [b - slack_upper, b - slack_lower]
+    activity = relax.A @ x  # in [b - slack_upper, b - slack_lower]
     feasible = not (
-        (x < relax.lower - BOUND_TOL).any() or (x > relax.upper + BOUND_TOL).any()
-        or (activity > relax.b - relax.slack_lower + FEASIBILITY_TOL).any()
-        or (activity < relax.b - relax.slack_upper - FEASIBILITY_TOL).any()
+        np.count_nonzero((x < relax.lower - BOUND_TOL) | (x > relax.upper + BOUND_TOL))
+        or np.count_nonzero((activity > relax.b - relax.slack_lower + FEASIBILITY_TOL)
+                            | (activity < relax.b - relax.slack_upper - FEASIBILITY_TOL))
     )
     discrete = x[relax.integer]
     integral = bool((np.abs(discrete - np.rint(discrete)) <= INTEGRALITY_TOL).all())

@@ -5,12 +5,12 @@ A backend is a ``Backend`` pair of calls, ``solve_mip`` and
 ``run_worker`` or ``run_portfolio``; ``get_backend`` knows only the
 reference one. A backend gets a ``MipModel`` (the first-feasible call) or a
 sub-problem's ``LpRelaxation`` (every repair) and reads ``.relaxation`` from
-either: costs, ``[A, I]``, right-hand sides, variable and slack bounds and the
-integer mask. The reference backend is a deterministic single-threaded
-best-bound search over those shared arrays with depth-first plunging until
-the first incumbent, most-fractional branching (ties to the lowest index),
-and cooperative cancellation checked at node boundaries and before every
-simplex pivot. It closes once the gap falls to ``_GAP_LIMIT``, and its
+either: costs, the rows ``A`` (their slacks implicit), right-hand sides,
+variable and slack bounds and the integer mask. The reference backend is a
+deterministic single-threaded best-bound search over those shared arrays
+with depth-first plunging until the first incumbent, most-fractional
+branching (ties to the lowest index), and cooperative cancellation checked
+at node boundaries and before every simplex pivot. It closes once the gap falls to ``_GAP_LIMIT``, and its
 status and dual bound are read from its open list (``solve_mip``). A warm
 start is an optimal ``LpResult``, with or without its basis inverse: the
 root LP starts from the caller's ``root_basis`` when one is given (the

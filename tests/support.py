@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
-enumeration for LPs, a dict-loop ``evaluate`` for the array one, a whole
+enumeration for LPs, the dense ``[A, I]`` whose slack block the LP keeps
+implicit, a dict-loop ``evaluate`` for the array one, a whole
 sub-model built from dicts for ``apply_neighborhood``'s derived arrays, a
 dense gap grid for the simulator's subset scores, a ``csv.reader`` over the
 open file and a ``pathlib`` listing for the trace database loader, and
@@ -124,6 +125,12 @@ def assert_same_arrays(got: LpRelaxation, want: LpRelaxation):
             assert a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
+
+
+def with_slacks(A) -> np.ndarray:
+    """``[A, I]``: the structural rows ``A`` with row i's slack as column
+    n + i, stored, as the LP's basis inverse must see them."""
+    return np.hstack([A, np.eye(A.shape[0])])
 
 
 def most_fractional_oracle(values, int_indices):

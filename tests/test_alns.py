@@ -299,9 +299,9 @@ def test_worker_inverts_a_basis_only_to_refactor(monkeypatch):
     callers = []
     real_invert = parlns.lp._invert
 
-    def invert(B):
+    def invert(A, basis):
         callers.append(sys._getframe(1).f_code.co_name)
-        return real_invert(B)
+        return real_invert(A, basis)
 
     node_lps = []
     real_relaxation = parlns.subsolver.solve_relaxation

@@ -460,6 +460,31 @@ REPRO_ARGS = ["--seed", "5", "--pool-size", "6", "--runs", "10", "--wall", "0.5"
               "--node-seconds", "0.002"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--scale", "0", ">= 1"),  # was a ZeroDivisionError traceback
+        ("--scale", "-5", ">= 1"),  # was accepted
+        ("--pool-size", "0", ">= 1"),  # 0 fell back to the default
+        ("--runs", "0", ">= 1"),
+        ("--runs", "-3", ">= 1"),  # was rejected only after every portfolio ran
+        ("--wall", "0", "positive and finite"),
+        ("--wall", "nan", "positive and finite"),
+        ("--wall", "inf", "positive and finite"),
+        ("--node-seconds", "0", "positive and finite"),
+        ("--node-seconds", "nan", "positive and finite"),
+    ],
+)
+def test_repro_rejects_a_bad_argument_before_any_work(tmp_path, capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(parlns.orchestrator, "run_portfolio", _search_started)
+    out_dir = tmp_path / "repro"
+    with pytest.raises(SystemExit) as err:
+        main(["repro", "--out-dir", str(out_dir), *REPRO_ARGS, flag, value])
+    assert err.value.code == 2
+    assert f"{flag} must be {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def repro_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("repro")

@@ -1,5 +1,12 @@
 import random
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from parlns import lp
+from parlns.instances import knapsack
 from parlns.lp import (
     LP_INFEASIBLE,
     LP_OPTIMAL,
@@ -17,7 +24,104 @@ from parlns.model import (
     make_model,
 )
 
-from support import _point_feasible, lp_vertex_optimum, random_lp
+from support import _point_feasible, lp_vertex_optimum, random_lp, with_slacks
+
+# small entries, mostly zero, so that some structural columns have one nonzero
+_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 3.0, 0.5])
+_KNAPSACK = knapsack(8, seed=1).relaxation.A
+
+
+@st.composite
+def rows(draw, m, n):
+    return np.array(draw(st.lists(_ENTRIES, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+
+@st.composite
+def bases(draw):
+    """Structural rows ``A`` and a basis: m distinct columns of ``[A, I]``,
+    slacks and structural columns mixed."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    A = draw(rows(m, n))
+    return A, np.array(draw(st.permutations(range(n + m)))[:m], dtype=np.int64)
+
+
+def _well_conditioned(A, basis):
+    return not len(basis) or np.linalg.cond(with_slacks(A)[:, basis]) < 1e6
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(bases())
+@example((np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))  # rowless
+@example((_KNAPSACK, np.array([2])))  # one row: a structural column with one nonzero
+@example((_KNAPSACK, np.array([8])))  # one row: its slack
+def test_invert_matches_the_inverse_of_the_dense_basis(case):
+    A, basis = case
+    assume(_well_conditioned(A, basis))
+    binv = lp._invert(A, basis)
+    dense = with_slacks(A)[:, basis]
+    _assert_close(binv, np.linalg.inv(dense))
+    _assert_close(binv @ dense, np.eye(len(basis)))
+
+
+@st.composite
+def singular_bases(draw):
+    """A basis whose structural column j is zero outside the rows of the basic
+    slacks, or which holds one slack twice."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = draw(rows(m, n)).copy()
+    if m > 1 and draw(st.booleans()):
+        slack = n + draw(st.integers(0, m - 1))
+        rest = [col for col in range(n + m) if col != slack]
+        return A, np.array([slack, slack] + draw(st.permutations(rest))[: m - 2], dtype=np.int64)
+    j = draw(st.integers(0, n - 1))
+    slack_rows = draw(st.lists(st.integers(0, m - 1), max_size=m - 1, unique=True))
+    others = [i for i in range(m) if i not in slack_rows]
+    A[others, j] = 0.0
+    rest = [col for col in range(n + m) if col != j and col - n not in slack_rows]
+    filler = draw(st.permutations(rest))[: m - 1 - len(slack_rows)]
+    return A, np.array([j] + [n + i for i in slack_rows] + filler, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(singular_bases())
+@example((np.zeros((1, 2)), np.array([0])))  # one row, a zero column
+@example((np.eye(2), np.array([0, 2])))  # a one-nonzero column and its row's slack
+def test_invert_rejects_a_singular_basis(case):
+    A, basis = case
+    assert np.linalg.matrix_rank(with_slacks(A)[:, basis]) < len(basis) or len(set(basis)) < len(basis)
+    with pytest.raises(np.linalg.LinAlgError):
+        lp._invert(A, basis)
+
+
+@st.composite
+def extended_bases(draw):
+    """A basis of some rows, as in ``bases``, and up to three rows appended
+    below them."""
+    A, basis = draw(bases())
+    return A, basis, draw(rows(draw(st.integers(0, 3)), A.shape[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(extended_bases())
+@example((np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.array([[1.0, 0.0, 2.0]])))
+@example((_KNAPSACK, np.array([2]), np.ones((1, 8))))
+def test_extended_inverse_matches_inverting_the_extended_basis(case):
+    A, basis, appended = case
+    assume(_well_conditioned(A, basis))
+    (m, n), k = A.shape, len(appended)
+    binv = lp._invert(A, basis)
+    extended = lp._extended_inverse(binv, basis, appended)
+    slacks = np.arange(n + m, n + m + k)
+    _assert_close(extended, lp._invert(np.vstack([A, appended]), np.concatenate([basis, slacks])))
+    if not k:
+        assert extended is not binv
 
 
 def test_box_only_model():

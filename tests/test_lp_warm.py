@@ -51,7 +51,7 @@ from parlns.model import (
 from parlns.operators import PROXIMITY, OperatorContext, OperatorSpec, build_neighborhood
 from parlns.subsolver import SolveBudget, find_first_feasible
 
-from support import lp_vertex_optimum
+from support import lp_vertex_optimum, with_slacks
 
 KINDS = ("box", "negative", "upper_only", "free")
 
@@ -327,10 +327,10 @@ def _packing_tableau(seed, pivots):
     """A packing LP's tableau at its slack basis, where x = 0 is feasible,
     allowed ``pivots`` pivots."""
     relax = build_relaxation(independent_set(30, 0.2, seed=seed))
-    m = relax.A_full.shape[0]
+    m = relax.A.shape[0]
     c = np.concatenate([relax.c, np.zeros(m)])
     tab = lp._Tableau(
-        relax.A_full,
+        relax.A,
         relax.b,
         np.concatenate([relax.lower, relax.slack_lower]),
         np.concatenate([relax.upper, relax.slack_upper]),
@@ -344,7 +344,7 @@ def _packing_tableau(seed, pivots):
 
 
 def _assert_inverse(tab):
-    product = tab.binv @ tab.A[:, tab.basis]
+    product = tab.binv @ with_slacks(tab.A)[:, tab.basis]
     assert np.max(np.abs(product - np.eye(tab.m))) <= 1e-9
 
 
@@ -520,7 +520,7 @@ def branching_chains(draw):
 
 def _assert_carried_inverse(res, relax):
     """The carried inverse is the inverse of the result's basis."""
-    product = res.binv @ relax.A_full[:, res.basis]
+    product = res.binv @ with_slacks(relax.A)[:, res.basis]
     assert np.max(np.abs(product - np.eye(len(res.basis)))) <= 1e-9
     assert res.since_refactor <= lp._REFACTOR_EVERY
 
@@ -597,9 +597,9 @@ def test_appended_rows_extend_the_inverse_in_closed_form():
         LinearConstraint("cover", {j: float(j % 3 + 1) for j in range(n)}, GE, 2.0),
     )
     sub = build_relaxation(apply_neighborhood(base, NeighborhoodSpec(extra_constraints=rows)))
-    extended = lp._extended_inverse(root.binv, sub.A_full[m:, root.basis])
+    extended = lp._extended_inverse(root.binv, root.basis, sub.A[m:])
     basis = np.concatenate([root.basis, [n + m, n + m + 1]])
-    assert np.max(np.abs(extended - lp._invert(sub.A_full[:, basis]))) <= 1e-9
+    assert np.max(np.abs(extended - lp._invert(sub.A, basis))) <= 1e-9
     res = solve_relaxation(sub, warm=root)
     cold = solve_relaxation(sub)
     assert res.status == cold.status == LP_OPTIMAL

@@ -125,11 +125,11 @@ def test_apply_neighborhood_adds_constraint():
     extra = LinearConstraint("cap", {0: 1.0, 1: 1.0}, LE, 1.0)
     derived = apply_neighborhood(model, NeighborhoodSpec(extra_constraints=(extra,)))
     n, m = model.n_vars, len(model.constraints)
-    assert derived.A_full.shape == (m + 1, n + m + 1)
-    assert derived.A_full[m].tolist() == [1.0, 1.0, 0.0, 1.0]
+    assert derived.A.shape == (m + 1, n)
+    assert derived.A[m].tolist() == [1.0, 1.0]
     assert derived.b[m] == 1.0
     assert (derived.slack_lower[m], derived.slack_upper[m]) == (0.0, INF)
-    assert np.array_equal(derived.A_full[:m, : n + m], model.relaxation.A_full)
+    assert np.array_equal(derived.A[:m], model.relaxation.A)
 
 
 def test_apply_neighborhood_rejects_conflicting_fixing():

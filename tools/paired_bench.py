@@ -15,7 +15,9 @@ Both runs of a pair see the same machine state, so the pair's ratio
 For every metric a run prints (the end-to-end ones with `--trace 0`, the
 per-layer ones with `--trace 1`) it prints the per-pair ratios, their median,
 in how many pairs CHANGE was better (the direction comes from BENCHMARK.json),
-and the median and quartiles of each side. It also says whether both runs of
+in how many pairs the run that went first read worse (a run-order bias shows
+up here whichever side it lands on), and the median and quartiles of each
+side. It also says whether both runs of
 each pair printed the same output checksum, which they do when CHANGE keeps
 the search path. The exit code is 1 when a run fails or its output checks
 do not hold.
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         runs = {side: run_once(checkouts[side], args.workload, seed, args.seconds, args.trace) for side in order}
         ok &= all(run["correct"] for run in runs.values())
-        pairs.append((seed, order[0], runs))
+        pairs.append((seed, order, runs))
         base, change = runs["base"], runs["change"]
         same = "same" if base["checksum"] == change["checksum"] else "DIFFERENT"
         print(
@@ -101,13 +103,18 @@ def main(argv=None) -> int:
         values = {side: [runs[side]["metrics"][name]["value"] for _, _, runs in pairs] for side in SIDES}
         ratios = [c / b for b, c in zip(values["base"], values["change"]) if b]
         direction = better.get(name, "higher")
-        wins = sum(
-            (c > b) if direction == "higher" else (c < b)
-            for b, c in zip(values["base"], values["change"])
+
+        def worse(a, b):
+            return a < b if direction == "higher" else a > b
+
+        wins = sum(worse(b, c) for b, c in zip(values["base"], values["change"]))
+        first_worse = sum(
+            worse(*(runs[side]["metrics"][name]["value"] for side in order)) for _, order, runs in pairs
         )
         summary[name] = {
             "median_ratio": statistics.median(ratios) if ratios else None,
             "change_better": wins,
+            "first_worse": first_worse,
             "pairs": len(pairs),
             **{f"{side}_quartiles": quartiles(values[side]) for side in SIDES},
         }
@@ -115,7 +122,7 @@ def main(argv=None) -> int:
         print(
             f"  {name} ({direction} is better): median ratio "
             f"{summary[name]['median_ratio'] if ratios else float('nan'):.4f}, "
-            f"change better in {wins} of {len(pairs)}; "
+            f"change better in {wins} of {len(pairs)}, first run worse in {first_worse}; "
             + "; ".join(f"{side} median {q[side][1]:.6g} (quartiles {q[side][0]:.6g}/{q[side][2]:.6g})" for side in SIDES)
         )
     print(json.dumps({"correct": ok, "workload": args.workload, "metrics": summary}))
