@@ -154,10 +154,12 @@ def run_worker(
     is ``solve_lp(model)``'s result when the caller has solved it, as
     ``run_portfolio`` does once for all its workers; without it the worker
     solves its own. Either way the root LP is charged as one node.
-    ``wall_seconds`` must be positive and finite.
+    ``wall_seconds`` must be positive and finite, and a reference finite.
     """
     if not (math.isfinite(wall_seconds) and wall_seconds > 0):
         raise ValueError(f"wall_seconds must be positive and finite, got {wall_seconds!r}")
+    if reference_objective is not None and not math.isfinite(reference_objective):
+        raise ValueError(f"reference_objective must be finite, got {reference_objective!r}")
     clock = clock or WallClock()
     backend = backend or get_backend()
     rng = random.Random(seed)

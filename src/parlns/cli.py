@@ -176,6 +176,9 @@ def _read_manifest(path: str) -> dict:
         # JSON's NaN and Infinity parse as floats; neither ends a run
         if key in manifest and not _positive_finite(manifest[key]):
             raise DataError(f"manifest key {key!r} must be positive and finite, got {manifest[key]!r}")
+    reference = manifest.get("reference_objective", 0.0)
+    if not math.isfinite(reference):
+        raise DataError(f"manifest key 'reference_objective' must be finite, got {reference!r}")
     if ("pool" in manifest) == ("configs" in manifest):
         raise DataError("manifest needs exactly one of 'pool' or 'configs'")
     return manifest
@@ -407,6 +410,9 @@ def main(argv=None) -> int:
     for dest in _POSITIVE_FINITE.get(args.command, ()):
         if getattr(args, dest) is not None and not _positive_finite(getattr(args, dest)):
             parser.error(f"--{dest.replace('_', '-')} must be positive and finite")
+    # a NaN reference turns every gap into min(1, nan) = 1
+    if args.command == "solve" and args.reference is not None and not math.isfinite(args.reference):
+        parser.error("--reference must be finite")
     if args.command == "gen-configs" and args.size > configspace.POOL_SIZE_CAP:
         parser.error(f"--size exceeds the sanity cap of {configspace.POOL_SIZE_CAP}")
 

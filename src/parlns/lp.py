@@ -15,7 +15,9 @@ An optimum carries its basis, column positions and basis inverse, read-only,
 and the pivots that inverse has taken since it was last factored; a warm
 start is such a result, with or without its inverse. One that carries it
 starts from a copy, so both children of a node share their parent's inverse
-and neither writes through it. Rows appended since extend it in closed form:
+and neither writes through it. An optimum also carries the reduced costs of
+its last pricing at that inverse, and a warm start from the inverse over the
+same costs starts from a copy of them instead of pricing again. Rows appended since extend it in closed form:
 with R the appended rows' entries in the basic columns, the inverse of
 ``[[B, 0], [R, I]]`` is ``[[B^-1, 0], [-R B^-1, I]]``. The slack basis starts
 from the identity. A basis is inverted (``_invert``) only to refactor: every
@@ -93,6 +95,10 @@ class LpResult:
     pos: np.ndarray | None = field(default=None, compare=False, repr=False)
     binv: np.ndarray | None = field(default=None, compare=False, repr=False)
     since_refactor: int = field(default=0, compare=False, repr=False)
+    # the read-only reduced costs of ``costs`` at that basis and inverse,
+    # from the optimum's last pricing; both None after a refactor
+    reduced_costs: np.ndarray | None = field(default=None, compare=False, repr=False)
+    costs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def build_relaxation(model: MipModel | LpRelaxation) -> LpRelaxation:
@@ -144,6 +150,7 @@ def solve_relaxation(
                 # a slack start's inverse carries every pivot of the solve, and
                 # every warm start below this optimum shares it: factor it afresh
                 tab.refactor()
+                tab.d = None  # priced with the inverse before the refactor
             x = tab.x
             x[tab.basis] = tab.xb
             # sanity: a reported optimum must actually satisfy the system
@@ -157,8 +164,9 @@ def solve_relaxation(
     if status != LP_OPTIMAL:
         return LpResult(status or LP_ITERATION_LIMIT, iterations=iterations)
 
-    for shared in (tab.basis, tab.pos, tab.binv):
-        shared.flags.writeable = False  # warm starts share them and copy them
+    for shared in (tab.basis, tab.pos, tab.binv, tab.d):
+        if shared is not None:
+            shared.flags.writeable = False  # warm starts share them and copy them
     return LpResult(
         LP_OPTIMAL,
         values=tuple(x[:n].tolist()),
@@ -168,6 +176,8 @@ def solve_relaxation(
         pos=tab.pos,
         binv=tab.binv,
         since_refactor=tab.since_refactor,
+        reduced_costs=tab.d,
+        costs=None if tab.d is None else relax.c_full,
     )
 
 
@@ -198,6 +208,7 @@ class _Tableau:
         self.iterations = 0
         self.degenerate = 0
         self.since_refactor = 0
+        self.d = None  # the primal simplex's last reduced costs
 
     def start(self, x):
         """Nonbasic columns at ``x``, which is zero at the basic ones; the
@@ -341,7 +352,10 @@ def _solve_from(system, stop, warm):
         else:
             tab.binv = _extended_inverse(warm.binv, warm.basis, A[kept:])
             tab.since_refactor = warm.since_refactor
-    d = c - tab.price(c[tab.basis] @ tab.binv)
+    if warm is not None and warm.binv is not None and warm.costs is c:
+        d = warm.reduced_costs.copy()  # priced at this basis and inverse
+    else:
+        d = c - tab.price(c[tab.basis] @ tab.binv)
 
     # a zero reduced cost keeps the earlier bound while that bound is finite
     keep = lower == -INF
@@ -497,6 +511,7 @@ def _optimize(tab, c, d=None):
             free = tab.pos == _FREE
             score[free] = -np.abs(d[free])
         bland = tab.degenerate >= _BLAND_AFTER
+        tab.d = d
         if bland:
             eligible = np.flatnonzero(score < -_COST_TOL)
             if eligible.size == 0:

@@ -386,3 +386,84 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
         _check_objective(objective, n)
         arrays.update(c=_dense(objective, n), offset=offset)
     return replace(base, **arrays)
+
+
+@dataclass(frozen=True)
+class Presolved:
+    """A sub-problem reduced to the columns its presolve left free:
+    ``relaxation`` holds their arrays, ``free`` their indices in the full
+    problem, and ``point`` the full problem's values of the columns it fixed,
+    zero at the free ones."""
+
+    relaxation: LpRelaxation
+    free: np.ndarray
+    point: np.ndarray
+
+    def lift(self, x) -> np.ndarray:
+        """The full-length point that is ``x`` at the free columns."""
+        full = self.point.copy()
+        full[self.free] = x
+        return full
+
+
+def presolve(relax: LpRelaxation) -> Presolved:
+    """Reduce a sub-problem to its free columns (Achterberg et al. 2020).
+
+    The fixed columns go, their activity moved into ``b`` and their cost
+    into the offset; when every column is fixed, the last one stays, so the
+    reduction is an LP. A row left with one column becomes that column's
+    bounds, rounded inward by ``INTEGRALITY_TOL`` on an integer column, and
+    a row whose activity over the columns' box cannot leave its slack range
+    (to ``FEASIBILITY_TOL``) goes. A row over a column with an infinite
+    bound always stays, so no ``0 * inf`` is formed. Bounds that cross, or a
+    row without columns that its slack range cannot meet, make the
+    sub-problem infeasible: every column then gets the empty box [1, 0],
+    which the LP rejects before its first pivot.
+    """
+    fixed = (relax.lower == relax.upper) & np.isfinite(relax.lower)
+    point = np.where(fixed, relax.lower, 0.0)
+    free = np.flatnonzero(~fixed)
+    if not free.size:
+        free = np.array([relax.n_structural - 1])
+        point[free] = 0.0
+    A = relax.A[:, free]
+    b = relax.b - relax.A @ point
+    lower, upper, integer = relax.lower[free], relax.upper[free], relax.integer[free]
+
+    # the activity A[i] @ x that row i allows
+    least, most = b - relax.slack_upper, b - relax.slack_lower
+    nonzero = A != 0.0
+    count = np.count_nonzero(nonzero, axis=1)
+    single = np.flatnonzero(count == 1)
+    if single.size:
+        j = nonzero[single].argmax(axis=1)
+        a = A[single, j]
+        lo = np.where(a > 0, least[single], most[single]) / a
+        up = np.where(a > 0, most[single], least[single]) / a
+        lo = np.where(integer[j], np.ceil(lo - INTEGRALITY_TOL), lo)
+        up = np.where(integer[j], np.floor(up + INTEGRALITY_TOL), up)
+        np.maximum.at(lower, j, lo)
+        np.minimum.at(upper, j, up)
+    crossed = np.count_nonzero(lower > upper + BOUND_TOL)
+    np.minimum(lower, upper, out=lower)
+
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    bounded = np.count_nonzero(nonzero[:, ~finite], axis=1) == 0
+    box_lower, box_upper = np.where(finite, lower, 0.0), np.where(finite, upper, 0.0)
+    positive, negative = np.maximum(A, 0.0), np.minimum(A, 0.0)
+    redundant = (
+        bounded
+        & (positive @ box_lower + negative @ box_upper >= least - FEASIBILITY_TOL)
+        & (positive @ box_upper + negative @ box_lower <= most + FEASIBILITY_TOL)
+    )
+    if crossed or np.count_nonzero(~redundant & (count == 0)):
+        lower, upper = np.ones(free.size), np.zeros(free.size)
+    redundant[single] = True
+    rows = np.flatnonzero(~redundant)
+    reduced = LpRelaxation(
+        c=relax.c[free], offset=relax.offset + float(relax.c @ point),
+        A=A[rows], b=b[rows], lower=lower, upper=upper,
+        slack_lower=relax.slack_lower[rows], slack_upper=relax.slack_upper[rows],
+        integer=integer,
+    )
+    return Presolved(reduced, free, point)

@@ -130,11 +130,14 @@ def run_portfolio(
     """Run every planned worker and aggregate gaps by pointwise minimum.
 
     ``reference_objective`` is the best-known objective in the model's stated
-    sense; when absent, the portfolio's own best is used for gap reporting.
+    sense, finite; when absent, the portfolio's own best is used for gap
+    reporting.
     """
     validate_plan(plan)
     if clock_mode not in (WALL, SIMULATED):
         raise ValueError(f"unknown clock mode {clock_mode!r}")
+    if reference_objective is not None and not math.isfinite(reference_objective):
+        raise ValueError(f"reference_objective must be finite, got {reference_objective!r}")
     reference_internal = (
         model.to_internal_objective(reference_objective)
         if reference_objective is not None

@@ -10,12 +10,18 @@ variable and slack bounds and the integer mask. The reference backend is a
 deterministic single-threaded best-bound search over those shared arrays
 with depth-first plunging until the first incumbent, most-fractional
 branching (ties to the lowest index), and cooperative cancellation checked
-at node boundaries and before every simplex pivot. It closes once the gap falls to ``_GAP_LIMIT``, and its
-status and dual bound are read from its open list (``solve_mip``). A warm
-start is an optimal ``LpResult``, with or without its basis inverse: the
-root LP starts from the caller's ``root_basis`` when one is given (the
-worker's base-model optimum with its inverse), and a child node's LP from
-its parent's result (dual simplex warm start); both children share the
+at node boundaries and before every simplex pivot. It closes once the gap
+falls to ``_GAP_LIMIT``, and its status and dual bound are read from its
+open list (``solve_mip``). A sub-problem that fixes a column is presolved to
+its free columns (``model.presolve``) unless the ``root_basis`` point lies
+in its box: the search then runs on the reduced arrays from the slack basis,
+and every integral point it finds is lifted back to full length and scored
+on the sub-problem. Inside the box the root basis stays primal feasible, and
+the full sub-problem is searched from it. A warm start is an optimal
+``LpResult``, with or without its basis inverse: the root LP starts from the
+caller's ``root_basis`` when the sub-problem is not presolved (the worker's
+base-model optimum with its inverse), and a child node's LP from its
+parent's result (dual simplex warm start); both children share the
 parent's read-only inverse. The open nodes hold at most
 ``_OPEN_INVERSE_BYTES`` of inverses: a child pushed past that carries its
 parent's result without the inverse and inverts the basis when popped. Each
@@ -33,7 +39,17 @@ import numpy as np
 
 from .clock import WallClock
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LP_STOPPED, build_relaxation, solve_relaxation
-from .model import INF, INTEGRALITY_TOL, LpRelaxation, MipModel, Solution, evaluate
+from .model import (
+    BOUND_TOL,
+    INF,
+    INTEGRALITY_TOL,
+    LpRelaxation,
+    MipModel,
+    Presolved,
+    Solution,
+    evaluate,
+    presolve,
+)
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -82,6 +98,21 @@ def _most_fractional(x, integer):
     return int(np.argmin(np.where(fractional, np.abs(frac - 0.5), INF)))
 
 
+def _presolve(relax: LpRelaxation, root_basis) -> Presolved | None:
+    """The presolved sub-problem, or None to search ``relax`` as it is: when
+    it fixes no column, or when the root point lies in its box, where the
+    root basis stays primal feasible and starts its root LP closer than a
+    cold start from the reduced rows would."""
+    lower, upper = relax.lower, relax.upper
+    if not np.count_nonzero(lower == upper):
+        return None
+    if root_basis is not None:
+        x = np.array(root_basis.values)
+        if not np.count_nonzero((x < lower - BOUND_TOL) | (x > upper + BOUND_TOL)):
+            return None
+    return presolve(relax)
+
+
 def solve_mip(
     model: MipModel | LpRelaxation,
     warm_start: Solution | None = None,
@@ -98,9 +129,13 @@ def solve_mip(
     on ``model`` and ignored unless feasible and integral. The search is
     deterministic, so it takes no seed. ``root_basis`` is an optimal
     ``LpResult`` over the same variables and a prefix of the model's rows,
-    with or without its basis inverse; the root LP starts from it.
-    ``stop_at_first`` ends the search at the first improving integral
-    solution.
+    with or without its basis inverse; the root LP starts from it. A model
+    that fixes a column is presolved (``model.presolve``) unless
+    ``root_basis`` is given and its point lies in the model's box: the
+    search then runs on the reduced model from its slack basis and lifts
+    each integral point to full length before scoring it on ``model``, so
+    an incumbent always has the model's length. ``stop_at_first`` ends the
+    search at the first improving integral solution.
 
     The result reads the open list: the dual bound is the least estimate
     over the open nodes and the dropped ones, capped by the incumbent. With
@@ -113,6 +148,10 @@ def solve_mip(
     clock = clock or WallClock()
     deadline = clock.now() + budget.wall_seconds
     relax = build_relaxation(model)
+    lift = np.asarray  # a point of the unpresolved model is already full length
+    presolved = _presolve(relax, root_basis)
+    if presolved is not None:
+        relax, root_basis, lift = presolved.relaxation, None, presolved.lift
 
     incumbent = None
     if warm_start is not None:
@@ -174,9 +213,9 @@ def solve_mip(
         point = np.array(res.values)
         branch_j = _most_fractional(point, relax.integer)
         if branch_j is None:
-            candidate = evaluate(model, np.where(relax.integer, np.round(point), point))
+            candidate = evaluate(model, lift(np.where(relax.integer, np.round(point), point)))
             if not (candidate.feasible and candidate.integral):
-                candidate = evaluate(model, res.values)
+                candidate = evaluate(model, lift(res.values))
             if candidate.feasible and candidate.integral and candidate.objective < best_obj:
                 if incumbent is None:
                     heapq.heapify(open_nodes)

@@ -334,6 +334,20 @@ def test_worker_rejects_a_budget_that_is_not_positive(wall):
         )
 
 
+@pytest.mark.parametrize("reference", [float("nan"), float("inf"), -float("inf")])
+def test_worker_rejects_a_reference_that_is_not_finite(monkeypatch, reference):
+    # a NaN reference made every gap min(1, nan) = 1
+    def search_started(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(parlns.alns, "solve_lp", search_started)
+    with pytest.raises(ValueError, match="reference_objective"):
+        run_worker(
+            knapsack(12, seed=2), DEFAULT_CONFIG, 1.0, seed=1, clock=SimulatedClock(0.001),
+            reference_objective=reference,
+        )
+
+
 def test_worker_with_a_given_root_solves_no_root_lp(monkeypatch):
     model = independent_set(30, 0.2, seed=5)
     root = parlns.alns.solve_lp(model)

@@ -118,6 +118,19 @@ def test_solve_budget_that_cannot_end_is_usage_error(tmp_path, capsys, monkeypat
     assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_reference_that_is_not_finite_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    # a NaN reference made every gap min(1, nan) = 1, printed as a result
+    monkeypatch.setattr(parlns.cli, "run_worker", _search_started)
+    instance = _write_instance(tmp_path, knapsack(12, seed=2))
+    args = ["solve", "--instance", str(instance), "--seconds", "1", "--clock", "simulated"]
+    args += [f"--reference={value}", "--out-dir", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "--reference must be finite" in capsys.readouterr().err
+
+
 def test_solve_infeasible_instance_exits_4(tmp_path):
     from parlns.model import BINARY, GE, LE, MINIMIZE, LinearConstraint, Variable, make_model
 
@@ -278,6 +291,21 @@ def test_portfolio_rejects_a_budget_that_cannot_end(tmp_path, capsys, monkeypatc
     code = main(["portfolio", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert f"manifest key {key!r} must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_portfolio_rejects_a_reference_that_is_not_finite(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(parlns.orchestrator, "run_portfolio", _search_started)
+    instance = _write_instance(tmp_path, knapsack(10, seed=2))
+    pool_path = tmp_path / "pool.json"
+    main(["gen-configs", "--size", "2", "--seed", "3", "--out", str(pool_path)])
+    manifest = _portfolio_manifest(tmp_path, instance, pool_path, n=2, cap=2)
+    text = manifest.read_text()
+    manifest.write_text(text[: text.rindex("}")] + f', "reference_objective": {value}}}')
+    code = main(["portfolio", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert "manifest key 'reference_objective' must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

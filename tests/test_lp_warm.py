@@ -12,6 +12,8 @@ basis inverse are checked the same way, and the inverse itself against a
 fresh one, for appended rows too, and for being left intact by a sibling.
 A warm start that fails is followed by the slack start within one solve, and
 a model without rows solves to its closed-form box optimum, cold and warm.
+A warm optimum's reduced costs equal a fresh pricing bit for bit, and a
+child over the same costs and inverse starts from them without pricing.
 """
 
 import math
@@ -625,3 +627,37 @@ def test_solving_a_child_leaves_the_shared_inverse_unchanged():
     if cold.status == LP_OPTIMAL:
         assert abs(ceil_child.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
     assert np.array_equal(root.binv, before)
+
+
+def _fresh_reduced_costs(relax, res):
+    """``c - price(c_B @ binv)`` at a result's basis and inverse."""
+    c = relax.c_full
+    y = c[res.basis] @ res.binv
+    return c - np.concatenate([y @ relax.A, y])
+
+
+def test_a_warm_optimum_carries_its_reduced_costs_and_a_child_reuses_them(monkeypatch):
+    relax = build_relaxation(independent_set(30, 0.2, seed=5))
+    root = solve_relaxation(relax)
+    assert root.iterations > 0 and root.reduced_costs is None  # refactored at the optimum
+    parent, lower, upper = root, relax.lower.copy(), relax.upper.copy()
+    for _ in range(4):  # a plunge, each node from its parent
+        j = next((j for j, v in enumerate(parent.values) if abs(v - round(v)) > 1e-6), None)
+        if j is None:
+            break
+        upper[j] = 0.0
+        child = solve_relaxation(relax, lower, upper, warm=parent)
+        assert child.status == LP_OPTIMAL
+        assert not child.reduced_costs.flags.writeable and child.costs is relax.c_full
+        assert child.reduced_costs.tobytes() == _fresh_reduced_costs(relax, child).tobytes()
+        parent = child
+    assert parent is not root
+
+    prices = []
+    price = lp._Tableau.price
+    monkeypatch.setattr(lp._Tableau, "price", lambda tab, y: prices.append(y) or price(tab, y))
+    again = solve_relaxation(relax, lower, upper, warm=parent)
+    assert (again.iterations, prices) == (0, [])  # priced by the parent
+    assert again.reduced_costs.tobytes() == parent.reduced_costs.tobytes()
+    solve_relaxation(relax, lower, upper, warm=replace(parent, binv=None))
+    assert len(prices) == 1  # a refactored inverse prices afresh

@@ -195,6 +195,18 @@ def test_portfolio_rejects_a_nan_node_seconds_before_any_work(monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("reference", [float("nan"), float("inf"), -float("inf")])
+def test_portfolio_rejects_a_reference_that_is_not_finite_before_any_work(monkeypatch, reference):
+    def search_started(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(parlns.alns, "solve_lp", search_started)
+    monkeypatch.setattr(parlns.orchestrator, "run_worker", search_started)
+    plan = _plan(generate_pool(2, seed=1), wall=1.0)
+    with pytest.raises(ValueError, match="reference_objective"):
+        run_portfolio(knapsack(10, seed=2), plan, reference, clock_mode="simulated")
+
+
 def _counting_solve_lp(monkeypatch):
     """Record every root LP a portfolio solves, by the name the portfolio
     looks it up by."""

@@ -17,7 +17,10 @@ per-layer ones with `--trace 1`) it prints the per-pair ratios, their median,
 in how many pairs CHANGE was better (the direction comes from BENCHMARK.json),
 in how many pairs the run that went first read worse (a run-order bias shows
 up here whichever side it lands on), and the median and quartiles of each
-side. It also says whether both runs of
+side. It then prints the base side's interquartile range and whether a
+claimed gain holds: CHANGE better in at least 90% of the pairs, and its
+median better than BASE's by more than that range (``claim_met`` in the
+JSON summary). It also says whether both runs of
 each pair printed the same output checksum, which they do when CHANGE keeps
 the search path. The exit code is 1 when a run fails or its output checks
 do not hold.
@@ -111,19 +114,28 @@ def main(argv=None) -> int:
         first_worse = sum(
             worse(*(runs[side]["metrics"][name]["value"] for side in order)) for _, order, runs in pairs
         )
+        q = {side: quartiles(values[side]) for side in SIDES}
+        base_iqr = q["base"][2] - q["base"][0]
+        # a claimed gain must win nine pairs in ten and move the median by
+        # more than the base side's spread
+        most_pairs = wins >= 0.9 * len(pairs)
+        beyond_iqr = worse(q["base"][1], q["change"][1]) and abs(q["change"][1] - q["base"][1]) > base_iqr
         summary[name] = {
             "median_ratio": statistics.median(ratios) if ratios else None,
             "change_better": wins,
             "first_worse": first_worse,
             "pairs": len(pairs),
-            **{f"{side}_quartiles": quartiles(values[side]) for side in SIDES},
+            **{f"{side}_quartiles": q[side] for side in SIDES},
+            "base_iqr": base_iqr,
+            "claim_met": most_pairs and beyond_iqr,
         }
-        q = {side: quartiles(values[side]) for side in SIDES}
         print(
             f"  {name} ({direction} is better): median ratio "
             f"{summary[name]['median_ratio'] if ratios else float('nan'):.4f}, "
             f"change better in {wins} of {len(pairs)}, first run worse in {first_worse}; "
             + "; ".join(f"{side} median {q[side][1]:.6g} (quartiles {q[side][0]:.6g}/{q[side][2]:.6g})" for side in SIDES)
+            + f"; base IQR {base_iqr:.6g}; better in at least 90% of pairs: {'yes' if most_pairs else 'no'}, "
+            f"medians apart by more than the base IQR: {'yes' if beyond_iqr else 'no'}"
         )
     print(json.dumps({"correct": ok, "workload": args.workload, "metrics": summary}))
     return 0 if ok else 1
