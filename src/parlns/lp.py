@@ -493,6 +493,8 @@ def _optimize(tab, c, d=None):
     moving it off its bound improves the objective, zero where it may not
     move, and minus the reduced cost's size for a free column.
     """
+    if not c.size:  # no columns: the empty point is optimal
+        return LP_OPTIMAL
     stop, limit, moves = tab.stop, tab.limit, tab.moves
     free_cols = np.count_nonzero(tab.pos == _FREE) > 0  # an entering free column stays basic
     while True:

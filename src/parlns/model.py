@@ -5,11 +5,13 @@ maximization are negated once and un-negated only at reporting boundaries
 (see :meth:`MipModel.to_external_objective`). A model's one numeric form is
 its read-only :class:`LpRelaxation`, built on first use; ``evaluate`` and the
 LP read it, and only the LP knows the rows' slack columns. A sub-problem is
-only its arrays: ``apply_neighborhood`` derives them from the model's, and an
-``LpRelaxation``'s ``relaxation`` is itself, so both take either.
+only its arrays: a :class:`NeighborhoodSpec` states new bounds, appended
+``<=`` rows and a new objective in the model's arrays, ``apply_neighborhood``
+checks them in whole-array operations and puts them in place of the model's,
+and an ``LpRelaxation``'s ``relaxation`` is itself, so both take either.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +47,8 @@ class DimensionMismatch(ModelError):
 
 
 class ConflictingFixing(ModelError):
-    """A neighborhood fixing falls outside the variable's original bounds."""
+    """A neighborhood fixes a variable outside its bounds or at a fractional
+    value of an integer one, or leaves it an empty range."""
 
 
 @dataclass(frozen=True)
@@ -72,18 +75,22 @@ class Solution:
     integral: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: specs compare by identity
 class NeighborhoodSpec:
-    """A sub-problem description applied on top of a base model.
+    """A sub-problem stated in its base model's arrays; a field left None
+    keeps the model's.
 
-    Fixings and bound overrides are keyed by variable index; fixed values must
-    respect the variable's original bounds and integrality.
+    ``bounds`` is a full-length ``(lower, upper)``: equal bounds fix a column,
+    which must lie within the model's bounds and be integral on an integer
+    column, and other bounds are intersected with the model's. ``rows`` is
+    ``(rows, rhs)``, the rows ``rows @ x <= rhs`` appended below the model's.
+    ``objective`` is ``(costs, offset)`` in minimization form, replacing the
+    model's.
     """
 
-    fixings: dict[int, float] = field(default_factory=dict)
-    bound_overrides: dict[int, tuple[float, float]] = field(default_factory=dict)
-    extra_constraints: tuple[LinearConstraint, ...] = ()
-    objective_override: tuple[dict[int, float], float] | None = None
+    bounds: tuple[np.ndarray, np.ndarray] | None = None
+    rows: tuple[np.ndarray, np.ndarray] | None = None
+    objective: tuple[np.ndarray, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -148,13 +155,6 @@ class MipModel:
     def relaxation(self) -> LpRelaxation:
         """The model's arrays, built from its dicts on first use."""
         return relaxation_from_dicts(self)
-
-    def integer_indices(self) -> list[int]:
-        """Indices of integer and binary variables."""
-        return [i for i, v in enumerate(self.variables) if v.kind != CONTINUOUS]
-
-    def binary_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if v.kind == BINARY]
 
     def to_external_objective(self, value: float) -> float:
         """Map an internal (minimization) objective value to the stated sense."""
@@ -294,28 +294,18 @@ def _dense(coefficients: dict[int, float], n: int) -> np.ndarray:
     return vector
 
 
-def _rows(rows, n: int, above: LpRelaxation | None = None) -> dict:
-    """``LpRelaxation`` row fields: ``above``'s rows as they are, then the
-    ``(coefficients, relation, rhs)`` rows; one slack per row."""
-    A = np.array([_dense(coefficients, n) for coefficients, _, _ in rows] or np.zeros((0, n)))
-    b = np.array([rhs for _, _, rhs in rows], dtype=float)
-    slack = np.array([_SLACK_BOUNDS[relation] for _, relation, _ in rows]).reshape(-1, 2).T
-    if above is not None:
-        A = np.vstack([above.A, A])
-        b = np.concatenate([above.b, b])
-        slack = np.hstack([(above.slack_lower, above.slack_upper), slack])
-    return {"A": A, "b": b, "slack_lower": slack[0], "slack_upper": slack[1]}
-
-
 def relaxation_from_dicts(model: MipModel) -> LpRelaxation:
     """Build a model's arrays from its dicts; ``MipModel.relaxation`` caches it."""
-    n, variables = model.n_vars, model.variables
+    n, variables, constraints = model.n_vars, model.variables, model.constraints
+    slack = np.array([_SLACK_BOUNDS[con.relation] for con in constraints]).reshape(-1, 2).T
     return LpRelaxation(
         c=_dense(model.objective, n), offset=model.objective_offset,
+        A=np.array([_dense(con.coefficients, n) for con in constraints] or np.zeros((0, n))),
+        b=np.array([con.rhs for con in constraints], dtype=float),
         lower=np.array([v.lower for v in variables], dtype=float),
         upper=np.array([v.upper for v in variables], dtype=float),
+        slack_lower=slack[0], slack_upper=slack[1],
         integer=np.array([v.kind != CONTINUOUS for v in variables], dtype=bool),
-        **_rows([(con.coefficients, con.relation, con.rhs) for con in model.constraints], n),
     )
 
 
@@ -341,51 +331,76 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
 
 
 def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
-    """A sub-problem's arrays, derived from the model's: fixings become equal
-    bounds, overrides narrow the bounds, the base rows are shared or stacked
-    once with the extra rows, and an objective override (stated directly in
-    minimization form) brings its own costs.
+    """A sub-problem's arrays: the model's, with the spec's bounds and
+    objective in place of its own and the spec's rows below its rows (see
+    :class:`NeighborhoodSpec`); every array the spec leaves alone is the
+    model's own. A range crossed by at most ``BOUND_TOL`` closes to its upper
+    bound, as ``presolve`` closes one.
 
     Pure: the model is never modified. Raises :class:`ConflictingFixing` when
-    a fixed value violates the variable's bounds or integrality, or an
-    override leaves an empty range, and :class:`ModelError` for a malformed
-    extra row or objective; variable names serve the messages only.
+    a fixed value is not a finite value within the model's bounds, or is
+    fractional on an integer column, or intersected bounds leave an empty
+    range; and :class:`ModelError` for a spec array of the wrong shape, a NaN
+    bound, a non-finite row, rhs or cost, or a row without a nonzero entry.
+    Each error names the first offending variable or row.
     """
-    n, base = model.n_vars, model.relaxation
-    lower, upper = base.lower.copy(), base.upper.copy()
-    for i, value in spec.fixings.items():
-        lo, up = float(base.lower[i]), float(base.upper[i])
-        name = model.variables[i].name
-        if value < lo - BOUND_TOL or value > up + BOUND_TOL:
-            raise ConflictingFixing(f"fixing {name!r} at {value} outside bounds [{lo}, {up}]")
-        if base.integer[i] and abs(value - round(value)) > INTEGRALITY_TOL:
-            raise ConflictingFixing(f"fixing integer {name!r} at fractional {value}")
-        lower[i] = upper[i] = value
-    for i, (lo, up) in spec.bound_overrides.items():
-        if i in spec.fixings:
-            continue
-        new_lower, new_upper = max(lo, float(base.lower[i])), min(up, float(base.upper[i]))
-        if new_lower > new_upper + BOUND_TOL:
-            raise ConflictingFixing(
-                f"override for {model.variables[i].name!r} yields empty range "
-                f"[{new_lower}, {new_upper}]"
-            )
-        lower[i], upper[i] = new_lower, new_upper
-
-    arrays = {"lower": lower, "upper": upper}
-    if spec.extra_constraints:
-        rows = []
-        for con in spec.extra_constraints:
-            coefficients = _strip_zeros(con.coefficients)
-            _check_constraint(con.name, coefficients, con.relation, n)
-            rows.append((coefficients, con.relation, con.rhs))
-        arrays.update(_rows(rows, n, above=base))
-    if spec.objective_override is not None:
-        coefficients, offset = spec.objective_override
-        objective = _strip_zeros(coefficients)
-        _check_objective(objective, n)
-        arrays.update(c=_dense(objective, n), offset=offset)
+    base, variables, n = model.relaxation, model.variables, model.n_vars
+    arrays = {}
+    if spec.bounds is not None:
+        lower, upper = _arrays("bounds", spec.bounds, ((n,), (n,)))
+        _refuse(np.isnan(lower) | np.isnan(upper), ModelError,
+                lambda i: f"bounds of {variables[i].name!r} are [{lower[i]}, {upper[i]}]")
+        fixed = lower == upper
+        inside = (lower >= base.lower - BOUND_TOL) & (lower <= base.upper + BOUND_TOL)
+        _refuse(fixed & ~(inside & np.isfinite(lower)), ConflictingFixing, lambda i: (
+            f"fixing {variables[i].name!r} at {lower[i]} outside bounds "
+            f"[{base.lower[i]}, {base.upper[i]}]"))
+        value = np.where(fixed & base.integer, lower, 0.0)
+        _refuse(np.abs(value - np.rint(value)) > INTEGRALITY_TOL, ConflictingFixing,
+                lambda i: f"fixing integer {variables[i].name!r} at fractional {lower[i]}")
+        # the model's bound where it is tighter, else the spec's, the sign of a zero too
+        upper = np.where(fixed, lower, np.where(base.upper < upper, base.upper, upper))
+        lower = np.where(fixed, lower, np.where(base.lower > lower, base.lower, lower))
+        _refuse(lower > upper + BOUND_TOL, ConflictingFixing, lambda i: (
+            f"bounds of {variables[i].name!r} yield empty range [{lower[i]}, {upper[i]}]"))
+        np.copyto(lower, upper, where=lower > upper)
+        arrays.update(lower=lower, upper=upper)
+    if spec.rows is not None:
+        k = np.size(spec.rows[1])
+        rows, rhs = _arrays("rows", spec.rows, ((k, n), (k,)))
+        _refuse(~np.isfinite(rows).ravel(), ModelError, lambda f: (
+            f"row {f // n}: coefficient of {variables[f % n].name!r} is {rows.flat[f]}"))
+        _refuse(~np.isfinite(rhs), ModelError, lambda i: f"row {i}: rhs is {rhs[i]}")
+        _refuse(np.count_nonzero(rows, axis=1) == 0, ModelError,
+                lambda i: f"row {i} has no nonzero coefficient")
+        slack_lower, slack_upper = _SLACK_BOUNDS[LE]
+        arrays.update(
+            A=np.vstack([base.A, rows]), b=np.concatenate([base.b, rhs]),
+            slack_lower=np.concatenate([base.slack_lower, np.full(k, slack_lower)]),
+            slack_upper=np.concatenate([base.slack_upper, np.full(k, slack_upper)]),
+        )
+    if spec.objective is not None:
+        costs, offset = _arrays("objective", spec.objective, ((n,), ()))
+        _refuse(~np.isfinite(costs), ModelError,
+                lambda i: f"objective: cost of {variables[i].name!r} is {costs[i]}")
+        if not np.isfinite(offset):
+            raise ModelError(f"objective: offset is {offset}")
+        arrays.update(c=costs, offset=float(offset))
     return replace(base, **arrays)
+
+
+def _arrays(what: str, parts, shapes) -> list[np.ndarray]:
+    """A spec field's parts as float arrays, copied; each must have its shape."""
+    arrays = [np.array(part, dtype=float) for part in parts]
+    if tuple(a.shape for a in arrays) != shapes:
+        raise ModelError(f"{what}: shapes {[a.shape for a in arrays]}, expected {list(shapes)}")
+    return arrays
+
+
+def _refuse(mask: np.ndarray, error: type, message) -> None:
+    """Raise ``error(message(i))`` for the first true entry ``i`` of ``mask``."""
+    if np.count_nonzero(mask):
+        raise error(message(int(mask.argmax())))
 
 
 @dataclass(frozen=True)

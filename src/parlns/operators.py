@@ -16,22 +16,20 @@ Semantics follow the standard matheuristics literature:
   (Danna, Rothberg & Le Pape 2005).
 
 Operators only restrict integer variables; continuous ones are left to the
-repair solver. Identifiers serialize as ``c``, ``m_30``, ``lb_20``, ``p_05``,
+repair solver. Each states its sub-problem in the model's arrays: the fixing
+families give full-length bounds from masks over the integer columns, local
+branching appends its ball as one row of +-1 over the binaries, and proximity
+appends the costs themselves as its cutoff row and swaps in +-1 Hamming
+costs. Identifiers serialize as ``c``, ``m_30``, ``lb_20``, ``p_05``,
 ``r_40``, ``ri_10``.
 """
 
 import math
 from dataclasses import dataclass
 
-from .model import (
-    CONTINUOUS,
-    INTEGRALITY_TOL,
-    LE,
-    LinearConstraint,
-    MipModel,
-    NeighborhoodSpec,
-    Solution,
-)
+import numpy as np
+
+from .model import INTEGRALITY_TOL, MipModel, NeighborhoodSpec, Solution
 
 CROSSOVER = "crossover"
 MUTATION = "mutation"
@@ -119,136 +117,120 @@ def build_neighborhood(
     spec: OperatorSpec, ctx: OperatorContext, model: MipModel
 ) -> NeighborhoodSpec:
     """Produce the sub-problem spec for one destroy move around the incumbent."""
-    discrete = model.integer_indices()
+    relax = model.relaxation
+    discrete = np.flatnonzero(relax.integer).tolist()
     if not discrete:
         raise EmptyNeighborhood("model has no integer variables")
     rng = ctx.rng
     if spec.family == MUTATION:
-        return _mutation(spec.percentage, ctx, discrete, rng)
+        return _mutation(spec.percentage, ctx, relax, discrete, rng)
     if spec.family == CROSSOVER:
-        return _crossover(ctx, discrete, rng)
+        return _crossover(ctx, relax, discrete, rng)
     if spec.family == LOCAL_BRANCHING:
-        return _local_branching(spec.percentage, ctx, model)
+        return _local_branching(spec.percentage, ctx, relax)
     if spec.family == PROXIMITY:
-        return _proximity(spec.percentage, ctx, model)
+        return _proximity(spec.percentage, ctx, relax)
     if spec.family == RENS:
-        return _rens(spec.percentage, ctx, model, discrete, rng)
-    return _rins(spec.percentage, ctx, model, discrete, rng)
+        return _rens(spec.percentage, ctx, relax, discrete, rng)
+    return _rins(spec.percentage, ctx, relax, discrete, rng)
 
 
-def _fix_value(ctx: OperatorContext, index: int) -> float:
-    return float(round(ctx.incumbent.values[index]))
+def _rounded(values) -> np.ndarray:
+    """``float(round(v))`` for each value: ``np.rint`` alone gives -0.0 for small negatives."""
+    return np.rint(values) + 0.0
 
 
-def _mutation(percentage, ctx, discrete, rng):
-    free_count = math.ceil(percentage * len(discrete) / 100)
-    free = set(rng.sample(discrete, free_count))
-    fixings = {j: _fix_value(ctx, j) for j in discrete if j not in free}
-    return NeighborhoodSpec(fixings=fixings)
+def _fixing(fix, values, lower, upper) -> NeighborhoodSpec:
+    """Bounds ``lower`` and ``upper`` with the columns in mask ``fix`` fixed at ``values``."""
+    return NeighborhoodSpec(bounds=(np.where(fix, values, lower), np.where(fix, values, upper)))
 
 
-def _crossover(ctx, discrete, rng):
+def _mutation(percentage, ctx, relax, discrete, rng):
+    fix = relax.integer.copy()
+    fix[rng.sample(discrete, math.ceil(percentage * len(discrete) / 100))] = False
+    return _fixing(fix, _rounded(ctx.incumbent.values), relax.lower, relax.upper)
+
+
+def _crossover(ctx, relax, discrete, rng):
     incumbent = ctx.incumbent.values
     partners = [s for s in ctx.archive if s.values != incumbent]
     if not partners:
         # no second solution to cross with yet
-        return _mutation(30, ctx, discrete, rng)
+        return _mutation(30, ctx, relax, discrete, rng)
     other = rng.choice(partners)
-    fixings = {
-        j: _fix_value(ctx, j)
-        for j in discrete
-        if abs(incumbent[j] - other.values[j]) <= INTEGRALITY_TOL
-    }
-    if len(fixings) == len(discrete):
+    fix = relax.integer & (np.abs(np.subtract(incumbent, other.values)) <= INTEGRALITY_TOL)
+    if np.count_nonzero(fix) == len(discrete):
         raise EmptyNeighborhood("archive partner agrees on every integer variable")
-    return NeighborhoodSpec(fixings=fixings)
+    return _fixing(fix, _rounded(incumbent), relax.lower, relax.upper)
 
 
-def _hamming_terms(ctx, binaries):
-    """Coefficients of sum(x_j : inc=0) + sum(1 - x_j : inc=1) over binaries."""
-    coefficients = {}
-    ones = 0
-    for j in binaries:
-        if round(ctx.incumbent.values[j]) >= 1:
-            coefficients[j] = -1.0
-            ones += 1
-        else:
-            coefficients[j] = 1.0
-    return coefficients, ones
+def _local_branching(percentage, ctx, relax):
+    binary = _binaries(relax, "local branching")
+    radius = math.ceil(percentage * np.count_nonzero(binary) / 100)
+    costs, ones = _hamming(ctx, binary)
+    return NeighborhoodSpec(rows=(costs[None], [radius - ones]))
 
 
-def _local_branching(percentage, ctx, model):
-    binaries = model.binary_indices()
-    if not binaries:
-        raise EmptyNeighborhood("local branching needs binary variables")
-    radius = math.ceil(percentage * len(binaries) / 100)
-    coefficients, ones = _hamming_terms(ctx, binaries)
-    constraint = LinearConstraint(
-        name=f"lb_{percentage:02d}_ball",
-        coefficients=coefficients,
-        relation=LE,
-        rhs=float(radius - ones),
-    )
-    return NeighborhoodSpec(extra_constraints=(constraint,))
-
-
-def _proximity(percentage, ctx, model):
-    binaries = model.binary_indices()
-    if not binaries:
-        raise EmptyNeighborhood("proximity search needs binary variables")
-    if not model.objective:
+def _proximity(percentage, ctx, relax):
+    binary = _binaries(relax, "proximity search")
+    if not np.count_nonzero(relax.c):
         raise EmptyNeighborhood("proximity search needs a nonzero objective")
     incumbent_obj = ctx.incumbent.objective
     delta = (percentage / 100.0) * max(abs(incumbent_obj), 1.0)
-    cutoff = LinearConstraint(
-        name=f"p_{percentage:02d}_cutoff",
-        coefficients=dict(model.objective),
-        relation=LE,
-        rhs=incumbent_obj - model.objective_offset - delta,
-    )
-    coefficients, ones = _hamming_terms(ctx, binaries)
-    return NeighborhoodSpec(
-        extra_constraints=(cutoff,),
-        objective_override=(coefficients, float(ones)),
-    )
+    # the objective cutoff c @ x <= incumbent - delta
+    cutoff = incumbent_obj - relax.offset - delta
+    return NeighborhoodSpec(rows=(relax.c[None], [cutoff]), objective=_hamming(ctx, binary))
 
 
-def _cap_unfixed(percentage, ctx, discrete, fixings, overrides, rng):
-    """Re-fix a random excess of unfixed variables at incumbent values."""
-    cap = math.ceil(percentage * len(discrete) / 100)
-    unfixed = [j for j in discrete if j not in fixings]
-    if len(unfixed) > cap:
-        for j in rng.sample(unfixed, len(unfixed) - cap):
-            fixings[j] = _fix_value(ctx, j)
-            overrides.pop(j, None)
-    if len(fixings) == len(discrete):
+def _binaries(relax, search):
+    """Mask of the binaries, which ``make_model`` leaves as exactly the
+    integer columns with bounds inside [0, 1]; ``search`` needs one."""
+    binary = relax.integer & (relax.lower >= 0.0) & (relax.upper <= 1.0)
+    if not np.count_nonzero(binary):
+        raise EmptyNeighborhood(f"{search} needs binary variables")
+    return binary
+
+
+def _hamming(ctx, binary):
+    """Costs and offset of sum(x_j : inc=0) + sum(1 - x_j : inc=1) over the binaries."""
+    ones = binary & (_rounded(ctx.incumbent.values) >= 1)
+    return np.where(ones, -1.0, np.where(binary, 1.0, 0.0)), float(np.count_nonzero(ones))
+
+
+def _cap_unfixed(percentage, relax, discrete, fix, rng):
+    """Mask of a random excess of unfixed variables, to re-fix at incumbent values."""
+    unfixed = np.flatnonzero(relax.integer & ~fix).tolist()
+    if not unfixed:
         raise EmptyNeighborhood("every integer variable would be fixed")
+    cap = math.ceil(percentage * len(discrete) / 100)
+    refix = np.zeros_like(fix)
+    if len(unfixed) > cap:
+        refix[rng.sample(unfixed, len(unfixed) - cap)] = True
+    return refix
 
 
-def _rens(percentage, ctx, model, discrete, rng):
+def _rens(percentage, ctx, relax, discrete, rng):
     if ctx.lp_values is None:
         raise MissingRelaxation("rens needs LP relaxation values")
-    fixings = {}
-    overrides = {}
-    for j in discrete:
-        lp_v = ctx.lp_values[j]
-        nearest = round(lp_v)
-        var = model.variables[j]
-        if abs(lp_v - nearest) <= INTEGRALITY_TOL:
-            fixings[j] = float(min(max(nearest, var.lower), var.upper))
-        else:
-            overrides[j] = (float(math.floor(lp_v)), float(math.ceil(lp_v)))
-    _cap_unfixed(percentage, ctx, discrete, fixings, overrides, rng)
-    return NeighborhoodSpec(fixings=fixings, bound_overrides=overrides)
+    lp = np.array(ctx.lp_values)
+    nearest = _rounded(lp)
+    fix = relax.integer & (np.abs(lp - nearest) <= INTEGRALITY_TOL)
+    fractional = relax.integer & ~fix
+    refix = _cap_unfixed(percentage, relax, discrete, fix, rng)
+    # integral LP values are fixed at min(max(nearest, lower), upper), a -0.0 bound too,
+    # fractional ones get their surrounding integers, and re-fixed ones the incumbent's
+    within = np.where(relax.lower > nearest, relax.lower, nearest)
+    within = np.where(relax.upper < within, relax.upper, within)
+    values = np.where(refix, _rounded(ctx.incumbent.values), within)
+    lower = np.where(fractional, np.floor(lp) + 0.0, relax.lower)
+    upper = np.where(fractional, np.ceil(lp) + 0.0, relax.upper)
+    return _fixing(fix | refix, values, lower, upper)
 
 
-def _rins(percentage, ctx, model, discrete, rng):
+def _rins(percentage, ctx, relax, discrete, rng):
     if ctx.lp_values is None:
         raise MissingRelaxation("rins needs LP relaxation values")
-    fixings = {
-        j: _fix_value(ctx, j)
-        for j in discrete
-        if abs(ctx.lp_values[j] - ctx.incumbent.values[j]) <= INTEGRALITY_TOL
-    }
-    _cap_unfixed(percentage, ctx, discrete, fixings, {}, rng)
-    return NeighborhoodSpec(fixings=fixings)
+    incumbent = ctx.incumbent.values
+    fix = relax.integer & (np.abs(np.subtract(ctx.lp_values, incumbent)) <= INTEGRALITY_TOL)
+    fix |= _cap_unfixed(percentage, relax, discrete, fix, rng)
+    return _fixing(fix, _rounded(incumbent), relax.lower, relax.upper)

@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
 enumeration for LPs, the dense ``[A, I]`` whose slack block the LP keeps
 implicit, a dict-loop ``evaluate`` for the array one, a whole
-sub-model built from dicts for ``apply_neighborhood``'s derived arrays, a
+sub-model built from dicts for ``apply_neighborhood``'s derived arrays, the
+dict-form destroy operators for the array ones, a
 dense gap grid for the simulator's subset scores, a ``csv.reader`` over the
 open file and a ``pathlib`` listing for the trace database loader, and
 hand-rolled step-function traces.
@@ -36,10 +37,21 @@ from parlns.model import (
     LinearConstraint,
     LpRelaxation,
     MipModel,
+    ModelError,
+    NeighborhoodSpec,
     Solution,
     Variable,
     _validate,
     make_model,
+)
+from parlns.operators import (
+    CROSSOVER,
+    LOCAL_BRANCHING,
+    MUTATION,
+    PROXIMITY,
+    RENS,
+    EmptyNeighborhood,
+    MissingRelaxation,
 )
 from parlns.simulator import build_trace_db
 
@@ -70,50 +82,203 @@ def evaluate_oracle(model: MipModel, values) -> Solution:
                 break
     integral = all(
         abs(values[i] - round(values[i])) <= INTEGRALITY_TOL
-        for i in model.integer_indices()
+        for i, var in enumerate(model.variables)
+        if var.kind != CONTINUOUS
     )
     return Solution(values=values, objective=objective, feasible=feasible, integral=integral)
 
 
-def apply_neighborhood_oracle(model: MipModel, spec) -> MipModel:
-    """``apply_neighborhood`` as a whole sub-model built from dicts: fixed and
-    narrowed ``Variable`` bounds, the extra rows appended under fresh names
-    without their zero coefficients, and an override objective stated in
-    minimization form; the result is validated like any model, so its
-    ``relaxation_from_dicts`` is the reference for the derived arrays."""
-    variables = list(model.variables)
-    for i, value in spec.fixings.items():
-        var = variables[i]
-        if value < var.lower - BOUND_TOL or value > var.upper + BOUND_TOL:
-            raise ConflictingFixing(
-                f"fixing {var.name!r} at {value} outside bounds [{var.lower}, {var.upper}]"
-            )
-        if var.kind != CONTINUOUS and abs(value - round(value)) > INTEGRALITY_TOL:
-            raise ConflictingFixing(f"fixing integer {var.name!r} at fractional {value}")
-        variables[i] = Variable(var.name, var.kind, value, value)
-    for i, (lo, up) in spec.bound_overrides.items():
-        if i in spec.fixings:
-            continue
-        var = variables[i]
-        lower, upper = max(lo, var.lower), min(up, var.upper)
-        if lower > upper + BOUND_TOL:
-            raise ConflictingFixing(f"override for {var.name!r} yields empty range")
-        variables[i] = Variable(var.name, var.kind, lower, upper)
-    used = {c.name for c in model.constraints}
-    appended = []
-    for con in spec.extra_constraints:
-        name, k = con.name, 1
-        while name in used:
-            name, k = f"{con.name}_{k}", k + 1
-        used.add(name)
-        coefficients = {i: c for i, c in con.coefficients.items() if c != 0.0}
-        appended.append(LinearConstraint(name, coefficients, con.relation, con.rhs))
-    fields = {"variables": tuple(variables), "constraints": model.constraints + tuple(appended)}
-    if spec.objective_override is not None:
-        coefficients, offset = spec.objective_override
-        objective = {i: c for i, c in coefficients.items() if c != 0.0}
-        fields.update(sense=MINIMIZE, objective=objective, objective_offset=offset)
+def apply_neighborhood_oracle(model: MipModel, spec: NeighborhoodSpec) -> MipModel:
+    """``apply_neighborhood`` as a whole sub-model built one column and one
+    row at a time: fixed and intersected ``Variable`` bounds, the appended
+    rows as ``<=`` constraints under fresh names with every entry kept, and
+    the new objective in minimization form; the result is validated like any
+    model, so its ``relaxation_from_dicts`` is the reference for the derived
+    arrays. The checks run in the order ``apply_neighborhood`` makes them."""
+    n = model.n_vars
+    fields = {}
+    if spec.bounds is not None:
+        lower, upper = spec.bounds
+        if np.shape(lower) != (n,) or np.shape(upper) != (n,):
+            raise ModelError("bounds of the wrong shape")
+        lower, upper = [float(v) for v in lower], [float(v) for v in upper]
+        if any(math.isnan(lo) or math.isnan(up) for lo, up in zip(lower, upper)):
+            raise ModelError("a NaN bound")
+        variables = model.variables
+        for var, lo, up in zip(variables, lower, upper):
+            if lo == up and not (
+                math.isfinite(lo) and var.lower - BOUND_TOL <= lo <= var.upper + BOUND_TOL
+            ):
+                raise ConflictingFixing(f"fixing {var.name!r} at {lo} outside its bounds")
+        for var, lo, up in zip(variables, lower, upper):
+            if lo == up and var.kind != CONTINUOUS and abs(lo - round(lo)) > INTEGRALITY_TOL:
+                raise ConflictingFixing(f"fixing integer {var.name!r} at fractional {lo}")
+        bounded = []
+        for var, lo, up in zip(variables, lower, upper):
+            if lo == up:
+                up = lo  # the value as the lower bound states it, sign of zero too
+            else:
+                lo, up = max(lo, var.lower), min(up, var.upper)
+                if lo > up + BOUND_TOL:
+                    raise ConflictingFixing(f"bounds of {var.name!r} yield empty range")
+                lo = min(lo, up)
+            bounded.append(Variable(var.name, var.kind, lo, up))
+        fields["variables"] = tuple(bounded)
+    if spec.rows is not None:
+        rows, rhs = spec.rows
+        if np.ndim(rhs) != 1 or np.shape(rows) != (len(rhs), n):
+            raise ModelError("rows of the wrong shape")
+        rows = [[float(a) for a in row] for row in rows]
+        if not all(math.isfinite(a) for row in rows for a in row):
+            raise ModelError("a non-finite coefficient")
+        if not all(math.isfinite(float(r)) for r in rhs):
+            raise ModelError("a non-finite rhs")
+        if any(all(a == 0.0 for a in row) for row in rows):
+            raise ModelError("a row without a nonzero coefficient")
+        used = {c.name for c in model.constraints}
+        appended = []
+        for row, r in zip(rows, rhs):
+            name, k = "extra", 1
+            while name in used:
+                name, k = f"extra_{k}", k + 1
+            used.add(name)
+            appended.append(LinearConstraint(name, dict(enumerate(row)), LE, float(r)))
+        fields["constraints"] = model.constraints + tuple(appended)
+    if spec.objective is not None:
+        costs, offset = spec.objective
+        if np.shape(costs) != (n,) or np.ndim(offset) != 0:
+            raise ModelError("objective of the wrong shape")
+        costs = [float(c) for c in costs]
+        if not all(math.isfinite(c) for c in costs) or not math.isfinite(offset):
+            raise ModelError("a non-finite cost")
+        fields.update(
+            sense=MINIMIZE, objective=dict(enumerate(costs)), objective_offset=float(offset)
+        )
     return _validate(dataclasses.replace(model, **fields))
+
+
+def fixing_spec(model: MipModel, fixings: dict[int, float]) -> NeighborhoodSpec:
+    """The model's bounds with the columns ``fixings`` names fixed at its values."""
+    lower = [fixings.get(j, v.lower) for j, v in enumerate(model.variables)]
+    upper = [fixings.get(j, v.upper) for j, v in enumerate(model.variables)]
+    return NeighborhoodSpec(bounds=(lower, upper))
+
+
+# --------------------------------------------------------------------------
+# the six destroy operators in dict form, a fixing and a bound override per
+# column and one coefficient dict per row, densified one column at a time
+
+
+@dataclasses.dataclass
+class _DictNeighborhood:
+    fixings: dict | None = None  # None: the bounds stay the model's
+    overrides: dict = dataclasses.field(default_factory=dict)
+    rows: tuple = ()  # (coefficients, rhs) per row, each meaning <=
+    objective: tuple | None = None  # (coefficients, offset)
+
+    def spec(self, model: MipModel) -> NeighborhoodSpec:
+        n = model.n_vars
+        lower = [v.lower for v in model.variables]
+        upper = [v.upper for v in model.variables]
+        fields = {}
+        if self.fixings is not None:
+            for j, (lo, up) in self.overrides.items():
+                lower[j], upper[j] = lo, up
+            for j, value in self.fixings.items():
+                lower[j] = upper[j] = value
+            fields["bounds"] = (np.array(lower), np.array(upper))
+        if self.rows:
+            dense = [[coefficients.get(j, 0.0) for j in range(n)] for coefficients, _ in self.rows]
+            fields["rows"] = (np.array(dense), np.array([rhs for _, rhs in self.rows]))
+        if self.objective is not None:
+            coefficients, offset = self.objective
+            fields["objective"] = (np.array([coefficients.get(j, 0.0) for j in range(n)]), offset)
+        return NeighborhoodSpec(**fields)
+
+
+def build_neighborhood_oracle(spec, ctx, model: MipModel) -> NeighborhoodSpec:
+    """``operators.build_neighborhood`` as the dict-form operators: the same
+    draws from ``ctx.rng`` over the same lists, and the same exceptions."""
+    discrete = [j for j, v in enumerate(model.variables) if v.kind != CONTINUOUS]
+    binaries = [j for j, v in enumerate(model.variables) if v.kind == BINARY]
+    incumbent = ctx.incumbent.values
+    rng, percentage = ctx.rng, spec.percentage
+
+    def fix(j):
+        return float(round(incumbent[j]))
+
+    def mutation(percentage):
+        free = set(rng.sample(discrete, math.ceil(percentage * len(discrete) / 100)))
+        return _DictNeighborhood({j: fix(j) for j in discrete if j not in free})
+
+    def hamming():
+        coefficients = {j: -1.0 if round(incumbent[j]) >= 1 else 1.0 for j in binaries}
+        return coefficients, sum(1 for c in coefficients.values() if c < 0)
+
+    def cap_unfixed(fixings, overrides):
+        cap = math.ceil(percentage * len(discrete) / 100)
+        unfixed = [j for j in discrete if j not in fixings]
+        if len(unfixed) > cap:
+            for j in rng.sample(unfixed, len(unfixed) - cap):
+                fixings[j] = fix(j)
+                overrides.pop(j, None)
+        if len(fixings) == len(discrete):
+            raise EmptyNeighborhood("every integer variable would be fixed")
+        return _DictNeighborhood(fixings, overrides)
+
+    if not discrete:
+        raise EmptyNeighborhood("model has no integer variables")
+    if spec.family == MUTATION:
+        neighborhood = mutation(percentage)
+    elif spec.family == CROSSOVER:
+        partners = [s for s in ctx.archive if s.values != incumbent]
+        if not partners:
+            neighborhood = mutation(30)
+        else:
+            other = rng.choice(partners)
+            fixings = {
+                j: fix(j)
+                for j in discrete
+                if abs(incumbent[j] - other.values[j]) <= INTEGRALITY_TOL
+            }
+            if len(fixings) == len(discrete):
+                raise EmptyNeighborhood("archive partner agrees on every integer variable")
+            neighborhood = _DictNeighborhood(fixings)
+    elif spec.family == LOCAL_BRANCHING:
+        if not binaries:
+            raise EmptyNeighborhood("local branching needs binary variables")
+        coefficients, ones = hamming()
+        radius = math.ceil(percentage * len(binaries) / 100)
+        neighborhood = _DictNeighborhood(rows=((coefficients, float(radius - ones)),))
+    elif spec.family == PROXIMITY:
+        if not binaries:
+            raise EmptyNeighborhood("proximity search needs binary variables")
+        if not model.objective:
+            raise EmptyNeighborhood("proximity search needs a nonzero objective")
+        objective = ctx.incumbent.objective
+        delta = (percentage / 100.0) * max(abs(objective), 1.0)
+        coefficients, ones = hamming()
+        neighborhood = _DictNeighborhood(
+            rows=((dict(model.objective), objective - model.objective_offset - delta),),
+            objective=(coefficients, float(ones)),
+        )
+    else:
+        if ctx.lp_values is None:
+            raise MissingRelaxation(f"{spec.family} needs LP relaxation values")
+        lp = ctx.lp_values
+        if spec.family == RENS:
+            fixings, overrides = {}, {}
+            for j in discrete:
+                nearest, var = round(lp[j]), model.variables[j]
+                if abs(lp[j] - nearest) <= INTEGRALITY_TOL:
+                    fixings[j] = float(min(max(nearest, var.lower), var.upper))
+                else:
+                    overrides[j] = (float(math.floor(lp[j])), float(math.ceil(lp[j])))
+            neighborhood = cap_unfixed(fixings, overrides)
+        else:
+            fixings = {j: fix(j) for j in discrete if abs(lp[j] - incumbent[j]) <= INTEGRALITY_TOL}
+            neighborhood = cap_unfixed(fixings, {})
+    return neighborhood.spec(model)
 
 
 def assert_same_arrays(got: LpRelaxation, want: LpRelaxation):

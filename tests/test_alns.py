@@ -26,6 +26,7 @@ from parlns.model import (
     BINARY,
     GE,
     LE,
+    MAXIMIZE,
     MINIMIZE,
     LinearConstraint,
     Variable,
@@ -222,6 +223,16 @@ def test_skipped_arms_do_not_livelock_the_worker():
     assert result.status == STATUS_OK
     assert result.iterations > result.skipped
     assert sum(result.pulls) == result.iterations
+
+
+def test_model_without_columns_skips_every_iteration():
+    # the empty point is optimal, and with no integer column to destroy every
+    # iteration is skipped until the deadline
+    model = make_model("empty", MAXIMIZE, [], [], {}, offset=2.5)
+    result = run_worker(model, DEFAULT_CONFIG, 1.0, seed=1, clock=SimulatedClock(0.01))
+    assert result.status == STATUS_OK
+    assert result.best.values == () and model.to_external_objective(result.best.objective) == 2.5
+    assert result.iterations == 0 and result.skipped > 0
 
 
 def test_root_lp_is_solved_once_per_worker(monkeypatch):

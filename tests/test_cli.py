@@ -71,6 +71,17 @@ def test_solve_writes_trace_and_summary(tmp_path):
     assert summary["objective"] == optimum  # small instance solves to optimality
 
 
+def test_solve_instance_without_columns_exits_0(tmp_path):
+    instance = tmp_path / "empty.mps"
+    instance.write_text("NAME empty\nROWS\n N obj\nCOLUMNS\nRHS\nENDATA\n")
+    out_dir = tmp_path / "run"
+    code = main(["solve", "--instance", str(instance), "--seconds", "1.0", "--seed", "1",
+                 "--clock", "simulated", "--out-dir", str(out_dir)])
+    assert code == EXIT_OK
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert (summary["status"], summary["objective"], summary["iterations"]) == ("ok", 0.0, 0)
+
+
 def test_solve_missing_instance_is_data_error(tmp_path):
     code = main(
         [

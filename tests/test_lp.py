@@ -134,6 +134,11 @@ def test_box_only_model():
     assert res.objective == -1.0
 
 
+def test_model_without_columns_is_optimal_at_its_offset():
+    res = solve_lp(make_model("empty", MINIMIZE, [], [], {}, offset=2.5))
+    assert (res.status, res.values, res.objective) == (LP_OPTIMAL, (), 2.5)
+
+
 def test_infeasible_pair():
     model = make_model(
         "inf",

@@ -284,8 +284,8 @@ def test_appended_row_keeps_the_base_optimum_without_pivots():
     # basis plus the row's slack is optimal as it stands
     base = independent_set(20, 0.3, seed=4)
     root = solve_lp(base)
-    loose = LinearConstraint("loose", {j: 1.0 for j in range(base.n_vars)}, LE, base.n_vars)
-    sub = apply_neighborhood(base, NeighborhoodSpec(extra_constraints=(loose,)))
+    loose = NeighborhoodSpec(rows=(np.ones((1, base.n_vars)), [base.n_vars]))
+    sub = apply_neighborhood(base, loose)
     res = solve_relaxation(build_relaxation(sub), warm=replace(root, binv=None))
     assert res.status == LP_OPTIMAL
     assert res.iterations == 0
@@ -594,11 +594,10 @@ def test_appended_rows_extend_the_inverse_in_closed_form():
     base = independent_set(20, 0.3, seed=4)
     root = solve_lp(base)
     n, m = base.n_vars, len(base.constraints)
-    rows = (
-        LinearConstraint("cap", {j: 1.0 for j in range(n)}, LE, math.floor(sum(root.values)) - 1),
-        LinearConstraint("cover", {j: float(j % 3 + 1) for j in range(n)}, GE, 2.0),
-    )
-    sub = build_relaxation(apply_neighborhood(base, NeighborhoodSpec(extra_constraints=rows)))
+    # a cap, sum(x) <= floor(root) - 1, and a cover, sum((j % 3 + 1) x_j) >= 2, as <= rows
+    rows = np.array([np.ones(n), -(np.arange(n) % 3 + 1.0)])
+    rhs = [math.floor(sum(root.values)) - 1, -2.0]
+    sub = build_relaxation(apply_neighborhood(base, NeighborhoodSpec(rows=(rows, rhs))))
     extended = lp._extended_inverse(root.binv, root.basis, sub.A[m:])
     basis = np.concatenate([root.basis, [n + m, n + m + 1]])
     assert np.max(np.abs(extended - lp._invert(sub.A, basis))) <= 1e-9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parlns.lp import LP_OPTIMAL, solve_relaxation
 from parlns.model import (
     BINARY,
     CONTINUOUS,
@@ -21,7 +22,7 @@ from parlns.model import (
     make_model,
 )
 
-from support import assert_same_arrays, tiny_cover_model
+from support import assert_same_arrays, fixing_spec, tiny_cover_model
 
 
 def test_evaluate_feasible_integral():
@@ -114,7 +115,7 @@ def test_apply_neighborhood_empty_spec_is_identity():
 
 def test_apply_neighborhood_fixing_sets_equal_bounds():
     model = tiny_cover_model()
-    derived = apply_neighborhood(model, NeighborhoodSpec(fixings={0: 1.0}))
+    derived = apply_neighborhood(model, NeighborhoodSpec(bounds=([1.0, 0.0], [1.0, 1.0])))
     assert derived.lower.tolist() == [1.0, 0.0]
     assert derived.upper.tolist() == [1.0, 1.0]
     assert model.relaxation.lower[0] == model.variables[0].lower == 0.0  # original untouched
@@ -122,8 +123,7 @@ def test_apply_neighborhood_fixing_sets_equal_bounds():
 
 def test_apply_neighborhood_adds_constraint():
     model = tiny_cover_model()
-    extra = LinearConstraint("cap", {0: 1.0, 1: 1.0}, LE, 1.0)
-    derived = apply_neighborhood(model, NeighborhoodSpec(extra_constraints=(extra,)))
+    derived = apply_neighborhood(model, NeighborhoodSpec(rows=([[1.0, 1.0]], [1.0])))
     n, m = model.n_vars, len(model.constraints)
     assert derived.A.shape == (m + 1, n)
     assert derived.A[m].tolist() == [1.0, 1.0]
@@ -134,32 +134,48 @@ def test_apply_neighborhood_adds_constraint():
 
 def test_apply_neighborhood_rejects_conflicting_fixing():
     model = tiny_cover_model()
-    with pytest.raises(ConflictingFixing):
-        apply_neighborhood(model, NeighborhoodSpec(fixings={0: 2.0}))
-    with pytest.raises(ConflictingFixing):
-        apply_neighborhood(model, NeighborhoodSpec(fixings={0: 0.5}))
+    for value in (2.0, 0.5, -1e-8, INF):
+        with pytest.raises(ConflictingFixing, match="'x'"):
+            apply_neighborhood(model, fixing_spec(model, {0: value}))
+    with pytest.raises(ConflictingFixing, match="'y'"):
+        apply_neighborhood(model, NeighborhoodSpec(bounds=([0.0, 1.5], [1.0, 3.0])))
+
+
+def test_a_range_crossed_within_tolerance_closes_to_its_upper_bound():
+    model = make_model("m", MINIMIZE, [Variable("x", CONTINUOUS, 0.0, 1.0)], [], {0: 1.0})
+    over = 1.0 + 5e-10
+    narrowed = apply_neighborhood(model, NeighborhoodSpec(bounds=([over], [2.0])))
+    assert (narrowed.lower.tolist(), narrowed.upper.tolist()) == ([1.0], [1.0])
+    fixed = apply_neighborhood(model, fixing_spec(model, {0: over}))
+    assert (fixed.lower.tolist(), fixed.upper.tolist()) == ([over], [over])
+    for sub in (narrowed, fixed):
+        assert solve_relaxation(sub).status == LP_OPTIMAL
 
 
 def test_apply_neighborhood_rejects_malformed_rows_and_objective():
     model = tiny_cover_model()
-    n = model.n_vars
+    nan = float("nan")
     malformed = (
-        NeighborhoodSpec(extra_constraints=(LinearConstraint("far", {n: 1.0}, LE, 1.0),)),
-        NeighborhoodSpec(extra_constraints=(LinearConstraint("zero", {0: 0.0}, LE, 1.0),)),
-        NeighborhoodSpec(extra_constraints=(LinearConstraint("rel", {0: 1.0}, "<", 1.0),)),
-        NeighborhoodSpec(objective_override=({n: 1.0}, 0.0)),
+        (NeighborhoodSpec(bounds=([0.0], [1.0])), "shape"),
+        (NeighborhoodSpec(bounds=([0.0, nan], [1.0, 1.0])), "'y'"),
+        (NeighborhoodSpec(rows=([[1.0, 1.0, 1.0]], [1.0])), "shape"),
+        (NeighborhoodSpec(rows=([1.0, 1.0], [1.0])), "shape"),
+        (NeighborhoodSpec(rows=([[1.0, 1.0]], [1.0, 2.0])), "shape"),
+        (NeighborhoodSpec(rows=([[1.0, 1.0], [0.0, -0.0]], [1.0, 1.0])), "row 1"),
+        (NeighborhoodSpec(rows=([[1.0, INF]], [1.0])), "'y'"),
+        (NeighborhoodSpec(rows=([[1.0, 1.0]], [nan])), "row 0"),
+        (NeighborhoodSpec(objective=([1.0, 1.0, 1.0], 0.0)), "shape"),
+        (NeighborhoodSpec(objective=([nan, 1.0], 0.0)), "'x'"),
+        (NeighborhoodSpec(objective=([1.0, 1.0], INF)), "offset"),
     )
-    for spec in malformed:
-        with pytest.raises(ModelError):
+    for spec, match in malformed:
+        with pytest.raises(ModelError, match=match):
             apply_neighborhood(model, spec)
 
 
 def test_apply_neighborhood_is_pure_and_deterministic():
     model = tiny_cover_model()
-    spec = NeighborhoodSpec(
-        fixings={1: 0.0},
-        extra_constraints=(LinearConstraint("e", {0: 1.0}, LE, 1.0),),
-    )
+    spec = NeighborhoodSpec(bounds=([0.0, 0.0], [1.0, 0.0]), rows=([[1.0, 0.0]], [1.0]))
     first = apply_neighborhood(model, spec)
     second = apply_neighborhood(model, spec)
     assert_same_arrays(first, second)
@@ -169,10 +185,7 @@ def test_apply_neighborhood_is_pure_and_deterministic():
 def test_feasibility_transfers_to_base_model():
     # restriction-only specs: feasible in the sub-model implies feasible in base
     model = tiny_cover_model()
-    spec = NeighborhoodSpec(
-        fixings={0: 1.0},
-        extra_constraints=(LinearConstraint("e", {0: 1.0, 1: 1.0}, LE, 1.0),),
-    )
+    spec = NeighborhoodSpec(bounds=([1.0, 0.0], [1.0, 1.0]), rows=([[1.0, 1.0]], [1.0]))
     sub = apply_neighborhood(model, spec)
     point = (1.0, 0.0)
     assert evaluate(sub, point).feasible
@@ -187,9 +200,7 @@ def test_objective_override_switches_to_minimize():
         [LinearConstraint("c", {0: 1.0}, LE, 1.0)],
         {0: 1.0},
     )
-    derived = apply_neighborhood(
-        model, NeighborhoodSpec(objective_override=({0: 1.0}, 0.5))
-    )
+    derived = apply_neighborhood(model, NeighborhoodSpec(objective=([1.0], 0.5)))
     # the override is stated in minimization form and is not negated
     assert derived.c.tolist() == [1.0]
     assert derived.offset == 0.5

@@ -9,9 +9,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parlns.alns
 import parlns.model
 from parlns.alns import run_worker
 from parlns.clock import SimulatedClock
@@ -140,60 +141,89 @@ def test_derived_arrays_equal_a_build_from_dicts(family):
         sub = apply_neighborhood(model, spec)
         assert_same_arrays(sub, relaxation_from_dicts(apply_neighborhood_oracle(model, spec)))
         assert sub.integer is base.integer
-        if spec.extra_constraints:
+        if spec.rows is not None:
             m = base.A.shape[0]
             assert np.array_equal(sub.A[:m], base.A)
         else:
             assert sub.A is base.A
             assert sub.b is base.b
-        if spec.objective_override is None:
+            assert sub.slack_lower is base.slack_lower and sub.slack_upper is base.slack_upper
+        if spec.objective is None:
             assert sub.c is base.c
+        if spec.bounds is None:
+            assert sub.lower is base.lower and sub.upper is base.upper
 
 
 _FIXING_OFFSETS = (0.0,) * 12 + (0.5, -1.0) + _offsets(BOUND_TOL) + _offsets(INTEGRALITY_TOL)
-_OVERRIDE_BOUNDS = (-INF, -2.0, 0.0, 1.0, 3.0, INF)
+_RANGE_BOUNDS = (-INF, -2.0, 0.0, -0.0, 1.0, 3.0, INF)
+_RANGE_OFFSETS = (0.0,) + _offsets(BOUND_TOL)
+_NON_FINITE = (INF, -INF, float("nan"))
 
 
 @st.composite
 def _model_and_spec(draw):
-    """A model as in ``_model_and_point`` and a spec over it: fixings at or
-    near a bound or an integer inside, bound overrides, extra rows and an
-    objective override; each part is now and then malformed (a fixing off
-    its bounds or fractional, an empty override range, a row with only
-    zeros, an out-of-range index or an unknown relation)."""
+    """A model as in ``_model_and_point`` and a spec over it in its arrays:
+    bounds that fix columns at or near a bound or an integer inside and
+    narrow others, appended rows and a new objective; each part is now and
+    then malformed (a fixing off its bounds, fractional or infinite, an empty
+    range, a NaN bound, a row with only zeros, a non-finite entry or a wrong
+    shape). A range may cross within ``BOUND_TOL``."""
     model, _ = draw(_model_and_point())
     n = model.n_vars
     index = st.integers(0, n - 1)
-    fixings = {}
-    for j in draw(st.lists(index, max_size=n, unique=True)):
-        var = model.variables[j]
-        inside = min(max(float(draw(st.integers(-3, 3))), var.lower), var.upper)
-        anchors = [b for b in (var.lower, var.upper) if math.isfinite(b)] + [inside]
-        fixings[j] = draw(st.sampled_from(anchors)) + draw(st.sampled_from(_FIXING_OFFSETS))
-    overrides = {}
-    for j in draw(st.lists(index, max_size=n, unique=True)):
-        var = model.variables[j]
-        bound = st.sampled_from(_OVERRIDE_BOUNDS + (var.lower, var.upper))
-        lo, up = draw(bound), draw(bound)
-        overrides[j] = (lo, up) if draw(st.integers(0, 5)) == 0 else (min(lo, up), max(lo, up))
-    # mostly in range and nonzero; index n, zeros and "<" are malformed
-    coefficients = st.dictionaries(
-        st.integers(0, n) if draw(st.integers(0, 7)) == 0 else index,
-        st.sampled_from((1.0, -2.0, 3.0, 0.0, -0.0)),
-        min_size=1,
-        max_size=n,
-    )
-    relation = st.sampled_from((LE, GE, EQ, LE, GE, EQ, "<"))
-    rhs = st.integers(-4, 4).map(float)
-    # "r0" may be a base row's name too
-    row = st.builds(LinearConstraint, st.sampled_from(("r0", "e")), coefficients, relation, rhs)
-    extra = draw(st.lists(row, max_size=3))
-    override = draw(st.none() | st.tuples(coefficients, rhs))
-    spec = parlns.model.NeighborhoodSpec(
-        fixings=fixings, bound_overrides=overrides, extra_constraints=tuple(extra),
-        objective_override=override,
-    )
-    return model, spec
+    fields = {}
+    present = st.integers(0, 2)  # two in three specs set a field
+    flaw = st.sampled_from((None,) * 12 + (0, 1, 2))  # now and then one of three flaws
+    if draw(present):
+        lower, upper = list(model.relaxation.lower), list(model.relaxation.upper)
+        for j in draw(st.lists(index, max_size=n, unique=True)):
+            var = model.variables[j]
+            bound = st.sampled_from((var.upper, var.lower) + _RANGE_BOUNDS)
+            lo, up = draw(bound), draw(bound)
+            if draw(st.integers(0, 5)):
+                lo, up = min(lo, up), max(lo, up)
+            offset = draw(st.sampled_from(_RANGE_OFFSETS))
+            lower[j], upper[j] = lo + offset if offset else lo, up  # -0.0 + 0.0 is 0.0
+        for j in draw(st.lists(index, max_size=n, unique=True)):
+            var = model.variables[j]
+            inside = min(max(float(draw(st.integers(-3, 3))), var.lower), var.upper)
+            anchors = [b for b in (var.lower, var.upper) if math.isfinite(b)] + [inside]
+            value = draw(st.sampled_from(anchors)) + draw(st.sampled_from(_FIXING_OFFSETS))
+            lower[j] = upper[j] = value
+        kind = draw(flaw)
+        if kind == 0:
+            (lower if draw(st.booleans()) else upper)[draw(index)] = float("nan")
+        elif kind == 1:
+            upper = upper[1:]
+        elif kind == 2:
+            j = draw(index)
+            lower[j] = upper[j] = draw(st.sampled_from(_NON_FINITE[:2]))
+        fields["bounds"] = (lower, upper)
+    if draw(present):
+        k = draw(st.integers(0, 3))
+        entry = st.sampled_from((1.0, -2.0, 0.0, 3.0, -0.0, -1.0))
+        rows = np.array([[draw(entry) for _ in range(n)] for _ in range(k)]).reshape(k, n)
+        rhs = np.array([float(draw(st.integers(-4, 4))) for _ in range(k)])
+        kind = draw(flaw)
+        if kind == 0 and k:
+            rows[draw(st.integers(0, k - 1)), draw(index)] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == 1 and k:
+            rhs[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == 2:
+            rows = np.hstack([rows, np.ones((k, 1))])
+        fields["rows"] = (rows, rhs)
+    if draw(present):
+        costs = [draw(st.sampled_from((1.0, -2.0, 0.5, 0.0, -0.0))) for _ in range(n)]
+        offset = float(draw(st.integers(-4, 4)))
+        kind = draw(flaw)
+        if kind == 0:
+            costs[draw(index)] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == 1:
+            offset = draw(st.sampled_from(_NON_FINITE))
+        elif kind == 2:
+            costs = costs[1:]
+        fields["objective"] = (costs, offset)
+    return model, parlns.model.NeighborhoodSpec(**fields)
 
 
 def _outcome(apply, model, spec):
@@ -205,6 +235,15 @@ def _outcome(apply, model, spec):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_model_and_spec())
+@example((  # a range crossed within BOUND_TOL, which closes to its upper bound
+    make_model("crossed", MINIMIZE, [Variable("x", CONTINUOUS, 0.0, 1.0)], [], {0: 1.0}),
+    parlns.model.NeighborhoodSpec(bounds=([1.0 + 0.5 * BOUND_TOL], [2.0])),
+))
+@example((  # bounds that tie with the model's but for the sign of zero keep their own
+    make_model("ties", MINIMIZE, [Variable("x", CONTINUOUS, 0.0, 3.0),
+                                  Variable("y", CONTINUOUS, -2.0, 0.0)], [], {0: 1.0}),
+    parlns.model.NeighborhoodSpec(bounds=([-0.0, -1.0], [2.0, -0.0])),
+))
 def test_apply_neighborhood_matches_the_dict_model_oracle(case):
     model, spec = case
     got = _outcome(apply_neighborhood, model, spec)
@@ -221,9 +260,9 @@ def test_relaxation_arrays_are_read_only():
     sub = apply_neighborhood(
         model,
         parlns.model.NeighborhoodSpec(
-            fixings={0: 0.0},
-            extra_constraints=(LinearConstraint("extra", {1: 1.0}, LE, 1.0),),
-            objective_override=({2: 1.0}, 0.0),
+            bounds=(np.zeros(12), np.concatenate([[0.0], np.ones(11)])),
+            rows=(np.eye(12)[[1]], [1.0]),
+            objective=(np.eye(12)[2], 0.0),
         ),
     )
     for relax in (model.relaxation, sub.relaxation):
@@ -235,26 +274,37 @@ def test_relaxation_arrays_are_read_only():
 
 
 def test_worker_builds_base_arrays_once_and_only_appended_rows(monkeypatch):
-    built, row_counts = [], []
-    real_build, real_rows = parlns.model.relaxation_from_dicts, parlns.model._rows
+    built, applied = [], []
+    real_build, real_apply = parlns.model.relaxation_from_dicts, parlns.alns.apply_neighborhood
 
     def counting_build(model):
         built.append(model)
         return real_build(model)
 
-    def counting_rows(constraints, n, above=None):
-        row_counts.append(len(constraints))
-        return real_rows(constraints, n, above)
+    def recording_apply(model, spec):
+        sub = real_apply(model, spec)
+        applied.append((spec, sub))
+        return sub
 
     monkeypatch.setattr(parlns.model, "relaxation_from_dicts", counting_build)
-    monkeypatch.setattr(parlns.model, "_rows", counting_rows)
+    monkeypatch.setattr(parlns.alns, "apply_neighborhood", recording_apply)
     model = independent_set(30, 0.2, seed=5)
     result = run_worker(model, DEFAULT_CONFIG, 0.5, seed=1, clock=SimulatedClock(0.01))
     assert result.iterations > 0
     assert len(built) == 1 and built[0] is model
-    assert row_counts[0] == len(model.constraints)
-    # local branching and proximity sub-MIPs read only their one new row
-    assert len(row_counts) > 1 and set(row_counts[1:]) == {1}
+    base = model.relaxation
+    m = base.A.shape[0]
+    with_row = 0
+    for spec, sub in applied:
+        if spec.rows is None:
+            assert sub.A is base.A and sub.b is base.b and sub.slack_upper is base.slack_upper
+            continue
+        # local branching and proximity sub-MIPs add their one row below the base rows
+        with_row += 1
+        assert sub.A.shape == (m + 1, model.n_vars)
+        assert np.array_equal(sub.A[:m], base.A) and np.array_equal(sub.b[:m], base.b)
+        assert np.array_equal(sub.slack_upper[:m], base.slack_upper)
+    assert with_row and len(applied) > with_row
 
 
 def test_threads_sharing_a_model_see_one_set_of_arrays():

@@ -32,7 +32,6 @@ from parlns.model import (
     LE,
     MINIMIZE,
     LinearConstraint,
-    NeighborhoodSpec,
     Variable,
     apply_neighborhood,
     evaluate,
@@ -51,7 +50,7 @@ from parlns.operators import (
 )
 from parlns.subsolver import INFEASIBLE, OPTIMAL, SolveBudget, find_first_feasible, solve_mip
 
-from support import apply_neighborhood_oracle, binary_optimum
+from support import apply_neighborhood_oracle, binary_optimum, fixing_spec
 
 AMPLE = SolveBudget(node_limit=20000)
 
@@ -169,7 +168,7 @@ def test_crossed_singleton_bounds_are_infeasible_at_one_node():
          LinearConstraint("other", {1: 1.0, 2: 1.0}, LE, 2.0)],
         {1: 1.0, 2: -1.0},
     )
-    sub = apply_neighborhood(model, NeighborhoodSpec(fixings={0: 0.0}))
+    sub = apply_neighborhood(model, fixing_spec(model, {0: 0.0}))
     reduced = presolve(sub).relaxation
     assert np.count_nonzero(reduced.lower > reduced.upper)
     assert solve_relaxation(reduced).status == LP_INFEASIBLE
@@ -186,7 +185,7 @@ def test_an_empty_violated_row_is_infeasible_at_one_node():
          LinearConstraint("free", {1: 1.0, 2: 1.0}, GE, 1.0)],
         {2: 1.0},
     )
-    sub = apply_neighborhood(model, NeighborhoodSpec(fixings={0: 1.0, 1: 1.0}))
+    sub = apply_neighborhood(model, fixing_spec(model, {0: 1.0, 1: 1.0}))
     reduced = presolve(sub).relaxation
     assert reduced.lower.tolist() == [1.0] and reduced.upper.tolist() == [0.0]
     clock = SimulatedClock(0.25)
@@ -197,7 +196,7 @@ def test_an_empty_violated_row_is_infeasible_at_one_node():
 
 def test_a_sub_mip_that_fixes_every_column_keeps_one():
     model = independent_set(8, 0.4, 2)
-    sub = apply_neighborhood(model, NeighborhoodSpec(fixings={j: 0.0 for j in range(8)}))
+    sub = apply_neighborhood(model, fixing_spec(model, {j: 0.0 for j in range(8)}))
     reduced = presolve(sub)
     assert reduced.free.tolist() == [7]
     plain, presolved = _assert_same_search(sub)
@@ -212,7 +211,7 @@ def test_a_warm_start_that_breaks_a_fixing_is_ignored():
     one = next(j for j, v in enumerate(best.values) if v == 1.0)
     fixings = {j: best.values[j] for j in range(10)}
     fixings[one] = 1.0
-    sub = apply_neighborhood(model, NeighborhoodSpec(fixings=fixings))
+    sub = apply_neighborhood(model, fixing_spec(model, fixings))
     assert not evaluate(sub, zeros.values).feasible
     plain, presolved = _assert_same_search(sub, warm_start=zeros)
     assert presolved.status == OPTIMAL
@@ -237,7 +236,7 @@ def test_infinite_bounds_form_no_nan():
          LinearConstraint("box_low", {2: 1.0}, LE, 6.0)],
         {0: 1.0, 1: 2.0, 2: 1.0, 3: -1.0},
     )
-    sub = apply_neighborhood(model, NeighborhoodSpec(fixings={3: 1.0}))
+    sub = apply_neighborhood(model, fixing_spec(model, {3: 1.0}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reduced = presolve(sub)
@@ -317,7 +316,7 @@ def fixed_sub_mips(draw):
             step = 2 if var.kind == CONTINUOUS else 1
             fixings[j] = draw(st.integers(int(step * lo), int(step * up))) / step
     all_binary = all(v.kind == BINARY for v in model.variables)
-    return model, NeighborhoodSpec(fixings=fixings), all_binary
+    return model, fixing_spec(model, fixings), all_binary
 
 
 @settings(derandomize=True, max_examples=250, deadline=None)

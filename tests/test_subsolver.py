@@ -13,6 +13,7 @@ from parlns.model import (
     LE,
     MINIMIZE,
     LinearConstraint,
+    Solution,
     Variable,
     evaluate,
     make_model,
@@ -73,6 +74,14 @@ def test_budget_rejects_a_nan_wall_cap_and_keeps_inf_as_none():
 def test_simulated_clock_needs_a_positive_finite_step(step):
     with pytest.raises(ValueError, match="node_seconds"):
         SimulatedClock(step)
+
+
+def test_model_without_columns_is_optimal_at_its_offset():
+    model = make_model("empty", MINIMIZE, [], [], {}, offset=2.5)
+    for result in (solve_mip(model, None, SolveBudget(node_limit=10)),
+                   find_first_feasible(model, SolveBudget(node_limit=10))):
+        assert (result.status, result.dual_bound) == (OPTIMAL, 2.5)
+        assert result.incumbent == Solution((), 2.5, True, True)
 
 
 def test_knapsack_matches_enumeration():
