@@ -102,8 +102,8 @@ class LpResult:
 
 
 def build_relaxation(model: MipModel | LpRelaxation) -> LpRelaxation:
-    """A model's arrays, built once per model; a sub-problem's arrays
-    (``apply_neighborhood``) are their own relaxation."""
+    """A model's arrays, which the model holds from its construction on; a
+    sub-problem's arrays (``apply_neighborhood``) are their own relaxation."""
     return model.relaxation
 
 

@@ -1,10 +1,14 @@
-"""Immutable MIP data model: variables, constraints, solutions, sub-problem specs.
+"""Immutable MIP data model: a model's arrays, solutions, sub-problem specs.
 
-Models are normalized to minimization on construction; objectives stated as
+A model is its name, its sense, its column and row names and its one numeric
+form, a read-only :class:`LpRelaxation` built once at construction.
+``make_model`` turns :class:`Variable` and :class:`LinearConstraint` records
+into arrays and ``parse_mps`` collects them from a file; both hand them to
+``build_model``, which normalizes and validates them in whole-array
+operations. Models are normalized to minimization; objectives stated as
 maximization are negated once and un-negated only at reporting boundaries
-(see :meth:`MipModel.to_external_objective`). A model's one numeric form is
-its read-only :class:`LpRelaxation`, built on first use; ``evaluate`` and the
-LP read it, and only the LP knows the rows' slack columns. A sub-problem is
+(see :meth:`MipModel.to_external_objective`). ``evaluate`` and the LP read
+the arrays, and only the LP knows the rows' slack columns. A sub-problem is
 only its arrays: a :class:`NeighborhoodSpec` states new bounds, appended
 ``<=`` rows and a new objective in the model's arrays, ``apply_neighborhood``
 checks them in whole-array operations and puts them in place of the model's,
@@ -112,7 +116,7 @@ class LpRelaxation:
 
     def __post_init__(self):
         for value in vars(self).values():
-            if isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray) and value.flags.writeable:
                 value.flags.writeable = False
 
     @property
@@ -132,29 +136,44 @@ class LpRelaxation:
         return c_full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: models compare by identity
 class MipModel:
-    """Linear model in minimization form.
+    """A linear model: its names and its arrays, in minimization form.
 
-    ``objective`` maps variable index to coefficient and is always minimized;
-    ``sense`` records the user-facing sense for reporting.
+    ``relaxation`` is built once, by ``make_model`` or ``parse_mps``; its
+    costs and offset are negated when ``sense``, the user-facing sense kept
+    for reporting, is maximize.
     """
 
     name: str
     sense: str
-    variables: tuple[Variable, ...]
-    constraints: tuple[LinearConstraint, ...]
-    objective: dict[int, float]
-    objective_offset: float = 0.0
+    column_names: tuple[str, ...]
+    row_names: tuple[str, ...]
+    relaxation: LpRelaxation
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.column_names)
 
-    @cached_property
-    def relaxation(self) -> LpRelaxation:
-        """The model's arrays, built from its dicts on first use."""
-        return relaxation_from_dicts(self)
+    @property
+    def objective(self) -> np.ndarray:
+        """The costs in minimization form, read-only: ``relaxation.c``."""
+        return self.relaxation.c
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The rows as records, built from the arrays on each call, each with
+        its nonzero coefficients. It stays until benchmark v2, whose
+        reference test reads it."""
+        relax = self.relaxation
+        records = []
+        for name, row, relation, rhs in zip(
+            self.row_names, relax.A, row_relations(relax), relax.b.tolist()
+        ):
+            columns = np.flatnonzero(row)
+            coefficients = dict(zip(columns.tolist(), row[columns].tolist()))
+            records.append(LinearConstraint(name, coefficients, relation, rhs))
+        return tuple(records)
 
     def to_external_objective(self, value: float) -> float:
         """Map an internal (minimization) objective value to the stated sense."""
@@ -163,98 +182,16 @@ class MipModel:
     def to_internal_objective(self, value: float) -> float:
         return -value if self.sense == MAXIMIZE else value
 
-    def to_json_dict(self) -> dict:
-        """Debug dump with names instead of indices, objective in user sense."""
-        sign = -1.0 if self.sense == MAXIMIZE else 1.0
 
-        def num(x):
-            if x == INF:
-                return "inf"
-            if x == -INF:
-                return "-inf"
-            return x
-
-        names = [v.name for v in self.variables]
-        return {
-            "name": self.name,
-            "sense": self.sense,
-            "variables": [
-                {"name": v.name, "kind": v.kind, "lower": num(v.lower), "upper": num(v.upper)}
-                for v in self.variables
-            ],
-            "constraints": [
-                {
-                    "name": c.name,
-                    "relation": c.relation,
-                    "rhs": c.rhs,
-                    "coefficients": {names[i]: coef for i, coef in sorted(c.coefficients.items())},
-                }
-                for c in self.constraints
-            ],
-            "objective": {
-                "coefficients": {
-                    names[i]: sign * coef for i, coef in sorted(self.objective.items())
-                },
-                "offset": sign * self.objective_offset,
-            },
-        }
+_RELATION_OF = {bounds: relation for relation, bounds in _SLACK_BOUNDS.items()}
 
 
-def _strip_zeros(coefficients: dict[int, float]) -> dict[int, float]:
-    return {i: c for i, c in coefficients.items() if c != 0.0}
-
-
-def _normalize_variable(var: Variable) -> Variable:
-    lower, upper, kind = var.lower, var.upper, var.kind
-    if kind == BINARY:
-        lower = max(lower, 0.0)
-        upper = min(upper, 1.0)
-    elif kind == INTEGER and lower >= -BOUND_TOL and upper <= 1.0 + BOUND_TOL:
-        kind = BINARY
-        lower = max(lower, 0.0)
-        upper = min(upper, 1.0)
-    if lower != var.lower or upper != var.upper or kind != var.kind:
-        return Variable(var.name, kind, lower, upper)
-    return var
-
-
-def _validate(model: MipModel) -> MipModel:
-    if model.sense not in (MINIMIZE, MAXIMIZE):
-        raise ModelError(f"unknown sense {model.sense!r}")
-    seen = set()
-    for var in model.variables:
-        if var.name in seen:
-            raise ModelError(f"duplicate variable name {var.name!r}")
-        seen.add(var.name)
-        if var.kind not in (CONTINUOUS, INTEGER, BINARY):
-            raise ModelError(f"variable {var.name!r}: unknown kind {var.kind!r}")
-        if var.lower > var.upper + BOUND_TOL:
-            raise ModelError(f"variable {var.name!r}: lower {var.lower} > upper {var.upper}")
-    n = len(model.variables)
-    seen = set()
-    for con in model.constraints:
-        if con.name in seen:
-            raise ModelError(f"duplicate constraint name {con.name!r}")
-        seen.add(con.name)
-        _check_constraint(con.name, con.coefficients, con.relation, n)
-    _check_objective(model.objective, n)
-    return model
-
-
-def _check_constraint(name: str, coefficients: dict[int, float], relation: str, n: int) -> None:
-    if relation not in _SLACK_BOUNDS:
-        raise ModelError(f"constraint {name!r}: unknown relation {relation!r}")
-    if not coefficients:
-        raise ModelError(f"constraint {name!r} has no nonzero coefficient")
-    for i in coefficients:
-        if not 0 <= i < n:
-            raise ModelError(f"constraint {name!r} references variable index {i}")
-
-
-def _check_objective(objective: dict[int, float], n: int) -> None:
-    for i in objective:
-        if not 0 <= i < n:
-            raise ModelError(f"objective references variable index {i}")
+def row_relations(relax: LpRelaxation) -> list[str]:
+    """Each row's relation, read back from its slack bounds."""
+    return [
+        _RELATION_OF[bounds]
+        for bounds in zip(relax.slack_lower.tolist(), relax.slack_upper.tolist())
+    ]
 
 
 def make_model(
@@ -265,48 +202,93 @@ def make_model(
     objective: dict[int, float],
     offset: float = 0.0,
 ) -> MipModel:
-    """Validate and normalize a model stated in its natural sense.
+    """A model stated in records and in its natural sense, as arrays that
+    ``build_model`` normalizes and validates.
 
-    The objective is given in the stated sense and stored negated when the
-    sense is maximize. Integer variables contained in [0, 1] are normalized
-    to binaries; binary bounds are clamped into [0, 1].
+    The objective is given in the stated sense; a constraint's or the
+    objective's column index outside the variables raises
+    :class:`ModelError`.
     """
+    n = len(variables)
+    rows = [i for i, con in enumerate(constraints) for _ in con.coefficients]
+    cols = np.array([j for con in constraints for j in con.coefficients], dtype=np.intp)
+    _refuse((cols < 0) | (cols >= n), ModelError, lambda f: (
+        f"constraint {constraints[rows[f]].name!r} references variable index {cols[f]}"))
+    priced = np.array(list(objective), dtype=np.intp)
+    _refuse((priced < 0) | (priced >= n), ModelError,
+            lambda f: f"objective references variable index {priced[f]}")
+    A = np.zeros((len(constraints), n))
+    A[rows, cols] = [a for con in constraints for a in con.coefficients.values()]
+    c = np.zeros(n)
+    c[priced] = list(objective.values())
+    return build_model(
+        name, sense, [v.name for v in variables], [con.name for con in constraints],
+        kinds=[v.kind for v in variables], lower=[v.lower for v in variables],
+        upper=[v.upper for v in variables], relations=[con.relation for con in constraints],
+        A=A, b=[con.rhs for con in constraints], c=c, offset=offset,
+    )
+
+
+def build_model(
+    name: str, sense: str, columns: list[str], rows: list[str], *, kinds: list[str],
+    lower, upper, relations: list[str], A: np.ndarray, b, c: np.ndarray, offset: float,
+) -> MipModel:
+    """A model from its names and arrays, the costs and offset in the stated
+    sense: the one normalization and validation of model data.
+
+    A binary column's bounds are clamped into [0, 1], and so are an integer
+    column's that lie within [0, 1] to ``BOUND_TOL``: the binaries are then
+    exactly the integer columns with bounds inside [0, 1]. A ``-0.0``
+    coefficient or cost becomes ``0.0``, and a maximize model's costs and
+    offset are negated. Raises :class:`ModelError` for an unknown sense,
+    kind or relation, a duplicate name, a NaN bound, a lower bound of +inf
+    or an upper one of -inf, bounds crossed by more than ``BOUND_TOL``, a
+    non-finite coefficient, rhs, cost or offset, or a row without a nonzero
+    coefficient; each error names the first offending column or row.
+    """
+    if sense not in (MINIMIZE, MAXIMIZE):
+        raise ModelError(f"unknown sense {sense!r}")
+    _unique("variable", columns)
+    _unique("constraint", rows)
+    kind = np.array(kinds, dtype=str)
+    _refuse(~np.isin(kind, (CONTINUOUS, INTEGER, BINARY)), ModelError,
+            lambda j: f"variable {columns[j]!r}: unknown kind {kinds[j]!r}")
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    binary = (kind == BINARY) | (
+        (kind == INTEGER) & (lower >= -BOUND_TOL) & (upper <= 1.0 + BOUND_TOL))
+    # max(lower, 0.0) and min(upper, 1.0), each keeping its own bound on a tie
+    lower = np.where(binary & (lower < 0.0), 0.0, lower)
+    upper = np.where(binary & (upper > 1.0), 1.0, upper)
+    _refuse(np.isnan(lower) | np.isnan(upper) | (lower == INF) | (upper == -INF), ModelError,
+            lambda j: f"variable {columns[j]!r}: bounds [{lower[j]}, {upper[j]}]")
+    _refuse(lower > upper + BOUND_TOL, ModelError,
+            lambda j: f"variable {columns[j]!r}: lower {lower[j]} > upper {upper[j]}")
+    _refuse(~np.isin(np.array(relations, dtype=str), tuple(_SLACK_BOUNDS)), ModelError,
+            lambda i: f"constraint {rows[i]!r}: unknown relation {relations[i]!r}")
+    b, n = np.array(b, dtype=float), len(columns)
+    _refuse(~np.isfinite(b), ModelError, lambda i: f"constraint {rows[i]!r}: rhs is {b[i]}")
+    _refuse(~np.isfinite(A).ravel(), ModelError, lambda f: (
+        f"constraint {rows[f // n]!r}: coefficient of {columns[f % n]!r} is {A.flat[f]}"))
+    _refuse(np.count_nonzero(A, axis=1) == 0, ModelError,
+            lambda i: f"constraint {rows[i]!r} has no nonzero coefficient")
+    _refuse(~np.isfinite(c), ModelError,
+            lambda j: f"objective: cost of {columns[j]!r} is {c[j]}")
+    if not np.isfinite(offset):
+        raise ModelError(f"objective: offset is {offset}")
     sign = -1.0 if sense == MAXIMIZE else 1.0
-    variables = tuple(_normalize_variable(v) for v in variables)
-    constraints = tuple(
-        LinearConstraint(c.name, _strip_zeros(dict(c.coefficients)), c.relation, c.rhs)
-        for c in constraints
+    slack = np.array([_SLACK_BOUNDS[r] for r in relations]).reshape(-1, 2).T
+    relax = LpRelaxation(
+        c=sign * c + 0.0, offset=sign * offset, A=A + 0.0, b=b, lower=lower, upper=upper,
+        slack_lower=slack[0], slack_upper=slack[1], integer=kind != CONTINUOUS,
     )
-    model = MipModel(
-        name=name,
-        sense=sense,
-        variables=variables,
-        constraints=constraints,
-        objective=_strip_zeros({i: sign * c for i, c in objective.items()}),
-        objective_offset=sign * offset,
-    )
-    return _validate(model)
+    return MipModel(name, sense, tuple(columns), tuple(rows), relax)
 
 
-def _dense(coefficients: dict[int, float], n: int) -> np.ndarray:
-    vector = np.zeros(n)
-    vector[list(coefficients)] = list(coefficients.values())
-    return vector
-
-
-def relaxation_from_dicts(model: MipModel) -> LpRelaxation:
-    """Build a model's arrays from its dicts; ``MipModel.relaxation`` caches it."""
-    n, variables, constraints = model.n_vars, model.variables, model.constraints
-    slack = np.array([_SLACK_BOUNDS[con.relation] for con in constraints]).reshape(-1, 2).T
-    return LpRelaxation(
-        c=_dense(model.objective, n), offset=model.objective_offset,
-        A=np.array([_dense(con.coefficients, n) for con in constraints] or np.zeros((0, n))),
-        b=np.array([con.rhs for con in constraints], dtype=float),
-        lower=np.array([v.lower for v in variables], dtype=float),
-        upper=np.array([v.upper for v in variables], dtype=float),
-        slack_lower=slack[0], slack_upper=slack[1],
-        integer=np.array([v.kind != CONTINUOUS for v in variables], dtype=bool),
-    )
+def _unique(what: str, names: list[str]) -> None:
+    if len(set(names)) < len(names):
+        first = {}
+        name = next(name for i, name in enumerate(names) if first.setdefault(name, i) != i)
+        raise ModelError(f"duplicate {what} name {name!r}")
 
 
 def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
@@ -344,32 +326,32 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
     bound, a non-finite row, rhs or cost, or a row without a nonzero entry.
     Each error names the first offending variable or row.
     """
-    base, variables, n = model.relaxation, model.variables, model.n_vars
+    base, names, n = model.relaxation, model.column_names, model.n_vars
     arrays = {}
     if spec.bounds is not None:
         lower, upper = _arrays("bounds", spec.bounds, ((n,), (n,)))
         _refuse(np.isnan(lower) | np.isnan(upper), ModelError,
-                lambda i: f"bounds of {variables[i].name!r} are [{lower[i]}, {upper[i]}]")
+                lambda i: f"bounds of {names[i]!r} are [{lower[i]}, {upper[i]}]")
         fixed = lower == upper
         inside = (lower >= base.lower - BOUND_TOL) & (lower <= base.upper + BOUND_TOL)
         _refuse(fixed & ~(inside & np.isfinite(lower)), ConflictingFixing, lambda i: (
-            f"fixing {variables[i].name!r} at {lower[i]} outside bounds "
+            f"fixing {names[i]!r} at {lower[i]} outside bounds "
             f"[{base.lower[i]}, {base.upper[i]}]"))
         value = np.where(fixed & base.integer, lower, 0.0)
         _refuse(np.abs(value - np.rint(value)) > INTEGRALITY_TOL, ConflictingFixing,
-                lambda i: f"fixing integer {variables[i].name!r} at fractional {lower[i]}")
+                lambda i: f"fixing integer {names[i]!r} at fractional {lower[i]}")
         # the model's bound where it is tighter, else the spec's, the sign of a zero too
         upper = np.where(fixed, lower, np.where(base.upper < upper, base.upper, upper))
         lower = np.where(fixed, lower, np.where(base.lower > lower, base.lower, lower))
         _refuse(lower > upper + BOUND_TOL, ConflictingFixing, lambda i: (
-            f"bounds of {variables[i].name!r} yield empty range [{lower[i]}, {upper[i]}]"))
+            f"bounds of {names[i]!r} yield empty range [{lower[i]}, {upper[i]}]"))
         np.copyto(lower, upper, where=lower > upper)
         arrays.update(lower=lower, upper=upper)
     if spec.rows is not None:
         k = np.size(spec.rows[1])
         rows, rhs = _arrays("rows", spec.rows, ((k, n), (k,)))
         _refuse(~np.isfinite(rows).ravel(), ModelError, lambda f: (
-            f"row {f // n}: coefficient of {variables[f % n].name!r} is {rows.flat[f]}"))
+            f"row {f // n}: coefficient of {names[f % n]!r} is {rows.flat[f]}"))
         _refuse(~np.isfinite(rhs), ModelError, lambda i: f"row {i}: rhs is {rhs[i]}")
         _refuse(np.count_nonzero(rows, axis=1) == 0, ModelError,
                 lambda i: f"row {i} has no nonzero coefficient")
@@ -382,7 +364,7 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
     if spec.objective is not None:
         costs, offset = _arrays("objective", spec.objective, ((n,), ()))
         _refuse(~np.isfinite(costs), ModelError,
-                lambda i: f"objective: cost of {variables[i].name!r} is {costs[i]}")
+                lambda i: f"objective: cost of {names[i]!r} is {costs[i]}")
         if not np.isfinite(offset):
             raise ModelError(f"objective: offset is {offset}")
         arrays.update(c=costs, offset=float(offset))

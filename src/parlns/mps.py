@@ -5,7 +5,12 @@ INTORG/INTEND markers), RHS, RANGES, BOUNDS, ENDATA. Fixed-format column
 positions are not enforced. Defaults: continuous and integer variables get
 [0, +inf), BV bounds give [0, 1], UI and LI bounds make their column integer,
 missing RHS entries are 0, sense is minimize unless OBJSENSE says otherwise.
+The reader collects a model's entries as coordinate triples and per-row and
+per-column lists, and ``model.build_model`` makes, normalizes and checks the
+arrays; the writer reads the arrays.
 """
+
+import numpy as np
 
 from .model import (
     BINARY,
@@ -17,10 +22,9 @@ from .model import (
     LE,
     MAXIMIZE,
     MINIMIZE,
-    LinearConstraint,
     MipModel,
-    Variable,
-    make_model,
+    build_model,
+    row_relations,
 )
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
@@ -57,22 +61,25 @@ def _to_float(token: str, line_no: int) -> float:
 
 
 def parse_mps(text: str) -> MipModel:
-    """Parse free-format MPS text into a validated model."""
+    """Parse free-format MPS text into a validated model; an entry repeated
+    for one row and column adds to the earlier ones, in file order."""
     name = ""
     sense = MINIMIZE
     obj_row: str | None = None
-    row_kind: dict[str, str] = {}
-    row_order: list[str] = []
-    var_order: list[str] = []
-    var_index: dict[str, int] = {}
-    var_is_int: dict[str, bool] = {}
-    row_coefs: dict[str, dict[int, float]] = {}
-    obj_coefs: dict[int, float] = {}
-    rhs: dict[str, float] = {}
-    ranges: list[tuple[str, float, int]] = []
-    bounds: dict[int, list[float | None]] = {}  # index -> [lower, upper]
-    explicit_binary: set[int] = set()
-    integer_bound: set[int] = set()  # columns given a UI or LI bound
+    free_rows: set[str] = set()  # the N rows, the objective row among them
+    row_index: dict[str, int] = {}
+    relations: list[str] = []
+    rhs: list[float] = []
+    ranges: list[tuple[int, float]] = []
+    col_index: dict[str, int] = {}
+    kinds: list[str] = []
+    lower: list[float] = []
+    upper: list[float] = []
+    entry_rows: list[int] = []
+    entry_cols: list[int] = []
+    entry_values: list[float] = []
+    cost_cols: list[int] = []
+    cost_values: list[float] = []
     offset = 0.0
 
     section = None
@@ -117,17 +124,17 @@ def parse_mps(text: str) -> MipModel:
             kind, row = tokens[0].upper(), tokens[1]
             if kind not in _ROW_KINDS:
                 raise MalformedSection(f"unknown row kind {tokens[0]!r}", line_no)
-            if row in row_kind or row == obj_row:
+            if row in row_index or row in free_rows:
                 raise DuplicateName(f"row {row!r} declared twice", line_no)
             if kind == "N":
                 if obj_row is None:
                     obj_row = row
                 # additional free rows are declared but their entries are dropped
-                row_kind[row] = "N"
+                free_rows.add(row)
             else:
-                row_kind[row] = kind
-                row_order.append(row)
-                row_coefs[row] = {}
+                row_index[row] = len(relations)
+                relations.append(_RELATION[kind])
+                rhs.append(0.0)
 
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
@@ -142,20 +149,22 @@ def parse_mps(text: str) -> MipModel:
             if len(tokens) < 3 or len(tokens) % 2 == 0:
                 raise MalformedSection("COLUMNS entries are 'col row value [row value]'", line_no)
             col = tokens[0]
-            if col not in var_index:
-                var_index[col] = len(var_order)
-                var_order.append(col)
-                var_is_int[col] = in_integer_block
-            j = var_index[col]
+            j = col_index.get(col)
+            if j is None:
+                j = col_index[col] = len(kinds)
+                kinds.append(INTEGER if in_integer_block else CONTINUOUS)
+                lower.append(0.0)
+                upper.append(INF)
             for k in range(1, len(tokens), 2):
                 row, value = tokens[k], _to_float(tokens[k + 1], line_no)
                 if row == obj_row:
-                    obj_coefs[j] = obj_coefs.get(j, 0.0) + value
-                elif row in row_coefs:
-                    row_coefs[row][j] = row_coefs[row].get(j, 0.0) + value
-                elif row_kind.get(row) == "N":
-                    continue
-                else:
+                    cost_cols.append(j)
+                    cost_values.append(value)
+                elif row in row_index:
+                    entry_rows.append(row_index[row])
+                    entry_cols.append(j)
+                    entry_values.append(value)
+                elif row not in free_rows:
                     raise DanglingReference(f"COLUMNS entry for unknown row {row!r}", line_no)
 
         elif section == "RHS":
@@ -166,11 +175,9 @@ def parse_mps(text: str) -> MipModel:
                 if row == obj_row:
                     # RHS on the objective row is the negated constant term
                     offset = -value
-                elif row in row_coefs:
-                    rhs[row] = value
-                elif row_kind.get(row) == "N":
-                    continue
-                else:
+                elif row in row_index:
+                    rhs[row_index[row]] = value
+                elif row not in free_rows:
                     raise DanglingReference(f"RHS entry for unknown row {row!r}", line_no)
 
         elif section == "RANGES":
@@ -178,9 +185,9 @@ def parse_mps(text: str) -> MipModel:
                 raise MalformedSection("RANGES entries are 'set row value [row value]'", line_no)
             for k in range(1, len(tokens), 2):
                 row, value = tokens[k], _to_float(tokens[k + 1], line_no)
-                if row not in row_coefs:
+                if row not in row_index:
                     raise DanglingReference(f"RANGES entry for unknown row {row!r}", line_no)
-                ranges.append((row, value, line_no))
+                ranges.append((row_index[row], value))
 
         elif section == "BOUNDS":
             kind = tokens[0].upper()
@@ -189,82 +196,68 @@ def parse_mps(text: str) -> MipModel:
             if len(tokens) < expected:
                 raise MalformedSection(f"truncated BOUNDS entry of kind {kind!r}", line_no)
             col = tokens[2]
-            if col not in var_index:
+            if col not in col_index:
                 raise DanglingReference(f"BOUNDS entry for unknown column {col!r}", line_no)
-            j = var_index[col]
-            lo_up = bounds.setdefault(j, [None, None])
-            if kind in {"UI", "LI"}:
-                integer_bound.add(j)
+            j = col_index[col]
+            if kind in {"UI", "LI"} and kinds[j] != BINARY:
+                kinds[j] = INTEGER
             if kind in {"UP", "UI"}:
-                lo_up[1] = _to_float(tokens[3], line_no)
+                upper[j] = _to_float(tokens[3], line_no)
             elif kind in {"LO", "LI"}:
-                lo_up[0] = _to_float(tokens[3], line_no)
+                lower[j] = _to_float(tokens[3], line_no)
             elif kind == "FX":
-                value = _to_float(tokens[3], line_no)
-                lo_up[0] = lo_up[1] = value
+                lower[j] = upper[j] = _to_float(tokens[3], line_no)
             elif kind == "FR":
-                lo_up[0] = -INF
-                lo_up[1] = INF
+                lower[j], upper[j] = -INF, INF
             elif kind == "MI":
-                lo_up[0] = -INF
+                lower[j] = -INF
             elif kind == "PL":
-                lo_up[1] = INF
+                upper[j] = INF
             elif kind == "BV":
-                explicit_binary.add(j)
-                lo_up[0], lo_up[1] = 0.0, 1.0
+                kinds[j] = BINARY
+                lower[j], upper[j] = 0.0, 1.0
             else:
                 raise MalformedSection(f"unknown bound kind {tokens[0]!r}", line_no)
 
         else:
             raise MalformedSection(f"data in unsupported section {section!r}", line_no)
 
-    if obj_row is None and (obj_coefs or offset):
-        # cannot happen: objective coefficients require a declared N row
-        raise MpsParseError("objective entries without an N row", 0)
+    A = np.zeros((len(relations), len(kinds)))
+    np.add.at(A, (entry_rows, entry_cols), entry_values)
+    c = np.zeros(len(kinds))
+    np.add.at(c, cost_cols, cost_values)
+    rows = list(row_index)
+    if ranges:
+        A, rows, relations, rhs = _split_ranges(A, rows, relations, rhs, dict(ranges))
+    return build_model(
+        name, sense, list(col_index), rows, kinds=kinds, lower=lower, upper=upper,
+        relations=relations, A=A, b=rhs, c=c, offset=offset,
+    )
 
-    variables = []
-    for col in var_order:
-        j = var_index[col]
-        lo, up = bounds.get(j, [None, None])
-        if j in explicit_binary:
-            kind = BINARY
-        elif var_is_int[col] or j in integer_bound:
-            kind = INTEGER
-        else:
-            kind = CONTINUOUS
-        lower = 0.0 if lo is None else lo
-        upper = INF if up is None else up
-        variables.append(Variable(col, kind, lower, upper))
 
-    constraints = []
-    ranged = {row: (value, line_no) for row, value, line_no in ranges}
-    for row in row_order:
-        kind = row_kind[row]
-        coefs = row_coefs[row]
-        b = rhs.get(row, 0.0)
-        if row not in ranged:
-            constraints.append(LinearConstraint(row, coefs, _RELATION[kind], b))
+def _split_ranges(A, rows, relations, rhs, ranges):
+    """Each row with a RANGES entry made two: the row itself as ``>=`` the
+    range's lower end and, below it, a copy named with ``_RANGE_SUFFIX`` as
+    ``<=`` its upper end."""
+    names, split_relations, sides = [], [], []
+    for i, (row, relation, b) in enumerate(zip(rows, relations, rhs)):
+        if i not in ranges:
+            names.append(row)
+            split_relations.append(relation)
+            sides.append(b)
             continue
-        r, line_no = ranged[row]
-        # RANGES turn a row into a two-sided constraint; we store the pair as
-        # two single-relation rows sharing a name suffix.
-        if kind == "L":
+        r = ranges[i]
+        if relation == LE:
             lo, hi = b - abs(r), b
-        elif kind == "G":
+        elif relation == GE:
             lo, hi = b, b + abs(r)
         else:
             lo, hi = (b, b + r) if r >= 0 else (b + r, b)
-        constraints.append(LinearConstraint(row, coefs, GE, lo))
-        constraints.append(LinearConstraint(row + _RANGE_SUFFIX, dict(coefs), LE, hi))
-
-    return make_model(
-        name=name,
-        sense=sense,
-        variables=variables,
-        constraints=constraints,
-        objective=obj_coefs,
-        offset=offset,
-    )
+        names += [row, row + _RANGE_SUFFIX]
+        split_relations += [GE, LE]
+        sides += [lo, hi]
+    copies = [2 if i in ranges else 1 for i in range(len(rows))]
+    return A[np.repeat(np.arange(len(rows)), copies)], names, split_relations, sides
 
 
 def _parse_sense(token: str, line_no: int) -> str:
@@ -281,7 +274,8 @@ def _fmt(value: float) -> str:
 
 
 def write_mps(model: MipModel) -> str:
-    """Serialize a model to free-format MPS; parse_mps round-trips it."""
+    """Serialize a model's arrays to free-format MPS; parse_mps round-trips it."""
+    relax = model.relaxation
     sign = -1.0 if model.sense == MAXIMIZE else 1.0
     lines = [f"NAME {model.name}".rstrip()]
     if model.sense == MAXIMIZE:
@@ -289,68 +283,72 @@ def write_mps(model: MipModel) -> str:
         lines.append("    MAX")
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    relation_kind = {LE: "L", GE: "G", EQ: "E"}
-    for con in model.constraints:
-        lines.append(f" {relation_kind[con.relation]}  {con.name}")
+    row_kind = {relation: kind for kind, relation in _RELATION.items()}
+    for row, relation in zip(model.row_names, row_relations(relax)):
+        lines.append(f" {row_kind[relation]}  {row}")
     lines.append("COLUMNS")
-    # each column's row entries in constraint order, from one pass over the rows
-    column_rows = [[] for _ in model.variables]
-    for con in model.constraints:
-        for j, coef in con.coefficients.items():
-            column_rows[j].append((con.name, coef))
+    # each column's nonzero entries in row order, from one pass over A's transpose
+    cols, rows = np.nonzero(relax.A.T)
+    values = relax.A.T[cols, rows].tolist()
+    starts = np.searchsorted(cols, np.arange(model.n_vars + 1)).tolist()
+    costs = relax.c.tolist()
+    integer = relax.integer.tolist()
     in_integer_block = False
-    for j, var in enumerate(model.variables):
-        wants_int = var.kind != CONTINUOUS
-        if wants_int and not in_integer_block:
+    for j, col in enumerate(model.column_names):
+        if integer[j] and not in_integer_block:
             lines.append("    MARKER  'MARKER'  'INTORG'")
             in_integer_block = True
-        elif not wants_int and in_integer_block:
+        elif not integer[j] and in_integer_block:
             lines.append("    MARKER  'MARKER'  'INTEND'")
             in_integer_block = False
         entries = []
-        if j in model.objective:
-            entries.append(("OBJ", sign * model.objective[j]))
-        entries.extend(column_rows[j])
+        if costs[j] != 0.0:
+            entries.append(("OBJ", sign * costs[j]))
+        entries.extend(
+            (model.row_names[rows[k]], values[k]) for k in range(starts[j], starts[j + 1])
+        )
         if not entries:
             entries.append(("OBJ", 0.0))
         for row, value in entries:
-            lines.append(f"    {var.name}  {row}  {_fmt(value)}")
+            lines.append(f"    {col}  {row}  {_fmt(value)}")
     if in_integer_block:
         lines.append("    MARKER  'MARKER'  'INTEND'")
     lines.append("RHS")
-    if model.objective_offset != 0.0:
-        lines.append(f"    RHS1  OBJ  {_fmt(-sign * model.objective_offset)}")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            lines.append(f"    RHS1  {con.name}  {_fmt(con.rhs)}")
+    if relax.offset != 0.0:
+        lines.append(f"    RHS1  OBJ  {_fmt(-sign * relax.offset)}")
+    for row, b in zip(model.row_names, relax.b.tolist()):
+        if b != 0.0:
+            lines.append(f"    RHS1  {row}  {_fmt(b)}")
     lines.append("BOUNDS")
-    for var in model.variables:
-        lines.extend(_bound_lines(var))
+    for col, is_integer, lower, upper in zip(
+        model.column_names, integer, relax.lower.tolist(), relax.upper.tolist()
+    ):
+        lines.extend(_bound_lines(col, is_integer and lower >= 0.0 and upper <= 1.0, lower, upper))
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
 
-def _bound_lines(var: Variable) -> list[str]:
-    if var.kind == BINARY:
-        if var.lower == 0.0 and var.upper == 1.0:
-            return [f" BV BND  {var.name}"]
-        if var.lower == var.upper:
-            return [f" FX BND  {var.name}  {_fmt(var.lower)}"]
+def _bound_lines(col: str, binary: bool, lower: float, upper: float) -> list[str]:
+    if binary:
+        if lower == 0.0 and upper == 1.0:
+            return [f" BV BND  {col}"]
+        if lower == upper:
+            return [f" FX BND  {col}  {_fmt(lower)}"]
         out = []
-        if var.lower != 0.0:
-            out.append(f" LO BND  {var.name}  {_fmt(var.lower)}")
+        if lower != 0.0:
+            out.append(f" LO BND  {col}  {_fmt(lower)}")
         # always write the upper bound: a bare integer column re-parses to [0, inf)
-        out.append(f" UP BND  {var.name}  {_fmt(var.upper)}")
+        out.append(f" UP BND  {col}  {_fmt(upper)}")
         return out
-    if var.lower == 0.0 and var.upper == INF:
+    if lower == 0.0 and upper == INF:
         return []
-    if var.lower == var.upper:
-        return [f" FX BND  {var.name}  {_fmt(var.lower)}"]
+    if lower == upper:
+        return [f" FX BND  {col}  {_fmt(lower)}"]
     out = []
-    if var.lower == -INF:
-        out.append(f" MI BND  {var.name}")
-    elif var.lower != 0.0:
-        out.append(f" LO BND  {var.name}  {_fmt(var.lower)}")
-    if var.upper != INF:
-        out.append(f" UP BND  {var.name}  {_fmt(var.upper)}")
+    if lower == -INF:
+        out.append(f" MI BND  {col}")
+    elif lower != 0.0:
+        out.append(f" LO BND  {col}  {_fmt(lower)}")
+    if upper != INF:
+        out.append(f" UP BND  {col}  {_fmt(upper)}")
     return out

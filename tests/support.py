@@ -3,9 +3,12 @@
 The oracles here are deliberately independent of the solver code paths they
 check: full assignment enumeration for binary MIPs, active-set vertex
 enumeration for LPs, the dense ``[A, I]`` whose slack block the LP keeps
-implicit, a dict-loop ``evaluate`` for the array one, a whole
-sub-model built from dicts for ``apply_neighborhood``'s derived arrays, the
-dict-form destroy operators for the array ones, a
+implicit, the record form a model was once stored in (``Variable`` tuples
+and coefficient dicts) and its densification one column and one row at a
+time for ``make_model``'s and ``parse_mps``'s arrays, a dict-loop
+``evaluate`` for the array one, a whole sub-model built from dicts for
+``apply_neighborhood``'s derived arrays, the dict-form destroy operators for
+the array ones, a
 dense gap grid for the simulator's subset scores, a ``csv.reader`` over the
 open file and a ``pathlib`` listing for the trace database loader, and
 hand-rolled step-function traces.
@@ -23,14 +26,17 @@ import numpy as np
 
 from parlns.metrics import GapTrace
 from parlns.model import (
+    _SLACK_BOUNDS,
     BINARY,
     BOUND_TOL,
     CONTINUOUS,
     EQ,
     FEASIBILITY_TOL,
     GE,
+    INTEGER,
     INTEGRALITY_TOL,
     LE,
+    MAXIMIZE,
     MINIMIZE,
     ConflictingFixing,
     DimensionMismatch,
@@ -41,7 +47,6 @@ from parlns.model import (
     NeighborhoodSpec,
     Solution,
     Variable,
-    _validate,
     make_model,
 )
 from parlns.operators import (
@@ -56,8 +61,110 @@ from parlns.operators import (
 from parlns.simulator import build_trace_db
 
 
-def evaluate_oracle(model: MipModel, values) -> Solution:
+@dataclasses.dataclass(frozen=True)
+class DictModel:
+    """A model in the record form it was once stored in: ``objective`` maps
+    a column index to its nonzero cost in minimization form, and every
+    constraint keeps only its nonzero coefficients."""
+
+    name: str
+    sense: str
+    variables: tuple[Variable, ...]
+    constraints: tuple[LinearConstraint, ...]
+    objective: dict[int, float]
+    objective_offset: float = 0.0
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.variables)
+
+
+def _strip_zeros(coefficients: dict[int, float]) -> dict[int, float]:
+    return {i: c for i, c in coefficients.items() if c != 0.0}
+
+
+def _normalize_variable(var: Variable) -> Variable:
+    lower, upper, kind = var.lower, var.upper, var.kind
+    if kind == BINARY:
+        lower = max(lower, 0.0)
+        upper = min(upper, 1.0)
+    elif kind == INTEGER and lower >= -BOUND_TOL and upper <= 1.0 + BOUND_TOL:
+        kind = BINARY
+        lower = max(lower, 0.0)
+        upper = min(upper, 1.0)
+    if lower != var.lower or upper != var.upper or kind != var.kind:
+        return Variable(var.name, kind, lower, upper)
+    return var
+
+
+def dict_model(name, sense, variables, constraints, objective, offset=0.0) -> DictModel:
+    """``make_model``'s normalization one variable and one row at a time:
+    binaries clamped into [0, 1], integers inside [0, 1] made binaries, zero
+    coefficients and costs dropped and a maximize objective negated. It
+    validates nothing."""
+    sign = -1.0 if sense == MAXIMIZE else 1.0
+    return DictModel(
+        name=name,
+        sense=sense,
+        variables=tuple(_normalize_variable(v) for v in variables),
+        constraints=tuple(
+            LinearConstraint(c.name, _strip_zeros(dict(c.coefficients)), c.relation, c.rhs)
+            for c in constraints
+        ),
+        objective=_strip_zeros({i: sign * c for i, c in objective.items()}),
+        objective_offset=sign * offset,
+    )
+
+
+def dict_form(model: MipModel | DictModel) -> DictModel:
+    """A model's arrays as records, or the records themselves: a column is
+    binary when it is integer with bounds inside [0, 1], as ``make_model``
+    leaves exactly the binaries."""
+    if isinstance(model, DictModel):
+        return model
+    relax = model.relaxation
+    variables = tuple(
+        Variable(name, (BINARY if lo >= 0.0 and up <= 1.0 else INTEGER) if integer else CONTINUOUS,
+                 lo, up)
+        for name, integer, lo, up in zip(
+            model.column_names, relax.integer.tolist(), relax.lower.tolist(), relax.upper.tolist()
+        )
+    )
+    objective = {j: c for j, c in enumerate(relax.c.tolist()) if c != 0.0}
+    return DictModel(model.name, model.sense, variables, model.constraints, objective, relax.offset)
+
+
+def _dense(coefficients: dict[int, float], n: int) -> np.ndarray:
+    vector = np.zeros(n)
+    vector[list(coefficients)] = list(coefficients.values())
+    return vector
+
+
+def relaxation_from_dicts(model: DictModel) -> LpRelaxation:
+    """Build a model's arrays from its dicts, a column and a row at a time."""
+    n, variables, constraints = model.n_vars, model.variables, model.constraints
+    slack = np.array([_SLACK_BOUNDS[con.relation] for con in constraints]).reshape(-1, 2).T
+    return LpRelaxation(
+        c=_dense(model.objective, n), offset=model.objective_offset,
+        A=np.array([_dense(con.coefficients, n) for con in constraints] or np.zeros((0, n))),
+        b=np.array([con.rhs for con in constraints], dtype=float),
+        lower=np.array([v.lower for v in variables], dtype=float),
+        upper=np.array([v.upper for v in variables], dtype=float),
+        slack_lower=slack[0], slack_upper=slack[1],
+        integer=np.array([v.kind != CONTINUOUS for v in variables], dtype=bool),
+    )
+
+
+def assert_same_model(got: MipModel, want: MipModel):
+    """Names, sense and arrays equal, the arrays byte for byte."""
+    assert (got.name, got.sense) == (want.name, want.sense)
+    assert (got.column_names, got.row_names) == (want.column_names, want.row_names)
+    assert_same_arrays(got.relaxation, want.relaxation)
+
+
+def evaluate_oracle(model: MipModel | DictModel, values) -> Solution:
     """``model.evaluate`` as one loop over the model's dicts per relation."""
+    model = dict_form(model)
     if len(values) != model.n_vars:
         raise DimensionMismatch(f"expected {model.n_vars} values, got {len(values)}")
     values = tuple(float(v) for v in values)
@@ -88,13 +195,14 @@ def evaluate_oracle(model: MipModel, values) -> Solution:
     return Solution(values=values, objective=objective, feasible=feasible, integral=integral)
 
 
-def apply_neighborhood_oracle(model: MipModel, spec: NeighborhoodSpec) -> MipModel:
-    """``apply_neighborhood`` as a whole sub-model built one column and one
-    row at a time: fixed and intersected ``Variable`` bounds, the appended
-    rows as ``<=`` constraints under fresh names with every entry kept, and
-    the new objective in minimization form; the result is validated like any
-    model, so its ``relaxation_from_dicts`` is the reference for the derived
-    arrays. The checks run in the order ``apply_neighborhood`` makes them."""
+def apply_neighborhood_oracle(model: MipModel, spec: NeighborhoodSpec) -> DictModel:
+    """``apply_neighborhood`` as a whole sub-model in record form, built one
+    column and one row at a time: fixed and intersected ``Variable`` bounds,
+    the appended rows as ``<=`` constraints under fresh names with every
+    entry kept, and the new objective in minimization form, so its
+    ``relaxation_from_dicts`` is the reference for the derived arrays. The
+    checks run in the order ``apply_neighborhood`` makes them."""
+    model = dict_form(model)
     n = model.n_vars
     fields = {}
     if spec.bounds is not None:
@@ -154,13 +262,14 @@ def apply_neighborhood_oracle(model: MipModel, spec: NeighborhoodSpec) -> MipMod
         fields.update(
             sense=MINIMIZE, objective=dict(enumerate(costs)), objective_offset=float(offset)
         )
-    return _validate(dataclasses.replace(model, **fields))
+    return dataclasses.replace(model, **fields)
 
 
 def fixing_spec(model: MipModel, fixings: dict[int, float]) -> NeighborhoodSpec:
     """The model's bounds with the columns ``fixings`` names fixed at its values."""
-    lower = [fixings.get(j, v.lower) for j, v in enumerate(model.variables)]
-    upper = [fixings.get(j, v.upper) for j, v in enumerate(model.variables)]
+    lower, upper = model.relaxation.lower.tolist(), model.relaxation.upper.tolist()
+    for j, value in fixings.items():
+        lower[j] = upper[j] = value
     return NeighborhoodSpec(bounds=(lower, upper))
 
 
@@ -176,7 +285,7 @@ class _DictNeighborhood:
     rows: tuple = ()  # (coefficients, rhs) per row, each meaning <=
     objective: tuple | None = None  # (coefficients, offset)
 
-    def spec(self, model: MipModel) -> NeighborhoodSpec:
+    def spec(self, model: DictModel) -> NeighborhoodSpec:
         n = model.n_vars
         lower = [v.lower for v in model.variables]
         upper = [v.upper for v in model.variables]
@@ -199,6 +308,7 @@ class _DictNeighborhood:
 def build_neighborhood_oracle(spec, ctx, model: MipModel) -> NeighborhoodSpec:
     """``operators.build_neighborhood`` as the dict-form operators: the same
     draws from ``ctx.rng`` over the same lists, and the same exceptions."""
+    model = dict_form(model)
     discrete = [j for j, v in enumerate(model.variables) if v.kind != CONTINUOUS]
     binaries = [j for j, v in enumerate(model.variables) if v.kind == BINARY]
     incumbent = ctx.incumbent.values
@@ -417,9 +527,10 @@ def point_bits(points) -> list[bytes]:
     return [struct.pack("<3d", *point) for point in points]
 
 
-def binary_optimum(model: MipModel) -> float | None:
+def binary_optimum(model: MipModel | DictModel) -> float | None:
     """Exact internal-scale optimum of an all-binary model by enumerating
     every assignment; None when infeasible."""
+    model = dict_form(model)
     n = model.n_vars
     assert all(v.kind == BINARY for v in model.variables)
     masks = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
@@ -447,10 +558,11 @@ def binary_optimum(model: MipModel) -> float | None:
     return float(objective[feasible].min())
 
 
-def lp_vertex_optimum(model: MipModel) -> float | None:
+def lp_vertex_optimum(model: MipModel | DictModel) -> float | None:
     """LP optimum by enumerating vertices as intersections of n active
     hyperplanes drawn from constraint rows and bound planes. Requires a
     bounded box; returns None when no feasible vertex exists."""
+    model = dict_form(model)
     n = model.n_vars
     planes = []
     for con in model.constraints:
@@ -482,7 +594,7 @@ def lp_vertex_optimum(model: MipModel) -> float | None:
     return best
 
 
-def _point_feasible(model: MipModel, x, tol: float = 1e-7) -> bool:
+def _point_feasible(model: DictModel, x, tol: float = 1e-7) -> bool:
     for j, var in enumerate(model.variables):
         if x[j] < var.lower - tol or x[j] > var.upper + tol:
             return False

@@ -172,6 +172,35 @@ def test_solve_infeasible_instance_exits_4(tmp_path):
     assert code == EXIT_EMPTY
 
 
+_TWO_COLUMNS = """NAME two
+ROWS
+ N  OBJ
+ L  c1
+COLUMNS
+    x  OBJ  1.0  c1  1.0
+    y  OBJ  1.0  c1  1.0
+RHS
+    RHS1  c1  4.0
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("RHS1  c1  4.0", "RHS1  c1  nan", "'c1'"),
+    ("y  OBJ  1.0  c1  1.0", "y  OBJ  1.0  c1  inf", "'c1'"),
+])
+def test_solve_on_non_finite_model_data_is_data_error(tmp_path, capsys, monkeypatch, old, new, named):
+    # a NaN rhs ended in "no feasible solution found" (exit 4), an infinite
+    # coefficient in the LP's argmax of an empty sequence
+    monkeypatch.setattr(parlns.cli, "run_worker", _search_started)
+    instance = tmp_path / "bad.mps"
+    instance.write_text(_TWO_COLUMNS.replace(old, new))
+    code = main(["solve", "--instance", str(instance), "--seconds", "1", "--clock", "simulated",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert named in capsys.readouterr().err
+
+
 def _portfolio_manifest(tmp_path, instance, pool_path, n=4, threads=1, cap=4, **extra):
     manifest = {
         "instance": str(instance),

@@ -24,7 +24,7 @@ from parlns.model import (
     make_model,
 )
 
-from support import _point_feasible, lp_vertex_optimum, random_lp, with_slacks
+from support import _point_feasible, dict_form, lp_vertex_optimum, random_lp, with_slacks
 
 # small entries, mostly zero, so that some structural columns have one nonzero
 _ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 3.0, 0.5])
@@ -198,12 +198,12 @@ def test_optimal_point_is_locally_optimal():
         res = solve_lp(model)
         if res.status != LP_OPTIMAL:
             continue
-        c = model.objective
+        c, records = model.objective.tolist(), dict_form(model)
         for _ in range(20):
-            direction = [rng.uniform(-1.0, 1.0) for _ in model.variables]
+            direction = [rng.uniform(-1.0, 1.0) for _ in range(model.n_vars)]
             point = [v + 1e-3 * d for v, d in zip(res.values, direction)]
-            delta = sum(c.get(j, 0.0) * 1e-3 * d for j, d in enumerate(direction))
-            if _point_feasible(model, point, tol=0.0) and delta < -1e-6:
+            delta = sum(c[j] * 1e-3 * d for j, d in enumerate(direction))
+            if _point_feasible(records, point, tol=0.0) and delta < -1e-6:
                 # strictly improving direction must leave the feasible region
                 raise AssertionError("found a feasible strict descent direction")
 

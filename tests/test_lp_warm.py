@@ -53,7 +53,7 @@ from parlns.model import (
 from parlns.operators import PROXIMITY, OperatorContext, OperatorSpec, build_neighborhood
 from parlns.subsolver import SolveBudget, find_first_feasible
 
-from support import lp_vertex_optimum, with_slacks
+from support import dict_form, lp_vertex_optimum, with_slacks
 
 KINDS = ("box", "negative", "upper_only", "free")
 
@@ -122,11 +122,11 @@ def _oracle(model, lower, upper, box):
         "oracle",
         MINIMIZE,
         [
-            Variable(v.name, CONTINUOUS, float(a), float(b))
-            for v, a, b in zip(model.variables, lo, hi)
+            Variable(name, CONTINUOUS, float(a), float(b))
+            for name, a, b in zip(model.column_names, lo, hi)
         ],
         model.constraints,
-        dict(model.objective),
+        dict_form(model).objective,
     )
     optimum = lp_vertex_optimum(bounded)
     return (LP_INFEASIBLE, None) if optimum is None else (LP_OPTIMAL, optimum)
@@ -225,7 +225,7 @@ def test_dual_infeasible_or_free_nonbasic_warm_basis_falls_back_to_cold():
     )
     for model, optimum in ((unbounded_above, -4.0), (free_nonbasic, -1.0)):
         relax = build_relaxation(model)
-        m = len(model.constraints)
+        m = len(model.row_names)
         slack_basis = np.arange(model.n_vars, model.n_vars + m)
         pos = np.zeros(model.n_vars + m, dtype=np.int8)
         res = solve_relaxation(relax, warm=LpResult(LP_OPTIMAL, basis=slack_basis, pos=pos))
@@ -240,7 +240,7 @@ def test_packing_lp_cold_start_skips_phase_one():
     model = independent_set(60, 0.1, seed=7)
     res = solve_lp(model)
     assert res.status == LP_OPTIMAL
-    assert res.iterations < len(model.constraints)
+    assert res.iterations < len(model.row_names)
 
 
 @st.composite
@@ -250,8 +250,9 @@ def sub_mip_root_cases(draw):
     base, box, _ = draw(lp_cases())
     n = base.n_vars
     change = draw(st.sampled_from(("row", "cost", "both")))
-    constraints = list(base.constraints)
-    objective = dict(base.objective)
+    records = dict_form(base)
+    constraints = list(records.constraints)
+    objective = records.objective
     if change in ("row", "both"):
         coefs = {j: float(draw(st.integers(-5, 5))) for j in range(n)}
         coefs = {j: v for j, v in coefs.items() if v != 0.0} or {0: 1.0}
@@ -261,7 +262,7 @@ def sub_mip_root_cases(draw):
         constraints.append(LinearConstraint("appended", coefs, relation, rhs))
     if change in ("cost", "both"):
         objective = {j: float(draw(st.integers(-5, 5))) for j in range(n)}
-    sub = make_model("sub", MINIMIZE, list(base.variables), constraints, objective)
+    sub = make_model("sub", MINIMIZE, records.variables, constraints, objective)
     return base, sub, box
 
 
@@ -593,7 +594,7 @@ def test_carried_inverse_runs_past_the_refactorization_interval():
 def test_appended_rows_extend_the_inverse_in_closed_form():
     base = independent_set(20, 0.3, seed=4)
     root = solve_lp(base)
-    n, m = base.n_vars, len(base.constraints)
+    n, m = base.n_vars, len(base.row_names)
     # a cap, sum(x) <= floor(root) - 1, and a cover, sum((j % 3 + 1) x_j) >= 2, as <= rows
     rows = np.array([np.ones(n), -(np.arange(n) % 3 + 1.0)])
     rhs = [math.floor(sum(root.values)) - 1, -2.0]

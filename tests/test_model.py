@@ -4,7 +4,10 @@ import pytest
 from parlns.lp import LP_OPTIMAL, solve_relaxation
 from parlns.model import (
     BINARY,
+    BOUND_TOL,
     CONTINUOUS,
+    EQ,
+    GE,
     INF,
     INTEGER,
     LE,
@@ -72,8 +75,8 @@ def test_maximize_is_negated_internally():
         {0: 5.0},
         offset=2.0,
     )
-    assert model.objective == {0: -5.0}
-    assert model.objective_offset == -2.0
+    assert model.objective.tolist() == [-5.0] and model.objective is model.relaxation.c
+    assert model.relaxation.offset == -2.0
     sol = evaluate(model, (3.0,))
     assert sol.objective == -17.0
     assert model.to_external_objective(sol.objective) == 17.0
@@ -83,12 +86,14 @@ def test_binary_normalization():
     model = make_model(
         "m",
         MINIMIZE,
-        [Variable("i", INTEGER, 0, 1), Variable("b", BINARY)],
+        [Variable("i", INTEGER, -0.5 * BOUND_TOL, 1), Variable("b", BINARY), Variable("j", INTEGER, 0, 2)],
         [],
         {0: 1.0},
     )
-    assert model.variables[0].kind == BINARY
-    assert model.variables[1].upper == 1.0  # clamped from +inf
+    relax = model.relaxation
+    assert relax.integer.tolist() == [True, True, True]
+    assert relax.lower.tolist() == [0.0, 0.0, 0.0]  # an integer inside [0, 1] is clamped
+    assert relax.upper.tolist() == [1.0, 1.0, 2.0]  # a binary's upper clamped from +inf
 
 
 def test_validation_rejects_duplicates_and_bad_indices():
@@ -118,13 +123,13 @@ def test_apply_neighborhood_fixing_sets_equal_bounds():
     derived = apply_neighborhood(model, NeighborhoodSpec(bounds=([1.0, 0.0], [1.0, 1.0])))
     assert derived.lower.tolist() == [1.0, 0.0]
     assert derived.upper.tolist() == [1.0, 1.0]
-    assert model.relaxation.lower[0] == model.variables[0].lower == 0.0  # original untouched
+    assert model.relaxation.lower[0] == 0.0  # original untouched
 
 
 def test_apply_neighborhood_adds_constraint():
     model = tiny_cover_model()
     derived = apply_neighborhood(model, NeighborhoodSpec(rows=([[1.0, 1.0]], [1.0])))
-    n, m = model.n_vars, len(model.constraints)
+    m, n = model.relaxation.A.shape
     assert derived.A.shape == (m + 1, n)
     assert derived.A[m].tolist() == [1.0, 1.0]
     assert derived.b[m] == 1.0
@@ -207,19 +212,67 @@ def test_objective_override_switches_to_minimize():
     assert model.relaxation.c.tolist() == [-1.0]
 
 
-def test_json_dump_round_trips_names_and_sense():
+def test_constraints_are_records_of_the_arrays():
     model = make_model(
-        "dump",
+        "records",
         MAXIMIZE,
         [Variable("a", BINARY), Variable("b", CONTINUOUS, -INF, INF)],
-        [LinearConstraint("c", {0: 1.0, 1: 2.0}, LE, 3.0)],
+        [LinearConstraint("c", {0: 1.0, 1: -0.0}, LE, 3.0),
+         LinearConstraint("d", {1: 2.0}, EQ, -1.0),
+         LinearConstraint("e", {0: 4.0, 1: 1.0}, GE, 0.0)],
         {0: 4.0},
-        offset=1.0,
     )
-    dump = model.to_json_dict()
-    assert dump["sense"] == MAXIMIZE
-    assert dump["objective"]["coefficients"] == {"a": 4.0}
-    assert dump["objective"]["offset"] == 1.0
-    assert dump["variables"][1]["lower"] == "-inf"
-    assert dump["variables"][1]["upper"] == "inf"
-    assert dump["constraints"][0]["coefficients"] == {"a": 1.0, "b": 2.0}
+    assert model.constraints == (
+        LinearConstraint("c", {0: 1.0}, LE, 3.0),
+        LinearConstraint("d", {1: 2.0}, EQ, -1.0),
+        LinearConstraint("e", {0: 4.0, 1: 1.0}, GE, 0.0),
+    )
+    assert (model.column_names, model.row_names) == (("a", "b"), ("c", "d", "e"))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("variables, constraints, objective, offset, match", [
+    ([Variable("x"), Variable("y", CONTINUOUS, _NAN, 1.0)], [], {}, 0.0, "'y'"),
+    ([Variable("x"), Variable("y", INTEGER, 0.0, _NAN)], [], {}, 0.0, "'y'"),
+    ([Variable("x"), Variable("y", CONTINUOUS, INF, INF)], [], {}, 0.0, "'y'"),
+    ([Variable("x"), Variable("y", CONTINUOUS, -INF, -INF)], [], {}, 0.0, "'y'"),
+    ([Variable("x"), Variable("y")], [LinearConstraint("c", {0: 1.0}, LE, 1.0),
+                                      LinearConstraint("d", {1: INF}, LE, 1.0)], {}, 0.0, "'d'"),
+    ([Variable("x"), Variable("y")], [LinearConstraint("c", {0: 1.0}, LE, 1.0),
+                                      LinearConstraint("d", {1: _NAN}, LE, 1.0)], {}, 0.0, "'y'"),
+    ([Variable("x"), Variable("y")], [LinearConstraint("c", {0: 1.0}, LE, 1.0),
+                                      LinearConstraint("d", {1: 1.0}, GE, _NAN)], {}, 0.0, "'d'"),
+    ([Variable("x"), Variable("y")], [LinearConstraint("c", {0: 1.0}, EQ, -INF)], {}, 0.0, "'c'"),
+    ([Variable("x"), Variable("y")], [], {0: 1.0, 1: -INF}, 0.0, "'y'"),
+    ([Variable("x"), Variable("y")], [], {0: _NAN}, 0.0, "'x'"),
+    ([Variable("x"), Variable("y")], [], {0: 1.0}, _NAN, "offset"),
+    ([Variable("x"), Variable("y")], [], {0: 1.0}, INF, "offset"),
+])
+def test_make_model_refuses_non_finite_data(variables, constraints, objective, offset, match):
+    for sense in (MINIMIZE, MAXIMIZE):
+        with pytest.raises(ModelError, match=match):
+            make_model("bad", sense, variables, constraints, objective, offset)
+
+
+def test_make_model_names_the_first_offending_column_or_row():
+    variables = [Variable("x"), Variable("y", CONTINUOUS, 2.0, 1.0), Variable("z", "real")]
+    with pytest.raises(ModelError, match="'z': unknown kind"):
+        make_model("m", MINIMIZE, variables, [], {})
+    with pytest.raises(ModelError, match="'y': lower 2.0 > upper 1.0"):
+        make_model("m", MINIMIZE, variables[:2], [], {})
+    rows = [LinearConstraint("c", {0: 1.0}, LE, 1.0), LinearConstraint("d", {0: 0.0, 1: -0.0}, GE, 1.0)]
+    with pytest.raises(ModelError, match="'d' has no nonzero coefficient"):
+        make_model("m", MINIMIZE, variables[:1] + [Variable("y")], rows, {})
+    rows[1] = LinearConstraint("d", {0: 1.0}, "<", 1.0)
+    with pytest.raises(ModelError, match="'d': unknown relation"):
+        make_model("m", MINIMIZE, variables[:1] + [Variable("y")], rows, {})
+    with pytest.raises(ModelError, match="'c' references variable index -1"):
+        make_model("m", MINIMIZE, [Variable("x")], [LinearConstraint("c", {-1: 1.0}, LE, 1.0)], {})
+    with pytest.raises(ModelError, match="objective references variable index 1"):
+        make_model("m", MINIMIZE, [Variable("x")], [], {1: 1.0})
+    with pytest.raises(ModelError, match="duplicate constraint name 'c'"):
+        make_model("m", MINIMIZE, [Variable("x")], [rows[0], rows[0]], {})
+    with pytest.raises(ModelError, match="unknown sense"):
+        make_model("m", "max", [Variable("x")], [], {})

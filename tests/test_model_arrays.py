@@ -1,5 +1,6 @@
-"""A model's one array form: ``evaluate`` against the dict-loop oracle, and
-sub-models whose arrays come from their parent's."""
+"""A model's one array form: ``make_model``'s arrays and their MPS round
+trip against the densification oracle, ``evaluate`` against the dict-loop
+oracle, and sub-models whose arrays come from their parent's."""
 
 import dataclasses
 import math
@@ -39,8 +40,8 @@ from parlns.model import (
     apply_neighborhood,
     evaluate,
     make_model,
-    relaxation_from_dicts,
 )
+from parlns.mps import parse_mps, write_mps
 from parlns.operators import (
     CROSSOVER,
     FAMILIES,
@@ -51,7 +52,14 @@ from parlns.operators import (
 )
 from parlns.subsolver import SolveBudget, find_first_feasible
 
-from support import apply_neighborhood_oracle, assert_same_arrays, evaluate_oracle
+from support import (
+    apply_neighborhood_oracle,
+    assert_same_arrays,
+    assert_same_model,
+    dict_model,
+    evaluate_oracle,
+    relaxation_from_dicts,
+)
 
 _BOUNDS = (
     (-INF, INF),
@@ -118,13 +126,69 @@ def test_evaluate_matches_dict_loop_oracle(case):
         assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
 
 
+_COLUMN_BOUNDS = {
+    CONTINUOUS: _BOUNDS,
+    # inside [0, 1], to BOUND_TOL on either side, an integer column is a binary
+    INTEGER: _BOUNDS + ((0.0, 0.0), (-0.5 * BOUND_TOL, 1.0 + 0.5 * BOUND_TOL), (0.0, 0.5)),
+    BINARY: ((0.0, INF), (-INF, INF), (-2.0, 5.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 0.5)),
+}
+
+
+@st.composite
+def _model_records(draw):
+    """A model's records, as ``make_model`` takes them: columns of every kind
+    with free, negative, infinite and fixed bounds, rows of every relation
+    with explicit zero coefficients, and an objective with zero costs, in
+    either sense with an offset."""
+    n = draw(st.integers(1, 5))
+    variables = []
+    for j in range(n):
+        kind = draw(st.sampled_from((CONTINUOUS, INTEGER, BINARY)))
+        lower, upper = draw(st.sampled_from(_COLUMN_BOUNDS[kind]))
+        variables.append(Variable(f"x{j}", kind, lower, upper))
+    nonzero = st.sampled_from((1.0, -2.0, 3.0, 0.5, -1.0))
+    entry = st.one_of(nonzero, st.sampled_from((0.0, -0.0)))
+    constraints = []
+    for i in range(draw(st.integers(0, 4))):
+        columns = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        coefficients = {j: draw(nonzero if k == 0 else entry) for k, j in enumerate(columns)}
+        rhs = draw(st.integers(-12, 12)) / 2
+        constraints.append(LinearConstraint(f"r{i}", coefficients, draw(st.sampled_from((LE, GE, EQ))), rhs))
+    costs = st.sampled_from((1.0, -4.0, 2.5, 0.0, -0.0))
+    objective = draw(st.dictionaries(st.integers(0, n - 1), costs))
+    sense = draw(st.sampled_from((MINIMIZE, MAXIMIZE)))
+    offset = float(draw(st.integers(-3, 3)))
+    return "m", sense, variables, constraints, objective, offset
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_model_records())
+def test_model_arrays_match_the_densification_oracle(records):
+    model = make_model(*records)
+    _, sense, variables, constraints, _, _ = records
+    assert model.sense == sense
+    assert model.column_names == tuple(v.name for v in variables)
+    assert model.row_names == tuple(c.name for c in constraints)
+    assert_same_arrays(model.relaxation, relaxation_from_dicts(dict_model(*records)))
+    assert_same_model(parse_mps(write_mps(model)), model)
+
+
+def test_model_arrays_keep_the_sign_of_a_zero_rhs_bound_and_offset():
+    # an MPS file states no absent zero, so these signs do not survive a round trip
+    records = (
+        "z", MAXIMIZE, [Variable("x", CONTINUOUS, -0.0, 2.0), Variable("y", INTEGER, -3.0, -0.0)],
+        [LinearConstraint("r", {0: 1.0, 1: -0.0}, GE, -0.0)], {1: -0.0}, -0.0,
+    )
+    assert_same_arrays(make_model(*records).relaxation, relaxation_from_dicts(dict_model(*records)))
+
+
 def _contexts():
     """Per model, an operator context with LP values and an archive partner."""
     for model in (knapsack(20, seed=1), independent_set(20, 0.3, seed=4)):
         lp = solve_lp(model)
         first = find_first_feasible(model, SolveBudget(node_limit=200))
         assert first.incumbent is not None
-        partner = evaluate(model, [float(v.upper if v.upper < INF else 0) for v in model.variables])
+        partner = evaluate(model, np.where(model.relaxation.upper < INF, model.relaxation.upper, 0.0))
         if not partner.feasible:
             partner = evaluate(model, [0.0] * model.n_vars)
         yield model, OperatorContext(
@@ -176,18 +240,17 @@ def _model_and_spec(draw):
     flaw = st.sampled_from((None,) * 12 + (0, 1, 2))  # now and then one of three flaws
     if draw(present):
         lower, upper = list(model.relaxation.lower), list(model.relaxation.upper)
+        base_lower, base_upper = model.relaxation.lower.tolist(), model.relaxation.upper.tolist()
         for j in draw(st.lists(index, max_size=n, unique=True)):
-            var = model.variables[j]
-            bound = st.sampled_from((var.upper, var.lower) + _RANGE_BOUNDS)
+            bound = st.sampled_from((base_upper[j], base_lower[j]) + _RANGE_BOUNDS)
             lo, up = draw(bound), draw(bound)
             if draw(st.integers(0, 5)):
                 lo, up = min(lo, up), max(lo, up)
             offset = draw(st.sampled_from(_RANGE_OFFSETS))
             lower[j], upper[j] = lo + offset if offset else lo, up  # -0.0 + 0.0 is 0.0
         for j in draw(st.lists(index, max_size=n, unique=True)):
-            var = model.variables[j]
-            inside = min(max(float(draw(st.integers(-3, 3))), var.lower), var.upper)
-            anchors = [b for b in (var.lower, var.upper) if math.isfinite(b)] + [inside]
+            inside = min(max(float(draw(st.integers(-3, 3))), base_lower[j]), base_upper[j])
+            anchors = [b for b in (base_lower[j], base_upper[j]) if math.isfinite(b)] + [inside]
             value = draw(st.sampled_from(anchors)) + draw(st.sampled_from(_FIXING_OFFSETS))
             lower[j] = upper[j] = value
         kind = draw(flaw)
@@ -274,25 +337,26 @@ def test_relaxation_arrays_are_read_only():
 
 
 def test_worker_builds_base_arrays_once_and_only_appended_rows(monkeypatch):
+    # the model's arrays are built with the model; a worker builds no others
     built, applied = [], []
-    real_build, real_apply = parlns.model.relaxation_from_dicts, parlns.alns.apply_neighborhood
+    real_build, real_apply = parlns.model.build_model, parlns.alns.apply_neighborhood
 
-    def counting_build(model):
-        built.append(model)
-        return real_build(model)
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return real_build(*args, **kwargs)
 
     def recording_apply(model, spec):
         sub = real_apply(model, spec)
         applied.append((spec, sub))
         return sub
 
-    monkeypatch.setattr(parlns.model, "relaxation_from_dicts", counting_build)
+    monkeypatch.setattr(parlns.model, "build_model", counting_build)
     monkeypatch.setattr(parlns.alns, "apply_neighborhood", recording_apply)
     model = independent_set(30, 0.2, seed=5)
+    base = model.relaxation
     result = run_worker(model, DEFAULT_CONFIG, 0.5, seed=1, clock=SimulatedClock(0.01))
     assert result.iterations > 0
-    assert len(built) == 1 and built[0] is model
-    base = model.relaxation
+    assert len(built) == 1 and model.relaxation is base
     m = base.A.shape[0]
     with_row = 0
     for spec, sub in applied:
@@ -308,8 +372,7 @@ def test_worker_builds_base_arrays_once_and_only_appended_rows(monkeypatch):
 
 
 def test_threads_sharing_a_model_see_one_set_of_arrays():
-    # on Python 3.12+ cached_property has no lock, so racing threads may each
-    # build the arrays; whichever build wins, every reader must see equal ones
+    # the arrays are built with the model, so racing readers all see them
     model = independent_set(40, 0.2, seed=3)
     point = tuple(0.0 for _ in range(model.n_vars))
     seen, errors = [], []
@@ -334,5 +397,5 @@ def test_threads_sharing_a_model_see_one_set_of_arrays():
     assert len(seen) == 8
     final = model.relaxation
     for relax, solution in seen:
-        assert_same_arrays(relax, final)
+        assert relax is final
         assert solution == seen[0][1] and solution.feasible

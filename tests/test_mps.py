@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from parlns.model import BINARY, CONTINUOUS, GE, INTEGER, LE, MAXIMIZE, MINIMIZE
+from parlns.model import GE, INF, LE, MAXIMIZE, MINIMIZE, ModelError
 from parlns.mps import (
     DanglingReference,
     DuplicateName,
@@ -11,6 +11,8 @@ from parlns.mps import (
     write_mps,
 )
 from parlns import instances
+
+from support import assert_same_model
 
 TINY_COVER = """NAME tiny
 ROWS
@@ -33,8 +35,11 @@ ENDATA
 def test_parse_tiny_cover_fixture():
     model = parse_mps(TINY_COVER)
     assert model.sense == MINIMIZE
-    assert [v.kind for v in model.variables] == [BINARY, BINARY]
-    assert len(model.constraints) == 1
+    assert model.column_names == ("x", "y")
+    relax = model.relaxation
+    assert relax.integer.tolist() == [True, True]
+    assert (relax.lower.tolist(), relax.upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
+    assert model.row_names == ("c1",)
     assert model.constraints[0].relation == GE
     assert model.constraints[0].rhs == 1.0
     # cross-check with evaluate: (1, 0) must cover
@@ -102,7 +107,7 @@ ENDATA
 """
     model = parse_mps(text)
     assert model.sense == MAXIMIZE
-    assert model.objective == {0: -2.0}
+    assert model.objective.tolist() == [-2.0]
 
 
 def test_objective_rhs_is_negated_offset():
@@ -117,7 +122,7 @@ RHS
 ENDATA
 """
     model = parse_mps(text)
-    assert model.objective_offset == 2.5
+    assert model.relaxation.offset == 2.5
 
 
 def test_ranges_expand_to_constraint_pairs():
@@ -171,12 +176,11 @@ BOUNDS
 ENDATA
 """
     model = parse_mps(text)
-    by_name = {v.name: v for v in model.variables}
-    assert (by_name["a"].lower, by_name["a"].upper) == (-1.0, 4.0)
-    assert (by_name["b"].lower, by_name["b"].upper) == (-float("inf"), float("inf"))
-    assert by_name["f"].lower == -float("inf") and by_name["f"].upper == float("inf")
-    assert by_name["i"].kind == INTEGER
-    assert (by_name["i"].lower, by_name["i"].upper) == (0.0, 7.0)
+    relax = model.relaxation
+    assert model.column_names == ("a", "b", "f", "i")
+    assert relax.lower.tolist() == [-1.0, -INF, -INF, 0.0]
+    assert relax.upper.tolist() == [4.0, INF, INF, 7.0]
+    assert relax.integer.tolist() == [False, False, False, True]
 
 
 def test_ui_and_li_bounds_make_a_column_integer():
@@ -198,13 +202,12 @@ BOUNDS
 ENDATA
 """
     model = parse_mps(text)
-    got = [(v.name, v.kind, v.lower, v.upper) for v in model.variables]
-    assert got == [
-        ("x", INTEGER, 0.0, 3.0),
-        ("y", INTEGER, -2.0, float("inf")),
-        ("z", CONTINUOUS, 0.0, 4.0),
-    ]
-    assert parse_mps(write_mps(model)) == model
+    relax = model.relaxation
+    assert model.column_names == ("x", "y", "z")
+    assert relax.integer.tolist() == [True, True, False]
+    assert relax.lower.tolist() == [0.0, -2.0, 0.0]
+    assert relax.upper.tolist() == [3.0, INF, 4.0]
+    assert_same_model(parse_mps(write_mps(model)), model)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -214,12 +217,12 @@ def test_round_trip_generated_instances(seed):
         instances.set_cover(8, 6, seed=seed),
         instances.independent_set(7, 0.4, seed=seed),
     ):
-        assert parse_mps(write_mps(model)) == model
+        assert_same_model(parse_mps(write_mps(model)), model)
 
 
 def test_round_trip_parser_produced_model():
     model = parse_mps(TINY_COVER)
-    assert parse_mps(write_mps(model)) == model
+    assert_same_model(parse_mps(write_mps(model)), model)
 
 
 def test_round_trip_random_bounds():
@@ -251,4 +254,60 @@ def test_round_trip_random_bounds():
         sense = rng.choice(["minimize", "maximize"])
         model = make_model(f"rt{trial}", sense, variables, constraints, objective,
                            offset=float(rng.randint(-3, 3)))
-        assert parse_mps(write_mps(model)) == model
+        assert_same_model(parse_mps(write_mps(model)), model)
+
+
+def test_repeated_entries_add_up_in_file_order():
+    text = """NAME rep
+ROWS
+ N  OBJ
+ L  c1
+COLUMNS
+    x  OBJ  0.1  c1  1.0
+    x  OBJ  0.2  c1  -1.0
+    y  c1  2.0
+    x  c1  0.5  OBJ  0.3
+RHS
+    RHS  c1  1.0  c1  3.0
+ENDATA
+"""
+    model = parse_mps(text)
+    assert model.objective.tolist() == [0.0 + 0.1 + 0.2 + 0.3, 0.0]
+    assert model.relaxation.A.tolist() == [[0.5, 2.0]]
+    assert model.relaxation.b.tolist() == [3.0]  # a repeated rhs takes the last value
+
+
+_TWO_COLUMNS = """NAME two
+ROWS
+ N  OBJ
+ L  c1
+ G  c2
+COLUMNS
+    x  OBJ  1.0  c1  1.0
+    y  OBJ  1.0  c2  1.0
+RHS
+    RHS1  c1  4.0  c2  1.0
+BOUNDS
+ UP BND  x  3.0
+ UP BND  y  2.0
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("RHS1  c1  4.0", "RHS1  c1  nan", "'c1'"),
+    ("RHS1  c1  4.0  c2  1.0", "RHS1  c1  4.0  c2  -inf", "'c2'"),
+    ("y  OBJ  1.0  c2  1.0", "y  OBJ  1.0  c2  inf", "'c2'"),
+    ("x  OBJ  1.0  c1  1.0", "x  OBJ  1.0  c1  nan", "'c1'"),
+    ("y  OBJ  1.0", "y  OBJ  -inf", "'y'"),
+    ("x  OBJ  1.0", "x  OBJ  nan", "'x'"),
+    ("RHS1  c1  4.0", "RHS1  c1  4.0  OBJ  inf", "offset"),
+    ("UP BND  y  2.0", "UP BND  y  nan", "'y'"),
+    ("UP BND  x  3.0", "LO BND  x  inf", "'x'"),
+    ("UP BND  y  2.0", "MI BND  y\n UP BND  y  -inf", "'y'"),
+])
+def test_non_finite_data_is_refused(old, new, match):
+    assert old in _TWO_COLUMNS
+    parse_mps(_TWO_COLUMNS)
+    with pytest.raises(ModelError, match=match):
+        parse_mps(_TWO_COLUMNS.replace(old, new))

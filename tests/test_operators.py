@@ -24,7 +24,6 @@ from parlns.model import (
     apply_neighborhood,
     evaluate,
     make_model,
-    relaxation_from_dicts,
 )
 from parlns.instances import knapsack, set_cover
 from parlns.operators import (
@@ -43,6 +42,7 @@ from support import (
     apply_neighborhood_oracle,
     assert_same_arrays,
     build_neighborhood_oracle,
+    relaxation_from_dicts,
     tiny_cover_model,
 )
 
@@ -97,7 +97,7 @@ def test_identifier_round_trip():
 
 def test_mutation_fixing_count_law():
     model = set_cover(8, 10, seed=3)  # d = 10 binaries
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     for percentage in (10, 20, 30, 40, 50):
         ctx = _context(model, values, seed=percentage)
         spec = build_neighborhood(OperatorSpec("mutation", percentage), ctx, model)
@@ -108,7 +108,7 @@ def test_mutation_fixing_count_law():
 
 def test_mutation_50_on_ten_vars_frees_exactly_five():
     model = set_cover(8, 10, seed=3)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ctx = _context(model, values, seed=1)
     spec = build_neighborhood(OperatorSpec("mutation", 50), ctx, model)
     assert len(_fixings(spec)) == 5
@@ -116,7 +116,7 @@ def test_mutation_50_on_ten_vars_frees_exactly_five():
 
 def test_crossover_fixes_agreements():
     model = set_cover(8, 10, seed=3)
-    inc_values = tuple(1.0 for _ in model.variables)
+    inc_values = tuple(1.0 for _ in range(model.n_vars))
     other_values = list(inc_values)
     other_values[0] = 0.0
     other_values[3] = 0.0
@@ -128,7 +128,7 @@ def test_crossover_fixes_agreements():
 
 def test_crossover_without_partner_falls_back_to_mutation_30():
     model = set_cover(8, 10, seed=3)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     incumbent = _incumbent(model, values)
     crossover_counts = Counter()
     mutation_counts = Counter()
@@ -151,7 +151,7 @@ def test_crossover_without_partner_falls_back_to_mutation_30():
 
 def test_local_branching_radius_and_slack():
     model = set_cover(8, 10, seed=3)  # |B| = 10
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ctx = _context(model, values, seed=4)
     spec = build_neighborhood(OperatorSpec("local_branching", 20), ctx, model)
     assert spec.bounds is None and spec.objective is None
@@ -166,7 +166,7 @@ def test_local_branching_radius_and_slack():
 
 def test_local_branching_incumbent_containment():
     model = set_cover(8, 10, seed=3)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ctx = _context(model, values, seed=4)
     spec = build_neighborhood(OperatorSpec("local_branching", 20), ctx, model)
     sub = apply_neighborhood(model, spec)
@@ -175,7 +175,7 @@ def test_local_branching_incumbent_containment():
 
 def test_proximity_excludes_incumbent_and_flips_objective():
     model = set_cover(8, 10, seed=3)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ctx = _context(model, values, seed=5)
     spec = build_neighborhood(OperatorSpec("proximity", 10), ctx, model)
     sub = apply_neighborhood(model, spec)
@@ -191,19 +191,19 @@ def test_proximity_excludes_incumbent_and_flips_objective():
 
 def test_proximity_delta_scales_with_objective():
     model = set_cover(8, 10, seed=3)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ctx = _context(model, values, seed=6)
     spec = build_neighborhood(OperatorSpec("proximity", 20), ctx, model)
     rows, rhs = spec.rows
     assert np.array_equal(rows, [model.relaxation.c])
     incumbent_obj = ctx.incumbent.objective
     delta = 0.2 * max(abs(incumbent_obj), 1.0)
-    assert rhs[0] == pytest.approx(incumbent_obj - model.objective_offset - delta)
+    assert rhs[0] == pytest.approx(incumbent_obj - model.relaxation.offset - delta)
 
 
 def test_rens_requires_relaxation():
     model = set_cover(8, 10, seed=3)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ctx = _context(model, values, lp=False, seed=7)
     with pytest.raises(MissingRelaxation):
         build_neighborhood(OperatorSpec("rens", 30), ctx, model)
@@ -213,7 +213,7 @@ def test_rens_requires_relaxation():
 
 def test_rens_fixes_integral_lp_values_and_bounds_fractional():
     model = knapsack(12, seed=7)
-    values = tuple(0.0 for _ in model.variables)
+    values = tuple(0.0 for _ in range(model.n_vars))
     ctx = _context(model, values, lp=True, seed=8)
     spec = build_neighborhood(OperatorSpec("rens", 50), ctx, model)
     cap = math.ceil(50 * 12 / 100)
@@ -230,7 +230,7 @@ def test_rens_cap_rule_refixes_excess():
     from parlns.instances import independent_set
 
     model = independent_set(12, 0.5, seed=0)
-    values = tuple(0.0 for _ in model.variables)
+    values = tuple(0.0 for _ in range(model.n_vars))
     ctx = _context(model, values, lp=True, seed=9)
     assert sum(1 for v in ctx.lp_values if abs(v - round(v)) > 1e-6) > 2
     spec = build_neighborhood(OperatorSpec("rens", 10), ctx, model)
@@ -247,7 +247,7 @@ def test_rens_cap_rule_refixes_excess():
 
 def test_rins_fixes_agreements_and_contains_incumbent():
     model = knapsack(12, seed=7)
-    values = tuple(0.0 for _ in model.variables)
+    values = tuple(0.0 for _ in range(model.n_vars))
     ctx = _context(model, values, lp=True, seed=10)
     spec = build_neighborhood(OperatorSpec("rins", 30), ctx, model)
     # every fixing sits at the incumbent value (agreements plus cap refixes)
@@ -275,7 +275,7 @@ def test_rins_total_agreement_is_empty_neighborhood():
 
 def test_incumbent_containment_across_families():
     model = set_cover(10, 12, seed=13)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     for spec_in in (
         OperatorSpec("mutation", 30),
         OperatorSpec(CROSSOVER),
@@ -291,7 +291,7 @@ def test_incumbent_containment_across_families():
 def test_all_specs_satisfy_fixing_invariants():
     rng = random.Random(15)
     model = set_cover(10, 12, seed=13)
-    values = tuple(1.0 for _ in model.variables)
+    values = tuple(1.0 for _ in range(model.n_vars))
     ops = [OperatorSpec("mutation", p) for p in (10, 30, 50)] + [
         OperatorSpec("rens", 20),
         OperatorSpec("rins", 50),
@@ -306,8 +306,8 @@ def test_all_specs_satisfy_fixing_invariants():
         except EmptyNeighborhood:
             continue
         for j, value in _fixings(spec).items():
-            var = model.variables[j]
-            assert var.lower - 1e-9 <= value <= var.upper + 1e-9
+            relax = model.relaxation
+            assert relax.lower[j] - 1e-9 <= value <= relax.upper[j] + 1e-9
             assert abs(value - round(value)) <= 1e-6
         # applying never raises for a produced spec
         apply_neighborhood(model, spec)

@@ -50,7 +50,7 @@ from parlns.operators import (
 )
 from parlns.subsolver import INFEASIBLE, OPTIMAL, SolveBudget, find_first_feasible, solve_mip
 
-from support import apply_neighborhood_oracle, binary_optimum, fixing_spec
+from support import apply_neighborhood_oracle, binary_optimum, dict_form, fixing_spec
 
 AMPLE = SolveBudget(node_limit=20000)
 
@@ -306,16 +306,17 @@ def fixed_sub_mips(draw):
     ]
     objective = {j: float(draw(st.integers(-3, 3))) for j in range(n)}
     model = make_model("random", MINIMIZE, variables, constraints, objective)
+    records = dict_form(model)
     fixings = {}
     for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
-        var = model.variables[j]
+        var = records.variables[j]
         if draw(st.booleans()):
             fixings[j] = point[j]
         else:
             lo, up = max(var.lower, -4.0), min(var.upper, 4.0)
             step = 2 if var.kind == CONTINUOUS else 1
             fixings[j] = draw(st.integers(int(step * lo), int(step * up))) / step
-    all_binary = all(v.kind == BINARY for v in model.variables)
+    all_binary = all(v.kind == BINARY for v in records.variables)
     return model, fixing_spec(model, fixings), all_binary
 
 

@@ -106,7 +106,7 @@ def test_integral_relaxation_solves_at_root():
 
 def test_zero_budget_returns_warm_start():
     model = knapsack(10, seed=2)
-    warm = evaluate(model, tuple(0.0 for _ in model.variables))
+    warm = evaluate(model, tuple(0.0 for _ in range(model.n_vars)))
     assert warm.feasible and warm.integral
     res = solve_mip(model, warm_start=warm, budget=SolveBudget(wall_seconds=0.0))
     assert res.status == FEASIBLE
@@ -117,7 +117,7 @@ def test_zero_budget_returns_warm_start():
 def test_never_worse_than_warm_start():
     model = knapsack(12, seed=5)
     optimum = binary_optimum(model)
-    warm = evaluate(model, tuple(0.0 for _ in model.variables))
+    warm = evaluate(model, tuple(0.0 for _ in range(model.n_vars)))
     res = solve_mip(model, warm_start=warm, budget=SolveBudget(node_limit=3))
     assert res.incumbent.objective <= warm.objective
     res = solve_mip(model, warm_start=warm, budget=SolveBudget(node_limit=100000))
@@ -372,7 +372,7 @@ def test_node_lp_failing_once_is_dropped_and_the_search_goes_on(monkeypatch):
     assert res.status == UNKNOWN
     assert res.dual_bound == -float("inf")
 
-    warm = evaluate(model, tuple(0.0 for _ in model.variables))
+    warm = evaluate(model, tuple(0.0 for _ in range(model.n_vars)))
     calls = _failing_lp(monkeypatch, {2})  # a child, its one call
     res = solve_mip(model, warm_start=warm, budget=SolveBudget(wall_seconds=30.0))
     assert calls[1] and calls[2]  # the failed child is not solved again
@@ -413,7 +413,7 @@ def test_cancel_inside_a_node_lp_stops_the_search():
     assert res.status == UNKNOWN
     assert res.dual_bound == -float("inf")
 
-    warm = evaluate(model, tuple(0.0 for _ in model.variables))
+    warm = evaluate(model, tuple(0.0 for _ in range(model.n_vars)))
     res = solve_mip(
         model, warm_start=warm, budget=SolveBudget(wall_seconds=60.0), cancel=_CancelAfter(3)
     )
