@@ -15,7 +15,7 @@ checks them in whole-array operations and puts them in place of the model's,
 and an ``LpRelaxation``'s ``relaxation`` is itself, so both take either.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -118,6 +118,11 @@ class LpRelaxation:
         for value in vars(self).values():
             if isinstance(value, np.ndarray) and value.flags.writeable:
                 value.flags.writeable = False
+
+    def __reduce__(self):
+        """Pickle as a constructor call, so that a copy's arrays are
+        read-only too and it carries no cached ``c_full``."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def relaxation(self) -> "LpRelaxation":
@@ -238,13 +243,14 @@ def build_model(
 
     A binary column's bounds are clamped into [0, 1], and so are an integer
     column's that lie within [0, 1] to ``BOUND_TOL``: the binaries are then
-    exactly the integer columns with bounds inside [0, 1]. A ``-0.0``
-    coefficient or cost becomes ``0.0``, and a maximize model's costs and
-    offset are negated. Raises :class:`ModelError` for an unknown sense,
-    kind or relation, a duplicate name, a NaN bound, a lower bound of +inf
-    or an upper one of -inf, bounds crossed by more than ``BOUND_TOL``, a
-    non-finite coefficient, rhs, cost or offset, or a row without a nonzero
-    coefficient; each error names the first offending column or row.
+    exactly the integer columns with bounds inside [0, 1]. A maximize
+    model's costs and offset are negated, and then a ``-0.0`` coefficient,
+    cost, rhs, bound or offset becomes ``0.0``, since an MPS file states no
+    zero that it can leave out. Raises :class:`ModelError` for an unknown
+    sense, kind or relation, a duplicate name, a NaN bound, a lower bound of
+    +inf or an upper one of -inf, bounds crossed by more than ``BOUND_TOL``,
+    a non-finite coefficient, rhs, cost or offset, or a row without a
+    nonzero coefficient; each error names the first offending column or row.
     """
     if sense not in (MINIMIZE, MAXIMIZE):
         raise ModelError(f"unknown sense {sense!r}")
@@ -253,7 +259,7 @@ def build_model(
     kind = np.array(kinds, dtype=str)
     _refuse(~np.isin(kind, (CONTINUOUS, INTEGER, BINARY)), ModelError,
             lambda j: f"variable {columns[j]!r}: unknown kind {kinds[j]!r}")
-    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    lower, upper = np.array(lower, dtype=float) + 0.0, np.array(upper, dtype=float) + 0.0
     binary = (kind == BINARY) | (
         (kind == INTEGER) & (lower >= -BOUND_TOL) & (upper <= 1.0 + BOUND_TOL))
     # max(lower, 0.0) and min(upper, 1.0), each keeping its own bound on a tie
@@ -265,7 +271,7 @@ def build_model(
             lambda j: f"variable {columns[j]!r}: lower {lower[j]} > upper {upper[j]}")
     _refuse(~np.isin(np.array(relations, dtype=str), tuple(_SLACK_BOUNDS)), ModelError,
             lambda i: f"constraint {rows[i]!r}: unknown relation {relations[i]!r}")
-    b, n = np.array(b, dtype=float), len(columns)
+    b, n = np.array(b, dtype=float) + 0.0, len(columns)
     _refuse(~np.isfinite(b), ModelError, lambda i: f"constraint {rows[i]!r}: rhs is {b[i]}")
     _refuse(~np.isfinite(A).ravel(), ModelError, lambda f: (
         f"constraint {rows[f // n]!r}: coefficient of {columns[f % n]!r} is {A.flat[f]}"))
@@ -278,7 +284,7 @@ def build_model(
     sign = -1.0 if sense == MAXIMIZE else 1.0
     slack = np.array([_SLACK_BOUNDS[r] for r in relations]).reshape(-1, 2).T
     relax = LpRelaxation(
-        c=sign * c + 0.0, offset=sign * offset, A=A + 0.0, b=b, lower=lower, upper=upper,
+        c=sign * c + 0.0, offset=sign * offset + 0.0, A=A + 0.0, b=b, lower=lower, upper=upper,
         slack_lower=slack[0], slack_upper=slack[1], integer=kind != CONTINUOUS,
     )
     return MipModel(name, sense, tuple(columns), tuple(rows), relax)

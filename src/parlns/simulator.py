@@ -9,20 +9,23 @@ is the running minimum of the members' gaps from 1. An exhaustive
 enumerator provides the exact expectation for small pools, and a ranking
 operation orders configurations for reduced-pool planning.
 
-All three build one grid per call: every configuration's trace entries on
-every instance (a gap of 1 where it opens the instance, then its points),
-each placed by ``np.searchsorted`` in a column, one column per event time
-inside the window. A subset merges its members' entries with one sort, takes
-their running minimum per instance, and spreads it over the columns with one
-run-length ``np.repeat``, so its cost follows its own entries; one dot
-product per instance then gives its primal integral.
+All three read the db's grid of their window, which the db builds on first
+use and keeps: every configuration's trace entries on every instance (a gap
+of 1 where it opens the instance, then its points), each placed by
+``np.searchsorted`` in a column, one column per event time inside the window.
+A subset gathers its members' entries, takes their running minimum per
+instance, and spreads it over the columns with one run-length ``np.repeat``;
+one dot product per instance then gives its primal integral. A subset of at
+most a quarter of the configurations merges its members' entry lists with
+one sort, so its cost follows its own entries; a larger one reads the
+entries whose owner is a member off a mask, in one pass over the grid.
 """
 
 import itertools
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -49,12 +52,15 @@ class TraceDb:
 
     The traces' points are also kept as arrays (``point_arrays``), and each
     instance's horizon (``horizons``), both built once on first use, so that
-    each grid only checks its window and places the points for it.
+    each grid only checks its window and places the points for it. Each
+    window's grid is built on first use too, and kept (``grid``): it is
+    derived from the traces alone, like the arrays, and no part of equality.
     """
 
     traces: dict[str, dict[str, GapTrace]]
     config_ids: tuple[str, ...]
     instance_ids: tuple[str, ...]
+    _window_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def horizons(self) -> tuple[float, ...]:
@@ -80,6 +86,16 @@ class TraceDb:
             times = flat[order, 0]
             arrays.append((times, flat[order, 2], owner[order], np.unique(times)))
         return tuple(arrays)
+
+    def grid(self, window) -> "_Grid":
+        """The window's grid, built on its first use and kept; a bad window
+        raises on every call, since nothing is kept for it. Two threads may
+        both build a grid that neither found: they are equal, and one is kept."""
+        key = tuple(window)
+        grid = self._window_grids.get(key)
+        if grid is None:
+            grid = self._window_grids[key] = _grids(self, key)
+        return grid
 
 
 def build_trace_db(traces: dict[str, dict[str, GapTrace]]) -> TraceDb:
@@ -156,13 +172,14 @@ class _Grid:
     point sets the column of the first edge at or after it, so points at or
     before t0 land in column lo and points after t1 in none. ``columns`` and
     ``gaps`` hold the entries of every instance in column order, instance i's
-    up to index ``ends[i]``, and ``members[k]`` holds config k's entry
-    positions in ascending order.
+    up to index ``ends[i]``; ``owners`` holds each entry's config index, and
+    ``members[k]`` holds config k's entry positions in ascending order.
     """
 
     columns: np.ndarray  # column of each entry, non-decreasing
     gaps: np.ndarray  # gap of each entry
     ends: np.ndarray  # index past each instance's last entry
+    owners: np.ndarray  # config index of each entry
     members: tuple[np.ndarray, ...]  # per config, its entry positions
     spans: tuple[tuple[int, int, np.ndarray], ...]
     size: int  # columns of every instance
@@ -197,8 +214,26 @@ def _grids(db: TraceDb, window) -> _Grid:
     order = np.argsort(owners, kind="stable")
     members = tuple(np.split(order, np.cumsum(np.bincount(owners))[:-1]))
     return _Grid(
-        np.concatenate(columns), np.concatenate(gaps), np.array(ends), members, tuple(spans), lo
+        np.concatenate(columns), np.concatenate(gaps), np.array(ends), owners, members,
+        tuple(spans), lo,
     )
+
+
+def _masked(grid: _Grid, rows) -> bool:
+    """Whether the subset's entries are read off a member mask: a pass over
+    every entry of the grid, which costs the same at any size, against a
+    sort of the members' entries, which costs less for a few members (on
+    180 configs the two are even near 32 members)."""
+    return 4 * len(rows) > len(grid.members)
+
+
+def _positions(grid: _Grid, rows) -> np.ndarray:
+    """The subset's entry positions in ascending order."""
+    if _masked(grid, rows):
+        mask = np.zeros(len(grid.members), bool)
+        mask.put(rows, True)
+        return np.flatnonzero(mask[grid.owners])
+    return np.sort(np.concatenate([grid.members[r] for r in rows]))
 
 
 def _subset_gaps(grid: _Grid, rows) -> np.ndarray:
@@ -206,7 +241,7 @@ def _subset_gaps(grid: _Grid, rows) -> np.ndarray:
     minimum of its members' entries from 1, each carried forward to the next
     entry's column. Equivalence with metrics.aggregate_min, primal_integral
     and GapTrace.gap_at is pinned by tests."""
-    positions = np.sort(np.concatenate([grid.members[r] for r in rows]))
+    positions = _positions(grid, rows)
     low = grid.gaps[positions]
     start = 0
     for end in np.searchsorted(positions, grid.ends).tolist():
@@ -279,7 +314,7 @@ class SimulationReport:
 
 def _records(db: TraceDb, window, subsets) -> list[RunRecord]:
     """One record per subset of row indices, scored on the window's grid."""
-    grid = _grids(db, window)
+    grid = db.grid(window)
     return [
         RunRecord(tuple(db.config_ids[r] for r in rows), *_subset_performance(grid, rows))
         for rows in subsets

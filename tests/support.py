@@ -11,7 +11,8 @@ time for ``make_model``'s and ``parse_mps``'s arrays, a dict-loop
 the array ones, a
 dense gap grid for the simulator's subset scores, a ``csv.reader`` over the
 open file and a ``pathlib`` listing for the trace database loader, and
-hand-rolled step-function traces.
+hand-rolled step-function traces. ``grid_builds`` counts the simulator's
+grid builds.
 """
 
 import csv
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+import parlns.simulator
 from parlns.metrics import GapTrace
 from parlns.model import (
     _SLACK_BOUNDS,
@@ -84,7 +86,7 @@ def _strip_zeros(coefficients: dict[int, float]) -> dict[int, float]:
 
 
 def _normalize_variable(var: Variable) -> Variable:
-    lower, upper, kind = var.lower, var.upper, var.kind
+    lower, upper, kind = var.lower + 0.0, var.upper + 0.0, var.kind
     if kind == BINARY:
         lower = max(lower, 0.0)
         upper = min(upper, 1.0)
@@ -92,27 +94,25 @@ def _normalize_variable(var: Variable) -> Variable:
         kind = BINARY
         lower = max(lower, 0.0)
         upper = min(upper, 1.0)
-    if lower != var.lower or upper != var.upper or kind != var.kind:
-        return Variable(var.name, kind, lower, upper)
-    return var
+    return Variable(var.name, kind, lower, upper)
 
 
 def dict_model(name, sense, variables, constraints, objective, offset=0.0) -> DictModel:
     """``make_model``'s normalization one variable and one row at a time:
     binaries clamped into [0, 1], integers inside [0, 1] made binaries, zero
-    coefficients and costs dropped and a maximize objective negated. It
-    validates nothing."""
+    coefficients and costs dropped, a maximize objective negated and a
+    ``-0.0`` rhs, bound or offset made ``0.0``. It validates nothing."""
     sign = -1.0 if sense == MAXIMIZE else 1.0
     return DictModel(
         name=name,
         sense=sense,
         variables=tuple(_normalize_variable(v) for v in variables),
         constraints=tuple(
-            LinearConstraint(c.name, _strip_zeros(dict(c.coefficients)), c.relation, c.rhs)
+            LinearConstraint(c.name, _strip_zeros(dict(c.coefficients)), c.relation, c.rhs + 0.0)
             for c in constraints
         ),
         objective=_strip_zeros({i: sign * c for i, c in objective.items()}),
-        objective_offset=sign * offset,
+        objective_offset=sign * offset + 0.0,
     )
 
 
@@ -660,3 +660,17 @@ def tiny_cover_model() -> MipModel:
         [LinearConstraint("c1", {0: 1.0, 1: 1.0}, GE, 1.0)],
         {0: 1.0, 1: 1.0},
     )
+
+
+def grid_builds(monkeypatch) -> list[tuple]:
+    """The windows whose grid ``simulator._grids`` builds from here on, in
+    call order."""
+    windows = []
+    build = parlns.simulator._grids
+
+    def counted(db, window):
+        windows.append(tuple(window))
+        return build(db, window)
+
+    monkeypatch.setattr(parlns.simulator, "_grids", counted)
+    return windows

@@ -8,7 +8,7 @@ from parlns.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, main
 from parlns.instances import knapsack
 from parlns.mps import write_mps
 
-from support import tiny_cover_model
+from support import grid_builds, tiny_cover_model
 
 
 def _search_started(*args, **kwargs):
@@ -495,7 +495,9 @@ def test_simulate_n_larger_than_pool_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
-def test_repro_smoke(tmp_path):
+def test_repro_smoke(tmp_path, monkeypatch):
+    # the ranking and the sweep share one window, and so one grid
+    windows = grid_builds(monkeypatch)
     out_dir = tmp_path / "repro"
     code = main(
         [
@@ -522,6 +524,7 @@ def test_repro_smoke(tmp_path):
     assert len(sweep) >= 3  # n = 2 and 4 at least
     pools = json.loads((out_dir / "reduced_pools.json").read_text())
     assert set(pools) == {"4", "8", "16"}
+    assert windows == [tuple(json.loads((out_dir / "ranking.json").read_text())["window"])]
 
 
 REPRO_ARGS = ["--seed", "5", "--pool-size", "6", "--runs", "10", "--wall", "0.5",

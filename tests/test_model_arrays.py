@@ -3,7 +3,9 @@ trip against the densification oracle, ``evaluate`` against the dict-loop
 oracle, and sub-models whose arrays come from their parent's."""
 
 import dataclasses
+import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -40,6 +42,7 @@ from parlns.model import (
     apply_neighborhood,
     evaluate,
     make_model,
+    presolve,
 )
 from parlns.mps import parse_mps, write_mps
 from parlns.operators import (
@@ -126,11 +129,15 @@ def test_evaluate_matches_dict_loop_oracle(case):
         assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
 
 
+# bounds of -0.0, as an MPS file's "-0" reads
+_SIGNED_ZEROS = ((-0.0, 2.0), (-3.0, -0.0), (-0.0, -0.0))
 _COLUMN_BOUNDS = {
-    CONTINUOUS: _BOUNDS,
+    CONTINUOUS: _BOUNDS + _SIGNED_ZEROS,
     # inside [0, 1], to BOUND_TOL on either side, an integer column is a binary
-    INTEGER: _BOUNDS + ((0.0, 0.0), (-0.5 * BOUND_TOL, 1.0 + 0.5 * BOUND_TOL), (0.0, 0.5)),
-    BINARY: ((0.0, INF), (-INF, INF), (-2.0, 5.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 0.5)),
+    INTEGER: _BOUNDS + _SIGNED_ZEROS + (
+        (0.0, 0.0), (-0.5 * BOUND_TOL, 1.0 + 0.5 * BOUND_TOL), (0.0, 0.5), (-0.0, 1.0)),
+    BINARY: ((0.0, INF), (-INF, INF), (-2.0, 5.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 0.5),
+             (-0.0, 1.0), (-0.0, -0.0)),
 }
 
 
@@ -139,7 +146,7 @@ def _model_records(draw):
     """A model's records, as ``make_model`` takes them: columns of every kind
     with free, negative, infinite and fixed bounds, rows of every relation
     with explicit zero coefficients, and an objective with zero costs, in
-    either sense with an offset."""
+    either sense with an offset; a rhs, a bound or the offset may be -0.0."""
     n = draw(st.integers(1, 5))
     variables = []
     for j in range(n):
@@ -152,12 +159,12 @@ def _model_records(draw):
     for i in range(draw(st.integers(0, 4))):
         columns = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         coefficients = {j: draw(nonzero if k == 0 else entry) for k, j in enumerate(columns)}
-        rhs = draw(st.integers(-12, 12)) / 2
+        rhs = draw(st.one_of(st.integers(-12, 12).map(lambda v: v / 2), st.just(-0.0)))
         constraints.append(LinearConstraint(f"r{i}", coefficients, draw(st.sampled_from((LE, GE, EQ))), rhs))
     costs = st.sampled_from((1.0, -4.0, 2.5, 0.0, -0.0))
     objective = draw(st.dictionaries(st.integers(0, n - 1), costs))
     sense = draw(st.sampled_from((MINIMIZE, MAXIMIZE)))
-    offset = float(draw(st.integers(-3, 3)))
+    offset = draw(st.sampled_from((-3.0, -1.0, -0.0, 0.0, 2.0, 3.0)))
     return "m", sense, variables, constraints, objective, offset
 
 
@@ -173,13 +180,21 @@ def test_model_arrays_match_the_densification_oracle(records):
     assert_same_model(parse_mps(write_mps(model)), model)
 
 
-def test_model_arrays_keep_the_sign_of_a_zero_rhs_bound_and_offset():
-    # an MPS file states no absent zero, so these signs do not survive a round trip
-    records = (
-        "z", MAXIMIZE, [Variable("x", CONTINUOUS, -0.0, 2.0), Variable("y", INTEGER, -3.0, -0.0)],
-        [LinearConstraint("r", {0: 1.0, 1: -0.0}, GE, -0.0)], {1: -0.0}, -0.0,
-    )
-    assert_same_arrays(make_model(*records).relaxation, relaxation_from_dicts(dict_model(*records)))
+def test_model_arrays_hold_no_negative_zero():
+    # an MPS file states no absent zero, so a zero's sign could not survive
+    # a round trip: the arrays hold none
+    for sense, offset in itertools.product((MINIMIZE, MAXIMIZE), (0.0, -0.0)):
+        records = (
+            "z", sense, [Variable("x", CONTINUOUS, -0.0, 2.0), Variable("y", INTEGER, -3.0, -0.0)],
+            [LinearConstraint("r", {0: 1.0, 1: -0.0}, GE, -0.0)], {1: -0.0}, offset,
+        )
+        model = make_model(*records)
+        relax = model.relaxation
+        values = np.concatenate(
+            [relax.c, relax.A.ravel(), relax.b, relax.lower, relax.upper, [relax.offset]])
+        assert not np.signbit(values[values == 0.0]).any()
+        assert_same_arrays(relax, relaxation_from_dicts(dict_model(*records)))
+        assert_same_model(parse_mps(write_mps(model)), model)
 
 
 def _contexts():
@@ -334,6 +349,30 @@ def test_relaxation_arrays_are_read_only():
             if isinstance(value, np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     value[...] = 0
+
+
+def test_unpickled_models_and_sub_problems_are_read_only_and_solve_alike():
+    model = independent_set(20, 0.1, seed=7)
+    n = model.n_vars
+    upper = np.ones(n)
+    upper[:6] = 0.0
+    sub = apply_neighborhood(
+        model, parlns.model.NeighborhoodSpec(bounds=(np.zeros(n), upper), rows=(np.ones((1, n)), [5.0]))
+    )
+    reduced = presolve(sub).relaxation
+    assert reduced.A.shape[1] < n
+    for original in (model, sub, reduced):
+        want = solve_lp(original)  # caches the original's c_full
+        assert "c_full" in vars(original.relaxation)
+        copy = pickle.loads(pickle.dumps(original))
+        relax = copy.relaxation
+        assert "c_full" not in vars(relax)
+        for f in dataclasses.fields(LpRelaxation):
+            value = getattr(relax, f.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, f.name
+        assert_same_arrays(relax, original.relaxation)
+        assert solve_lp(copy) == want
 
 
 def test_worker_builds_base_arrays_once_and_only_appended_rows(monkeypatch):

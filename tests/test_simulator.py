@@ -14,6 +14,8 @@ from parlns.simulator import (
     NotRectangular,
     TooManySubsets,
     _grids,
+    _masked,
+    _positions,
     _subset_gaps,
     _subset_performance,
     build_trace_db,
@@ -24,6 +26,7 @@ from parlns.simulator import (
 )
 
 from support import (
+    grid_builds,
     load_trace_db_oracle,
     point_bits,
     random_step_trace,
@@ -281,63 +284,133 @@ def _spec_db(steps, horizon=10.0):
     })
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_db_specs())
-# points before t0 only: they set the gap the window opens with
-@example(([[[(1.0, 0.5)]], [[(0.5, 0.75), (2.0, 0.25)]]], (3.0, 8.0)))
-# points on t0 and t1, shared across configs, and after t1 < horizon
-@example(([[[(3.0, 0.5), (8.0, 0.25)]], [[(3.0, 0.75), (8.0, 0.125), (9.5, 0.0)]]], (3.0, 8.0)))
-# empty traces, alone and next to others
-@example(([[[], [(4.0, 0.5)]], [[], []]], (2.0, 6.0)))
-# an empty window, on a point and between points
-@example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (5.0, 5.0)))
-@example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (6.0, 6.0)))
-# several points at or before t0 in one cell: the latest one sets it
-@example(([[[(0.5, 0.75), (1.0, 0.5), (2.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
-# every point after t1: the row stays at 1
-@example(([[[(7.0, 0.5), (9.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
-# a point at time 0 on a window that opens at 0
-@example(([[[(0.0, 0.5), (4.0, 0.25)]], [[(2.0, 0.75)]]], (0.0, 5.0)))
-# a gap above 1 and a rise within GapTrace's 1e-12 tolerance: the aggregate
-# is capped at 1 and never rises, so these score (1, 3) and (0.5, 2)
-@example(([[[(1.0, 1.5)]]], (0.0, 3.0)))
-@example(([[[(1.0, 0.5), (2.0, 0.5 + 5e-13)]]], (0.0, 3.0)))
-def test_grid_matches_aggregate_min_on_every_subset(spec):
-    steps, window = spec
-    db = _spec_db(steps)
-    t0, t1 = window
-    grid = _grids(db, window)
-    edges = {}
-    for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
-        traces = [db.traces[c][inst] for c in db.config_ids]
-        events = sorted({t for trace in traces for t, _, _ in trace.points if t0 < t < t1})
-        edges[inst] = [t0, *events, t1]
-        assert hi - lo + 1 == len(edges[inst])
-    for n in range(1, len(db.config_ids) + 1):
-        for rows in itertools.combinations(range(len(db.config_ids)), n):
-            low = _subset_gaps(grid, np.array(rows))
-            final, pi = _subset_performance(grid, np.array(rows))
-            finals, pis = [], []
-            for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
-                agg = aggregate_min([db.traces[db.config_ids[r]][inst] for r in rows])
-                # column by column: the aggregate's gap at the start edge
-                assert list(low[lo : hi + 1]) == [agg.gap_at(t) for t in edges[inst]]
-                assert low[hi] == agg.gap_at(t1)
-                finals.append(agg.gap_at(t1))
-                pis.append(primal_integral(agg, t0, t1))
-            assert final == sum(finals) / len(finals)
-            assert pi == pytest.approx(sum(pis) / len(pis), abs=1e-12)
+def _check_positions(grid, rows, sides):
+    """The subset's entry positions equal the sort of its members' entries
+    on either side of the merge-or-mask rule; the side is added to ``sides``."""
+    merged = np.sort(np.concatenate([grid.members[r] for r in rows]))
+    assert np.array_equal(_positions(grid, rows), merged)
+    sides.add(_masked(grid, rows))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_db_specs())
-def test_subset_performance_matches_the_dense_grid_bit_for_bit(spec):
-    steps, window = spec
-    db = _spec_db(steps)
-    grid = _grids(db, window)
-    for n in range(1, len(db.config_ids) + 1):
-        for rows in itertools.combinations(range(len(db.config_ids)), n):
-            assert _subset_performance(grid, rows) == subset_performance_oracle(db, window, rows)
+def test_grid_matches_aggregate_min_on_every_subset():
+    # a subset of more than a quarter of the configs is read off the member
+    # mask and a smaller one merged by a sort: with up to 4 configs, the
+    # singletons of 4 are merged and every other subset is masked
+    sides = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_db_specs())
+    # points before t0 only: they set the gap the window opens with
+    @example(([[[(1.0, 0.5)]], [[(0.5, 0.75), (2.0, 0.25)]]], (3.0, 8.0)))
+    # points on t0 and t1, shared across configs, and after t1 < horizon
+    @example(([[[(3.0, 0.5), (8.0, 0.25)]], [[(3.0, 0.75), (8.0, 0.125), (9.5, 0.0)]]], (3.0, 8.0)))
+    # empty traces, alone and next to others
+    @example(([[[], [(4.0, 0.5)]], [[], []]], (2.0, 6.0)))
+    # an empty window, on a point and between points
+    @example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (5.0, 5.0)))
+    @example(([[[(5.0, 0.5)]], [[(2.0, 0.25), (7.0, 0.0)]]], (6.0, 6.0)))
+    # several points at or before t0 in one cell: the latest one sets it
+    @example(([[[(0.5, 0.75), (1.0, 0.5), (2.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
+    # every point after t1: the row stays at 1
+    @example(([[[(7.0, 0.5), (9.0, 0.25)]], [[(3.0, 0.5)]]], (2.0, 6.0)))
+    # a point at time 0 on a window that opens at 0
+    @example(([[[(0.0, 0.5), (4.0, 0.25)]], [[(2.0, 0.75)]]], (0.0, 5.0)))
+    # a gap above 1 and a rise within GapTrace's 1e-12 tolerance: the aggregate
+    # is capped at 1 and never rises, so these score (1, 3) and (0.5, 2)
+    @example(([[[(1.0, 1.5)]]], (0.0, 3.0)))
+    @example(([[[(1.0, 0.5), (2.0, 0.5 + 5e-13)]]], (0.0, 3.0)))
+    def check(spec):
+        steps, window = spec
+        db = _spec_db(steps)
+        t0, t1 = window
+        grid = _grids(db, window)
+        edges = {}
+        for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
+            traces = [db.traces[c][inst] for c in db.config_ids]
+            events = sorted({t for trace in traces for t, _, _ in trace.points if t0 < t < t1})
+            edges[inst] = [t0, *events, t1]
+            assert hi - lo + 1 == len(edges[inst])
+        for n in range(1, len(db.config_ids) + 1):
+            for rows in itertools.combinations(range(len(db.config_ids)), n):
+                _check_positions(grid, rows, sides)
+                low = _subset_gaps(grid, np.array(rows))
+                final, pi = _subset_performance(grid, np.array(rows))
+                finals, pis = [], []
+                for inst, (lo, hi, _) in zip(db.instance_ids, grid.spans):
+                    agg = aggregate_min([db.traces[db.config_ids[r]][inst] for r in rows])
+                    # column by column: the aggregate's gap at the start edge
+                    assert list(low[lo : hi + 1]) == [agg.gap_at(t) for t in edges[inst]]
+                    assert low[hi] == agg.gap_at(t1)
+                    finals.append(agg.gap_at(t1))
+                    pis.append(primal_integral(agg, t0, t1))
+                assert final == sum(finals) / len(finals)
+                assert pi == pytest.approx(sum(pis) / len(pis), abs=1e-12)
+
+    check()
+    assert sides == {False, True}
+
+
+def test_subset_performance_matches_the_dense_grid_bit_for_bit():
+    sides = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_db_specs())
+    def check(spec):
+        steps, window = spec
+        db = _spec_db(steps)
+        grid = _grids(db, window)
+        for n in range(1, len(db.config_ids) + 1):
+            for rows in itertools.combinations(range(len(db.config_ids)), n):
+                _check_positions(grid, rows, sides)
+                assert _subset_performance(grid, rows) == subset_performance_oracle(db, window, rows)
+
+    check()
+    assert sides == {False, True}
+
+
+def test_merge_or_mask_reads_the_subset_size_against_the_pool():
+    grid = _grids(_synthetic_db(n_configs=180, instances=("a",)), (10.0, 90.0))
+    assert [n for n in (1, 2, 8, 32, 45, 46, 128, 180) if _masked(grid, range(n))] == [46, 128, 180]
+
+
+# --- one grid per window, kept by the db ---------------------------------------
+
+
+def test_db_builds_each_window_grid_once(monkeypatch):
+    calls = grid_builds(monkeypatch)
+    db = _pinned_db()
+    grid = db.grid((2.0, 12.0))
+    assert db.grid((2.0, 12.0)) is grid
+    assert db.grid([2.0, 12.0]) is grid
+    rank_configs(db, (2.0, 12.0))
+    simulate(db, 2, 10, 0, (2.0, 12.0))
+    exhaustive(db, 3, (2.0, 12.0))
+    other = db.grid((0.0, 16.0))
+    assert other is not grid and db.grid((0.0, 16.0)) is other
+    assert calls == [(2.0, 12.0), (0.0, 16.0)]
+    # the kept grids are no part of the db's equality
+    assert db == _pinned_db()
+
+
+def test_a_bad_window_raises_on_every_call(monkeypatch):
+    calls = grid_builds(monkeypatch)
+    db = _pinned_db()
+    for window, match in (((5.0, 2.0), "bad window"), ((2.0, 16.5), "beyond horizon")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                db.grid(window)
+            with pytest.raises(ValueError, match=match):
+                simulate(db, 2, 3, 0, window)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("window", [(2.0, 12.0), (0.0, 16.0), (4.0, 4.0)])
+def test_records_from_a_kept_grid_equal_a_fresh_db(window):
+    db = _pinned_db()
+    for n in (1, 2, 4):
+        assert simulate(db, n, 40, n, window) == simulate(_pinned_db(), n, 40, n, window)
+        assert exhaustive(db, n, window) == exhaustive(_pinned_db(), n, window)
+    assert rank_configs(db, window) == rank_configs(_pinned_db(), window)
 
 
 # --- exact results on a fixed db, recorded before the array grid -------------
