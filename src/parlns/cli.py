@@ -252,25 +252,24 @@ def cmd_simulate(args, parser) -> int:
     out = Path(args.out)
     if args.exhaustive:
         report = simulator.exhaustive(db, args.n, window)
-        _write_json(out, {"mode": "exhaustive", **report.to_dict()})
-        print(f"enumerated {len(report.ranking)} subsets; wrote {out}")
-        return EXIT_OK
-    report = simulator.simulate(
-        db, args.n, args.runs, args.seed, window, stratified=args.stratified
-    )
-    _write_json(out, {"mode": "simulate", **report.to_dict()})
+        records, done = report.ranking, f"enumerated {len(report.ranking)} subsets; wrote {out}"
+    else:
+        # a stratified run visits each config once
+        runs = args.runs or (len(db.config_ids) if args.stratified else 1000)
+        report = simulator.simulate(db, args.n, runs, args.seed, window, stratified=args.stratified)
+        records, done = report.records, (
+            f"n={args.n} runs={runs}: final gap "
+            f"{report.mean_final_gap:.6f} +/- {report.std_final_gap:.6f}")
+    _write_json(out, {"mode": "exhaustive" if args.exhaustive else "simulate", **report.to_dict()})
     if args.per_run is not None:
         per_run = Path(args.per_run)
         per_run.parent.mkdir(parents=True, exist_ok=True)
         with open(per_run, "w") as fh:
             fh.write("config_ids,final_gap,primal_integral\n")
-            for record in report.records:
+            for record in records:  # the exhaustive ranking best first
                 ids = "|".join(record.config_ids)
                 fh.write(f"{ids},{record.final_gap!r},{record.primal_integral!r}\n")
-    print(
-        f"n={args.n} runs={args.runs}: final gap "
-        f"{report.mean_final_gap:.6f} +/- {report.std_final_gap:.6f}"
-    )
+    print(done)
     return EXIT_OK
 
 
@@ -378,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="portfolio simulation over a trace db")
     p.add_argument("--traces", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--runs", type=int)  # default: the pool size with --stratified, else 1000
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float)

@@ -93,10 +93,6 @@ def validate_configuration(config: Configuration) -> None:
     families = {op.family for op in config.destroy_ops}
     if len(ops) >= len(DESTROY_CATEGORIES) and len(families) != len(DESTROY_CATEGORIES):
         raise ConfigError(f"{config.id}: sets of size >= 6 must cover all families")
-    if config.acceptance.kind == SIMULATED_ANNEALING and not (
-        0.01 <= config.acceptance.step <= 1.0
-    ):
-        raise ConfigError(f"{config.id}: SA step outside [0.01, 1]")
     policy = config.policy
     if policy.kind == EPSILON_GREEDY:
         if policy.epsilon is None or not 0.0 <= policy.epsilon <= 0.5:

@@ -5,14 +5,17 @@ form, a read-only :class:`LpRelaxation` built once at construction.
 ``make_model`` turns :class:`Variable` and :class:`LinearConstraint` records
 into arrays and ``parse_mps`` collects them from a file; both hand them to
 ``build_model``, which normalizes and validates them in whole-array
-operations. Models are normalized to minimization; objectives stated as
-maximization are negated once and un-negated only at reporting boundaries
-(see :meth:`MipModel.to_external_objective`). ``evaluate`` and the LP read
-the arrays, and only the LP knows the rows' slack columns. A sub-problem is
-only its arrays: a :class:`NeighborhoodSpec` states new bounds, appended
-``<=`` rows and a new objective in the model's arrays, ``apply_neighborhood``
-checks them in whole-array operations and puts them in place of the model's,
-and an ``LpRelaxation``'s ``relaxation`` is itself, so both take either.
+operations. A row is its slack bounds alone, so a range is one row; a
+relation exists only in the records that ``make_model`` takes and
+``MipModel.constraints`` gives back. Models are normalized to minimization;
+objectives stated as maximization are negated once and un-negated only at
+reporting boundaries (see :meth:`MipModel.to_external_objective`).
+``evaluate`` and the LP read the arrays, and only the LP knows the rows'
+slack columns. A sub-problem is only its arrays: a :class:`NeighborhoodSpec`
+states new bounds, appended ``<=`` rows and a new objective in the model's
+arrays, ``apply_neighborhood`` checks them in whole-array operations and
+puts them in place of the model's, and an ``LpRelaxation``'s ``relaxation``
+is itself, so both take either.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -38,7 +41,7 @@ FEASIBILITY_TOL = 1e-7
 BOUND_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 
-# Slack bounds of a row a.x + s = rhs: the only code that reads what a relation means.
+# Slack bounds of a row a.x + s = rhs: what a record's relation means.
 _SLACK_BOUNDS = {LE: (0.0, INF), GE: (-INF, 0.0), EQ: (0.0, 0.0)}
 
 
@@ -168,16 +171,25 @@ class MipModel:
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
         """The rows as records, built from the arrays on each call, each with
-        its nonzero coefficients. It stays until benchmark v2, whose
-        reference test reads it."""
+        its nonzero coefficients. A range is two records: the row as ``>=``
+        its least activity and ``<row>__rng`` as ``<=`` its greatest. It
+        stays until benchmark v2, whose reference test reads it."""
         relax = self.relaxation
         records = []
-        for name, row, relation, rhs in zip(
-            self.row_names, relax.A, row_relations(relax), relax.b.tolist()
+        for name, row, b, lo, hi in zip(
+            self.row_names, relax.A, relax.b.tolist(),
+            relax.slack_lower.tolist(), relax.slack_upper.tolist(),
         ):
             columns = np.flatnonzero(row)
             coefficients = dict(zip(columns.tolist(), row[columns].tolist()))
-            records.append(LinearConstraint(name, coefficients, relation, rhs))
+            if lo == hi:
+                records.append(LinearConstraint(name, coefficients, EQ, b))
+                continue
+            if hi < INF:
+                records.append(LinearConstraint(name, coefficients, GE, b - hi))
+            if lo > -INF:
+                le_name = name + "__rng" if hi < INF else name
+                records.append(LinearConstraint(le_name, dict(coefficients), LE, b - lo))
         return tuple(records)
 
     def to_external_objective(self, value: float) -> float:
@@ -186,17 +198,6 @@ class MipModel:
 
     def to_internal_objective(self, value: float) -> float:
         return -value if self.sense == MAXIMIZE else value
-
-
-_RELATION_OF = {bounds: relation for relation, bounds in _SLACK_BOUNDS.items()}
-
-
-def row_relations(relax: LpRelaxation) -> list[str]:
-    """Each row's relation, read back from its slack bounds."""
-    return [
-        _RELATION_OF[bounds]
-        for bounds in zip(relax.slack_lower.tolist(), relax.slack_upper.tolist())
-    ]
 
 
 def make_model(
@@ -210,9 +211,10 @@ def make_model(
     """A model stated in records and in its natural sense, as arrays that
     ``build_model`` normalizes and validates.
 
-    The objective is given in the stated sense; a constraint's or the
-    objective's column index outside the variables raises
-    :class:`ModelError`.
+    The objective is given in the stated sense, and each constraint's
+    relation becomes its row's slack bounds through ``_SLACK_BOUNDS``; a
+    constraint's or the objective's column index outside the variables, or
+    an unknown relation, raises :class:`ModelError`.
     """
     n = len(variables)
     rows = [i for i, con in enumerate(constraints) for _ in con.coefficients]
@@ -222,6 +224,10 @@ def make_model(
     priced = np.array(list(objective), dtype=np.intp)
     _refuse((priced < 0) | (priced >= n), ModelError,
             lambda f: f"objective references variable index {priced[f]}")
+    _refuse(np.array([con.relation not in _SLACK_BOUNDS for con in constraints], dtype=bool),
+            ModelError, lambda i: (
+                f"constraint {constraints[i].name!r}: unknown relation {constraints[i].relation!r}"))
+    slack = np.array([_SLACK_BOUNDS[con.relation] for con in constraints]).reshape(-1, 2).T
     A = np.zeros((len(constraints), n))
     A[rows, cols] = [a for con in constraints for a in con.coefficients.values()]
     c = np.zeros(n)
@@ -229,28 +235,33 @@ def make_model(
     return build_model(
         name, sense, [v.name for v in variables], [con.name for con in constraints],
         kinds=[v.kind for v in variables], lower=[v.lower for v in variables],
-        upper=[v.upper for v in variables], relations=[con.relation for con in constraints],
+        upper=[v.upper for v in variables], slack_lower=slack[0], slack_upper=slack[1],
         A=A, b=[con.rhs for con in constraints], c=c, offset=offset,
     )
 
 
 def build_model(
     name: str, sense: str, columns: list[str], rows: list[str], *, kinds: list[str],
-    lower, upper, relations: list[str], A: np.ndarray, b, c: np.ndarray, offset: float,
+    lower, upper, slack_lower, slack_upper, A: np.ndarray, b, c: np.ndarray, offset: float,
 ) -> MipModel:
     """A model from its names and arrays, the costs and offset in the stated
     sense: the one normalization and validation of model data.
 
-    A binary column's bounds are clamped into [0, 1], and so are an integer
-    column's that lie within [0, 1] to ``BOUND_TOL``: the binaries are then
-    exactly the integer columns with bounds inside [0, 1]. A maximize
-    model's costs and offset are negated, and then a ``-0.0`` coefficient,
-    cost, rhs, bound or offset becomes ``0.0``, since an MPS file states no
+    Row i is ``A[i] @ x + s_i = b[i]`` with ``s_i`` in
+    ``[slack_lower[i], slack_upper[i]]``, which must be one of five forms:
+    ``=`` (0, 0), ``<=`` (0, +inf), ``>=`` (-inf, 0), a ranged ``<=`` (0, R)
+    or a ranged ``>=`` (-R, 0), with R finite and nonnegative. A binary
+    column's bounds are clamped into [0, 1], and so are an integer column's
+    that lie within [0, 1] to ``BOUND_TOL``: the binaries are then exactly
+    the integer columns with bounds inside [0, 1]. A maximize model's costs
+    and offset are negated, and then a ``-0.0`` coefficient, cost, rhs,
+    bound, slack bound or offset becomes ``0.0``, since an MPS file states no
     zero that it can leave out. Raises :class:`ModelError` for an unknown
-    sense, kind or relation, a duplicate name, a NaN bound, a lower bound of
-    +inf or an upper one of -inf, bounds crossed by more than ``BOUND_TOL``,
-    a non-finite coefficient, rhs, cost or offset, or a row without a
-    nonzero coefficient; each error names the first offending column or row.
+    sense or kind, a duplicate name, a NaN bound, a lower bound of +inf or an
+    upper one of -inf, bounds crossed by more than ``BOUND_TOL``, slack
+    bounds of none of the five forms, a non-finite coefficient, rhs, cost or
+    offset, or a row without a nonzero coefficient; each error names the
+    first offending column or row.
     """
     if sense not in (MINIMIZE, MAXIMIZE):
         raise ModelError(f"unknown sense {sense!r}")
@@ -269,8 +280,13 @@ def build_model(
             lambda j: f"variable {columns[j]!r}: bounds [{lower[j]}, {upper[j]}]")
     _refuse(lower > upper + BOUND_TOL, ModelError,
             lambda j: f"variable {columns[j]!r}: lower {lower[j]} > upper {upper[j]}")
-    _refuse(~np.isin(np.array(relations, dtype=str), tuple(_SLACK_BOUNDS)), ModelError,
-            lambda i: f"constraint {rows[i]!r}: unknown relation {relations[i]!r}")
+    slack_lower = np.array(slack_lower, dtype=float) + 0.0
+    slack_upper = np.array(slack_upper, dtype=float) + 0.0
+    # a NaN fails both comparisons
+    _refuse(~(((slack_lower == 0.0) & (slack_upper >= 0.0))
+              | ((slack_upper == 0.0) & (slack_lower <= 0.0))), ModelError,
+            lambda i: f"constraint {rows[i]!r}: slack bounds "
+                      f"[{slack_lower[i]}, {slack_upper[i]}] are no row form")
     b, n = np.array(b, dtype=float) + 0.0, len(columns)
     _refuse(~np.isfinite(b), ModelError, lambda i: f"constraint {rows[i]!r}: rhs is {b[i]}")
     _refuse(~np.isfinite(A).ravel(), ModelError, lambda f: (
@@ -282,10 +298,9 @@ def build_model(
     if not np.isfinite(offset):
         raise ModelError(f"objective: offset is {offset}")
     sign = -1.0 if sense == MAXIMIZE else 1.0
-    slack = np.array([_SLACK_BOUNDS[r] for r in relations]).reshape(-1, 2).T
     relax = LpRelaxation(
         c=sign * c + 0.0, offset=sign * offset + 0.0, A=A + 0.0, b=b, lower=lower, upper=upper,
-        slack_lower=slack[0], slack_upper=slack[1], integer=kind != CONTINUOUS,
+        slack_lower=slack_lower, slack_upper=slack_upper, integer=kind != CONTINUOUS,
     )
     return MipModel(name, sense, tuple(columns), tuple(rows), relax)
 

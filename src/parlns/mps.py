@@ -5,9 +5,15 @@ INTORG/INTEND markers), RHS, RANGES, BOUNDS, ENDATA. Fixed-format column
 positions are not enforced. Defaults: continuous and integer variables get
 [0, +inf), BV bounds give [0, 1], UI and LI bounds make their column integer,
 missing RHS entries are 0, sense is minimize unless OBJSENSE says otherwise.
-The reader collects a model's entries as coordinate triples and per-row and
-per-column lists, and ``model.build_model`` makes, normalizes and checks the
-arrays; the writer reads the arrays.
+Each ROWS entry is one row under its own name, stated by its slack bounds
+(see ``model.build_model``): an L row's are (0, +inf), a G row's (-inf, 0)
+and an E row's (0, 0). A RANGES entry R makes them (0, |R|) on an L row,
+(-|R|, 0) on a G row, and (-R, 0) or (0, -R) on an E row as R is positive
+or negative; a later entry for a row replaces an earlier one. The reader
+collects a model's entries as coordinate triples and per-row and per-column
+lists, and ``model.build_model`` makes, normalizes and checks the arrays;
+the writer reads the arrays, each row's kind and range from its slack
+bounds.
 """
 
 import numpy as np
@@ -15,22 +21,19 @@ import numpy as np
 from .model import (
     BINARY,
     CONTINUOUS,
-    EQ,
-    GE,
     INF,
     INTEGER,
-    LE,
     MAXIMIZE,
     MINIMIZE,
     MipModel,
+    ModelError,
     build_model,
-    row_relations,
 )
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _ROW_KINDS = {"N", "L", "G", "E"}
-_RELATION = {"L": LE, "G": GE, "E": EQ}
-_RANGE_SUFFIX = "__rng"
+# the slack bounds of a row a.x + s = rhs of each kind, without a range
+_SLACK = {"L": (0.0, INF), "G": (-INF, 0.0), "E": (0.0, 0.0)}
 
 
 class MpsParseError(ValueError):
@@ -68,9 +71,9 @@ def parse_mps(text: str) -> MipModel:
     obj_row: str | None = None
     free_rows: set[str] = set()  # the N rows, the objective row among them
     row_index: dict[str, int] = {}
-    relations: list[str] = []
+    row_kinds: list[str] = []
     rhs: list[float] = []
-    ranges: list[tuple[int, float]] = []
+    ranges: dict[int, float] = {}
     col_index: dict[str, int] = {}
     kinds: list[str] = []
     lower: list[float] = []
@@ -132,8 +135,8 @@ def parse_mps(text: str) -> MipModel:
                 # additional free rows are declared but their entries are dropped
                 free_rows.add(row)
             else:
-                row_index[row] = len(relations)
-                relations.append(_RELATION[kind])
+                row_index[row] = len(row_kinds)
+                row_kinds.append(kind)
                 rhs.append(0.0)
 
         elif section == "COLUMNS":
@@ -187,7 +190,7 @@ def parse_mps(text: str) -> MipModel:
                 row, value = tokens[k], _to_float(tokens[k + 1], line_no)
                 if row not in row_index:
                     raise DanglingReference(f"RANGES entry for unknown row {row!r}", line_no)
-                ranges.append((row_index[row], value))
+                ranges[row_index[row]] = value
 
         elif section == "BOUNDS":
             kind = tokens[0].upper()
@@ -222,42 +225,23 @@ def parse_mps(text: str) -> MipModel:
         else:
             raise MalformedSection(f"data in unsupported section {section!r}", line_no)
 
-    A = np.zeros((len(relations), len(kinds)))
+    A = np.zeros((len(row_kinds), len(kinds)))
     np.add.at(A, (entry_rows, entry_cols), entry_values)
     c = np.zeros(len(kinds))
     np.add.at(c, cost_cols, cost_values)
     rows = list(row_index)
-    if ranges:
-        A, rows, relations, rhs = _split_ranges(A, rows, relations, rhs, dict(ranges))
+    slack = np.array([_SLACK[kind] for kind in row_kinds]).reshape(-1, 2)
+    for i, r in ranges.items():
+        if not np.isfinite(r):  # an infinite range would leave a one-sided row
+            raise ModelError(f"constraint {rows[i]!r}: range is {r}")
+        if row_kinds[i] == "L" or (row_kinds[i] == "E" and r < 0.0):
+            slack[i, 1] = abs(r)
+        else:
+            slack[i, 0] = -abs(r)
     return build_model(
         name, sense, list(col_index), rows, kinds=kinds, lower=lower, upper=upper,
-        relations=relations, A=A, b=rhs, c=c, offset=offset,
+        slack_lower=slack[:, 0], slack_upper=slack[:, 1], A=A, b=rhs, c=c, offset=offset,
     )
-
-
-def _split_ranges(A, rows, relations, rhs, ranges):
-    """Each row with a RANGES entry made two: the row itself as ``>=`` the
-    range's lower end and, below it, a copy named with ``_RANGE_SUFFIX`` as
-    ``<=`` its upper end."""
-    names, split_relations, sides = [], [], []
-    for i, (row, relation, b) in enumerate(zip(rows, relations, rhs)):
-        if i not in ranges:
-            names.append(row)
-            split_relations.append(relation)
-            sides.append(b)
-            continue
-        r = ranges[i]
-        if relation == LE:
-            lo, hi = b - abs(r), b
-        elif relation == GE:
-            lo, hi = b, b + abs(r)
-        else:
-            lo, hi = (b, b + r) if r >= 0 else (b + r, b)
-        names += [row, row + _RANGE_SUFFIX]
-        split_relations += [GE, LE]
-        sides += [lo, hi]
-    copies = [2 if i in ranges else 1 for i in range(len(rows))]
-    return A[np.repeat(np.arange(len(rows)), copies)], names, split_relations, sides
 
 
 def _parse_sense(token: str, line_no: int) -> str:
@@ -283,9 +267,9 @@ def write_mps(model: MipModel) -> str:
         lines.append("    MAX")
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    row_kind = {relation: kind for kind, relation in _RELATION.items()}
-    for row, relation in zip(model.row_names, row_relations(relax)):
-        lines.append(f" {row_kind[relation]}  {row}")
+    slack_bounds = list(zip(relax.slack_lower.tolist(), relax.slack_upper.tolist()))
+    for row, (lo, hi) in zip(model.row_names, slack_bounds):
+        lines.append(f" {'E' if lo == hi else 'L' if lo == 0.0 else 'G'}  {row}")
     lines.append("COLUMNS")
     # each column's nonzero entries in row order, from one pass over A's transpose
     cols, rows = np.nonzero(relax.A.T)
@@ -319,6 +303,12 @@ def write_mps(model: MipModel) -> str:
     for row, b in zip(model.row_names, relax.b.tolist()):
         if b != 0.0:
             lines.append(f"    RHS1  {row}  {_fmt(b)}")
+    # R is the width of a ranged row's slack range; its kind gives the bounds back
+    ranges = [(row, hi - lo) for row, (lo, hi) in zip(model.row_names, slack_bounds)
+              if 0.0 < hi - lo < INF]
+    if ranges:
+        lines.append("RANGES")
+        lines.extend(f"    RNG1  {row}  {_fmt(r)}" for row, r in ranges)
     lines.append("BOUNDS")
     for col, is_integer, lower, upper in zip(
         model.column_names, integer, relax.lower.tolist(), relax.upper.tolist()

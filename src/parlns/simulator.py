@@ -293,8 +293,8 @@ class SimulationReport:
     worst: RunRecord
     records: tuple[RunRecord, ...]
 
-    def to_dict(self, include_records: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "runs": self.runs,
             "seed": self.seed,
@@ -307,9 +307,6 @@ class SimulationReport:
             "best": self.best.to_dict(),
             "worst": self.worst.to_dict(),
         }
-        if include_records:
-            out["records"] = [r.to_dict() for r in self.records]
-        return out
 
 
 def _records(db: TraceDb, window, subsets) -> list[RunRecord]:

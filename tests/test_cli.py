@@ -415,6 +415,43 @@ def test_simulate_default_runs_is_1000(tmp_path):
     assert json.loads(out.read_text())["runs"] == 1000
 
 
+def _per_run_lines(records):
+    return ["config_ids,final_gap,primal_integral"] + [
+        f"{'|'.join(r.config_ids)},{r.final_gap!r},{r.primal_integral!r}" for r in records
+    ]
+
+
+def test_simulate_exhaustive_writes_its_ranking_per_run(tmp_path):
+    from parlns.simulator import exhaustive, load_trace_db
+
+    root = _trace_dir(tmp_path)
+    per_run = tmp_path / "runs" / "ranking.csv"
+    code = main(["simulate", "--traces", str(root), "--n", "2", "--exhaustive",
+                 "--out", str(tmp_path / "r.json"), "--per-run", str(per_run)])
+    assert code == EXIT_OK
+    db = load_trace_db(root)
+    ranking = exhaustive(db, 2, (0.0, min(db.horizons))).ranking
+    assert per_run.read_text().splitlines() == _per_run_lines(ranking)  # best first
+
+
+def test_simulate_stratified_runs_default_to_the_pool_size(tmp_path, capsys):
+    from parlns.simulator import load_trace_db, simulate
+
+    root = _trace_dir(tmp_path)
+    out, per_run = tmp_path / "r.json", tmp_path / "runs.csv"
+    args = ["simulate", "--traces", str(root), "--n", "1", "--stratified", "--out", str(out)]
+    assert main(args + ["--per-run", str(per_run)]) == EXIT_OK
+    assert json.loads(out.read_text())["runs"] == 6
+    db = load_trace_db(root)
+    report = simulate(db, 1, 6, 0, (0.0, min(db.horizons)), stratified=True)
+    assert per_run.read_text().splitlines() == _per_run_lines(report.records)
+    assert main(args + ["--runs", "6"]) == EXIT_OK
+    capsys.readouterr()
+    # a run count that is given and differs is still refused
+    assert main(args + ["--runs", "5"]) == EXIT_DATA
+    assert "stratified mode needs" in capsys.readouterr().err
+
+
 def test_simulate_on_configs_without_traces_is_data_error(tmp_path, capsys):
     root = tmp_path / "traces"
     for config_id in ("a", "b"):

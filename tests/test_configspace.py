@@ -177,3 +177,14 @@ def test_config_dict_round_trip_covers_all_kinds():
 def test_default_config_is_valid():
     validate_configuration(DEFAULT_CONFIG)
     assert {op.family for op in DEFAULT_CONFIG.destroy_ops} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("step", [None, 0.0, 0.005, 1.5, float("nan"), float("inf")])
+def test_a_record_with_an_sa_step_outside_its_range_is_refused(step):
+    # the acceptance criterion refuses it, before the configuration exists
+    record = config_to_dict(DEFAULT_CONFIG)
+    record["acceptance"] = {"kind": SIMULATED_ANNEALING, "step": 0.5}
+    config_from_dict(record)
+    record["acceptance"]["step"] = step
+    with pytest.raises(ConfigError, match="simulated annealing step"):
+        config_from_dict(record)

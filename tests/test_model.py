@@ -21,6 +21,7 @@ from parlns.model import (
     NeighborhoodSpec,
     Variable,
     apply_neighborhood,
+    build_model,
     evaluate,
     make_model,
 )
@@ -276,3 +277,32 @@ def test_make_model_names_the_first_offending_column_or_row():
         make_model("m", MINIMIZE, [Variable("x")], [rows[0], rows[0]], {})
     with pytest.raises(ModelError, match="unknown sense"):
         make_model("m", "max", [Variable("x")], [], {})
+
+
+def _build(slack_lower, slack_upper):
+    """Two columns and one row per slack-bound pair, through ``build_model``."""
+    m = len(slack_lower)
+    return build_model(
+        "slack", MINIMIZE, ["x", "y"], [f"r{i}" for i in range(m)], kinds=[CONTINUOUS] * 2,
+        lower=[0.0, 0.0], upper=[INF, INF], slack_lower=slack_lower, slack_upper=slack_upper,
+        A=np.ones((m, 2)), b=np.full(m, 2.0), c=np.zeros(2), offset=0.0,
+    )
+
+
+def test_build_model_takes_the_five_row_forms():
+    # =, <=, >=, a ranged <= and a ranged >=; a -0.0 slack bound becomes 0.0
+    lower, upper = [0.0, 0.0, -INF, 0.0, -2.5, -0.0, -0.0], [0.0, INF, 0.0, 3.0, 0.0, -0.0, 1.0]
+    relax = _build(lower, upper).relaxation
+    assert relax.slack_lower.tolist() == lower and relax.slack_upper.tolist() == upper
+    bounds = np.concatenate([relax.slack_lower, relax.slack_upper])
+    assert not np.signbit(bounds[bounds == 0.0]).any()
+
+
+@pytest.mark.parametrize("bounds", [
+    (1.0, 2.0), (-1.0, 1.0), (-INF, INF), (0.0, -1.0), (1.0, INF), (-INF, -1.0), (1.0, 0.0),
+    (INF, INF), (-INF, -INF), (_NAN, 0.0), (0.0, _NAN), (_NAN, _NAN), (-_NAN, INF),
+])
+def test_build_model_refuses_slack_bounds_of_no_row_form(bounds):
+    _build([0.0], [INF])
+    with pytest.raises(ModelError, match="'r1': slack bounds"):
+        _build([0.0, bounds[0]], [INF, bounds[1]])

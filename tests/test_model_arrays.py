@@ -180,6 +180,53 @@ def test_model_arrays_match_the_densification_oracle(records):
     assert_same_model(parse_mps(write_mps(model)), model)
 
 
+@st.composite
+def _ranged_model_and_point(draw):
+    """A model from ``_model_records`` with some of its rows made ranges,
+    stated to ``build_model`` by slack bounds: a ranged ``<=`` (0, R) or
+    ``>=`` (-R, 0), with R possibly 0 or -0.0; and a point near its box.
+    Most ranged rows get a rhs that puts the point at or near one end of
+    the range, or inside it."""
+    model = make_model(*draw(_model_records()))
+    relax = model.relaxation
+    x = [min(max(float(draw(st.integers(-4, 4))), lo), up) + draw(st.sampled_from(_ROW_OFFSETS))
+         for lo, up in zip(relax.lower.tolist(), relax.upper.tolist())]
+    activity = relax.A @ np.array(x)
+    b, slack_lower, slack_upper = relax.b.copy(), relax.slack_lower.copy(), relax.slack_upper.copy()
+    width = st.sampled_from((0.5, 2.0, 3.0, 7.25, 1e-3, 0.0, -0.0))
+    for i in range(len(model.row_names)):
+        form = draw(st.sampled_from((None, LE, GE)))
+        if form is None:
+            continue
+        r = draw(width)
+        slack_lower[i], slack_upper[i] = (0.0, r) if form == LE else (-r, 0.0)
+        if draw(st.integers(0, 3)):
+            # activity + s = b: the point's slack is s, at an end of the range or inside
+            s = draw(st.sampled_from((0.0, abs(r), -abs(r), 0.5 * abs(r))))
+            b[i] = activity[i] + s + draw(st.sampled_from(_ROW_OFFSETS))
+    sign = -1.0 if model.sense == MAXIMIZE else 1.0
+    ranged = parlns.model.build_model(
+        model.name, model.sense, list(model.column_names), list(model.row_names),
+        kinds=[INTEGER if integer else CONTINUOUS for integer in relax.integer.tolist()],
+        lower=relax.lower, upper=relax.upper, slack_lower=slack_lower, slack_upper=slack_upper,
+        A=relax.A, b=b, c=sign * relax.c, offset=sign * relax.offset,
+    )
+    assert_same_arrays(ranged.relaxation, dataclasses.replace(
+        relax, b=b + 0.0, slack_lower=slack_lower + 0.0, slack_upper=slack_upper + 0.0))
+    return ranged, x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_ranged_model_and_point())
+def test_ranged_rows_round_trip_and_restate_as_record_pairs(case):
+    model, x = case
+    assert_same_model(parse_mps(write_mps(model)), model)
+    # the records state a range as two rows; the dict-loop oracle reads them
+    got, want = evaluate(model, x), evaluate_oracle(model, x)
+    assert (got.feasible, got.integral) == (want.feasible, want.integral)
+    assert math.isclose(got.objective, want.objective, rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_model_arrays_hold_no_negative_zero():
     # an MPS file states no absent zero, so a zero's sign could not survive
     # a round trip: the arrays hold none

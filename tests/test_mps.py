@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from parlns.model import GE, INF, LE, MAXIMIZE, MINIMIZE, ModelError
+from parlns.model import EQ, GE, INF, LE, MAXIMIZE, MINIMIZE, ModelError
 from parlns.mps import (
     DanglingReference,
     DuplicateName,
@@ -152,6 +154,67 @@ ENDATA
     # negative range on an E row keeps rhs as the upper side
     assert by_name["ce"].relation == GE and by_name["ce"].rhs == 3.0
     assert by_name["ce__rng"].relation == LE and by_name["ce__rng"].rhs == 5.0
+
+
+RANGED = (Path(__file__).parent / "data" / "ranged.mps").read_text()
+
+
+def _slack_bounds(model):
+    relax = model.relaxation
+    return list(zip(relax.slack_lower.tolist(), relax.slack_upper.tolist()))
+
+
+def test_a_ranged_row_is_one_row_under_its_name_in_the_file():
+    model = parse_mps(RANGED)
+    assert model.row_names == ("cl", "cg", "cep", "cen")
+    assert model.relaxation.b.tolist() == [10.0, -2.0, 5.0, 6.0]
+    # L: (0, |R|); G: (-|R|, 0); E: (-R, 0) when R > 0 and (0, -R) when R < 0
+    assert _slack_bounds(model) == [(0.0, 4.0), (-3.0, 0.0), (-3.0, 0.0), (0.0, 4.0)]
+    assert [(c.name, c.relation, c.rhs) for c in model.constraints] == [
+        ("cl", GE, 6.0), ("cl__rng", LE, 10.0), ("cg", GE, -2.0), ("cg__rng", LE, 1.0),
+        ("cep", GE, 5.0), ("cep__rng", LE, 8.0), ("cen", GE, 2.0), ("cen__rng", LE, 6.0),
+    ]
+    assert_same_model(parse_mps(write_mps(model)), model)
+
+
+def _with_ranges(*entries):
+    """The ranged fixture with these RANGES entries in place of its own."""
+    head, tail = RANGED.split("RANGES\n")
+    return head + "RANGES\n" + "".join(f"    RNG  {e}\n" for e in entries) + tail[tail.index("BOUNDS"):]
+
+
+@pytest.mark.parametrize("row", ["cl", "cg", "cep", "cen"])
+@pytest.mark.parametrize("zero", ["0.0", "-0.0"])
+def test_a_range_of_zero_makes_an_equality_row(row, zero):
+    model = parse_mps(_with_ranges(f"{row}  {zero}"))
+    i = model.row_names.index(row)
+    bounds = [model.relaxation.slack_lower[i], model.relaxation.slack_upper[i]]
+    assert bounds == [0.0, 0.0] and not np.signbit(bounds).any()
+    records = [c for c in model.constraints if c.name in (row, row + "__rng")]
+    assert [(c.relation, c.rhs) for c in records] == [(EQ, model.relaxation.b[i])]
+    assert_same_model(parse_mps(write_mps(model)), model)
+
+
+def test_a_later_range_entry_replaces_an_earlier_one():
+    # on an E row a positive R gives (-R, 0) and a negative one (0, -R)
+    assert _slack_bounds(parse_mps(_with_ranges("cep  3.0  cep  -2.0")))[2] == (0.0, 2.0)
+    assert _slack_bounds(parse_mps(_with_ranges("cep  -2.0", "cep  3.0")))[2] == (-3.0, 0.0)
+    # a non-finite entry that a later one replaces is not read
+    assert _slack_bounds(parse_mps(_with_ranges("cl  inf", "cl  1.5")))[0] == (0.0, 1.5)
+
+
+@pytest.mark.parametrize("row", ["cl", "cg", "cep", "cen"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_range_is_refused(row, value):
+    # an infinite range must not quietly leave a one-sided row
+    parse_mps(_with_ranges(f"{row}  2.0"))
+    with pytest.raises(ModelError, match=f"'{row}': range is"):
+        parse_mps(_with_ranges(f"{row}  2.0", f"{row}  {value}"))
+
+
+def test_a_model_without_ranges_writes_no_ranges_section():
+    assert "RANGES" not in write_mps(parse_mps(_TWO_COLUMNS))
+    assert "RANGES" in write_mps(parse_mps(RANGED))
 
 
 def test_bounds_kinds():

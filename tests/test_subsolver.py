@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,15 +11,21 @@ from parlns.clock import SimulatedClock
 from parlns.instances import independent_set, knapsack, set_cover
 from parlns.model import (
     BINARY,
+    CONTINUOUS,
     GE,
+    INF,
+    INTEGER,
     LE,
+    MAXIMIZE,
     MINIMIZE,
     LinearConstraint,
     Solution,
     Variable,
+    build_model,
     evaluate,
     make_model,
 )
+from parlns.mps import parse_mps, write_mps
 import parlns.subsolver
 from parlns import lp
 from parlns.lp import LP_ITERATION_LIMIT, LP_UNBOUNDED, LpResult
@@ -472,3 +480,115 @@ def test_open_list_past_the_inverse_cap_finds_the_same_optimum(monkeypatch):
     assert capped.status == uncapped.status == OPTIMAL
     assert capped.incumbent.objective == uncapped.incumbent.objective
     assert capped.dual_bound == pytest.approx(uncapped.dual_bound)
+
+
+def _as_record_pairs(model):
+    """The same model with each range stated as two rows, from its records."""
+    relax = model.relaxation
+    variables = [Variable(name, INTEGER if integer else CONTINUOUS, lo, up) for name, integer, lo, up
+                 in zip(model.column_names, relax.integer.tolist(), relax.lower.tolist(),
+                        relax.upper.tolist())]
+    objective = dict(enumerate(model.to_external_objective(c) for c in relax.c.tolist()))
+    offset = model.to_external_objective(relax.offset)
+    return make_model(model.name, model.sense, variables, model.constraints, objective, offset)
+
+
+_RANGED = (Path(__file__).parent / "data" / "ranged.mps").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    _RANGED,
+    _RANGED.replace("RNG  cep  3.0  cen  -4.0", "RNG  cep  -3.0  cen  4.0"),
+    _RANGED.replace("NAME ranged", "NAME ranged\nOBJSENSE\n    MAX"),
+])
+def test_a_ranged_row_solves_as_its_two_row_form(text):
+    model = parse_mps(text)
+    pairs = _as_record_pairs(model)
+    assert len(pairs.row_names) == 2 * len(model.row_names)
+    budget = SolveBudget(node_limit=20000)
+    got, want = solve_mip(model, budget=budget), solve_mip(pairs, budget=budget)
+    assert got.status == want.status == OPTIMAL
+    assert got.incumbent.objective == pytest.approx(want.incumbent.objective, rel=1e-9, abs=1e-9)
+
+
+def test_the_ranged_fixture_reaches_the_optimum_by_branching():
+    result = solve_mip(parse_mps(_RANGED), budget=SolveBudget(node_limit=20000))
+    assert result.status == OPTIMAL and result.nodes > 1
+    assert result.incumbent.objective == pytest.approx(-19.0, abs=1e-9)
+    assert result.incumbent.values == pytest.approx((2.0, 4.0, 1.0), abs=1e-9)
+
+
+# the five row forms as slack bounds; a range's width R is filled in
+_ROW_FORMS = ("=", "<=", ">=", "ranged <=", "ranged >=")
+
+
+@st.composite
+def _small_mip(draw):
+    """A MIP of up to 6 columns (binary, general integer or continuous, with
+    finite and possibly negative bounds, integral on an integer column) and
+    up to 5 rows of all five forms, in either sense; half of them after a
+    ``write_mps``/``parse_mps`` round trip. Most rows hold at a point of the
+    box that is integral on the integer columns, so that most models are
+    feasible."""
+    n = draw(st.integers(1, 6))
+    kinds, lower, upper, point = [], [], [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from((BINARY, INTEGER, CONTINUOUS)))
+        step = 0.5 if kind == CONTINUOUS else 1.0
+        lo, width = (0.0, 1) if kind == BINARY else (draw(st.integers(-10, 10)) * step,
+                                                      draw(st.integers(0, 8)))
+        kinds.append(kind)
+        lower.append(lo)
+        upper.append(lo + width * step)
+        point.append(lo + draw(st.integers(0, width)) * step)
+    m = draw(st.integers(0, 5))
+    A = np.zeros((m, n))
+    slack_lower, slack_upper, b = [], [], []
+    for i in range(m):
+        columns = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        A[i, columns] = [draw(st.sampled_from((-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.5)))
+                         for _ in columns]
+        r = draw(st.sampled_from((0.0, 0.5, 1.0, 2.5, 4.0)))
+        form = draw(st.sampled_from(_ROW_FORMS))
+        slack_lower.append({"=": 0.0, "<=": 0.0, ">=": -INF, "ranged <=": 0.0, "ranged >=": -r}[form])
+        slack_upper.append({"=": 0.0, "<=": INF, ">=": 0.0, "ranged <=": r, "ranged >=": 0.0}[form])
+        if draw(st.integers(0, 3)):
+            # the point's slack is at an end of the row's slack range or inside it
+            ends = (slack_lower[-1], slack_upper[-1], -0.5 * r, 0.5 * r)
+            slack = draw(st.sampled_from([v for v in ends if abs(v) < INF and
+                                          slack_lower[-1] <= v <= slack_upper[-1]]))
+            b.append(float(A[i] @ point) + slack)
+        else:
+            b.append(draw(st.integers(-12, 12).map(lambda v: v / 2)))
+    c = np.array([float(draw(st.integers(-5, 5))) for _ in range(n)])
+    model = build_model(
+        "oracle", draw(st.sampled_from((MINIMIZE, MAXIMIZE))), [f"x{j}" for j in range(n)],
+        [f"r{i}" for i in range(m)], kinds=kinds, lower=lower, upper=upper,
+        slack_lower=slack_lower, slack_upper=slack_upper, A=A, b=b, c=c,
+        offset=float(draw(st.integers(-3, 3))),
+    )
+    return parse_mps(write_mps(model)) if draw(st.booleans()) else model
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_small_mip())
+def test_solve_mip_agrees_with_highs(model):
+    """HiGHS, through ``scipy.optimize.milp``, as an outside oracle for the
+    branch and bound on models that binary enumeration cannot reach."""
+    relax = model.relaxation
+    rows = ()
+    if relax.A.shape[0]:
+        rows = scipy.optimize.LinearConstraint(
+            relax.A, relax.b - relax.slack_upper, relax.b - relax.slack_lower)
+    want = scipy.optimize.milp(
+        relax.c, integrality=relax.integer.astype(int),
+        bounds=scipy.optimize.Bounds(relax.lower, relax.upper), constraints=rows,
+    )
+    got = solve_mip(model, budget=SolveBudget(node_limit=20000))
+    assert want.status in (0, 2), want.message  # optimal or infeasible
+    if want.status == 2:
+        assert got.status == INFEASIBLE
+        return
+    assert got.status == OPTIMAL
+    optimum = want.fun + relax.offset
+    assert abs(got.incumbent.objective - optimum) <= 1e-6 * max(1.0, abs(optimum))
