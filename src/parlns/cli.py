@@ -53,10 +53,11 @@ _MANIFEST_TYPES = {
 
 CORE_CAP_ENV = "PARLNS_CORE_CAP"
 
-# per command, the options that must be at least 1, and the budgets that must
-# be positive and finite: a run has no other way to stop than its budget
+# per command, the options that must be at least 1, and the budgets (a run has
+# no other way to stop) and the trace horizon that must be positive and finite
 _AT_LEAST_ONE = {"gen-configs": ("size",), "simulate": ("runs", "n"), "repro": ("scale", "pool_size", "runs")}
-_POSITIVE_FINITE = {"solve": ("seconds", "node_seconds"), "repro": ("wall", "node_seconds")}
+_POSITIVE_FINITE = {"solve": ("seconds", "node_seconds"), "repro": ("wall", "node_seconds"),
+                    "simulate": ("horizon",)}
 
 
 def default_core_cap() -> int:

@@ -1,15 +1,15 @@
 """Bounded-variable simplex for LP relaxations.
 
 Dense revised simplex over ``[A, I]``, of which a model's ``LpRelaxation``
-holds the rows ``A`` only: row i's slack is column n + i, coefficient 1. A
-model without rows has no basic columns at all. A solve makes at most two
-starts: the caller's ``warm`` start, an earlier optimal ``LpResult`` as a
-branch-and-bound child starts from its parent's, and then the all-slack
-basis, which is never singular; without a warm start only the second. The
-earlier relaxation may have fewer rows: a sub-MIP appends its
-local-branching or proximity row to the worker's base rows, so the base rows
-keep their slack columns' indices and the appended rows' slacks join the
-basis.
+holds the rows ``A`` only: row i's slack is column n + i, coefficient 1 and
+cost 0. A model without rows has no basic columns at all. A solve makes at
+most two starts: the caller's ``warm`` start, an earlier optimal
+``LpResult`` as a branch-and-bound child starts from its parent's, and then
+the all-slack basis, which is never singular; without a warm start only the
+second. The earlier relaxation may have fewer rows: a sub-MIP appends its
+local-branching or proximity row to the worker's base rows, so the base
+rows keep their slack columns' indices and the appended rows' slacks join
+the basis.
 
 An optimum carries its basis, column positions and basis inverse, read-only,
 and the pivots that inverse has taken since it was last factored; a warm
@@ -17,14 +17,15 @@ start is such a result, with or without its inverse. One that carries it
 starts from a copy, so both children of a node share their parent's inverse
 and neither writes through it. An optimum also carries the reduced costs of
 its last pricing at that inverse, and a warm start from the inverse over the
-same costs starts from a copy of them instead of pricing again. Rows appended since extend it in closed form:
-with R the appended rows' entries in the basic columns, the inverse of
-``[[B, 0], [R, I]]`` is ``[[B^-1, 0], [-R B^-1, I]]``. The slack basis starts
-from the identity. A basis is inverted (``_invert``) only to refactor: every
-``_REFACTOR_EVERY`` pivots, counted along the whole chain of warm starts so
-that rounding drift stays bounded; once at the optimum of a slack start,
-whose inverse every warm start below it shares; and for a warm start without
-its inverse.
+same relaxation starts from a copy of them instead of pricing again. Rows
+appended since extend it in closed form: with R the appended rows' entries
+in the basic columns, the inverse of ``[[B, 0], [R, I]]`` is
+``[[B^-1, 0], [-R B^-1, I]]``. The slack start is the warm start from a
+basis of no rows: every row is appended, and the inverse is the identity. A
+basis is inverted (``_invert``) only to refactor: every ``_REFACTOR_EVERY``
+pivots, counted along the whole chain of warm starts so that rounding drift
+stays bounded; once at the optimum of a slack start, whose inverse every
+warm start below it shares; and for a warm start without its inverse.
 
 A pivot row or reduced costs, ``y @ [A, I]``, cost one product with ``A``,
 and an entering slack's column ``B^-1 e_i`` is a column of the inverse.
@@ -95,10 +96,14 @@ class LpResult:
     pos: np.ndarray | None = field(default=None, compare=False, repr=False)
     binv: np.ndarray | None = field(default=None, compare=False, repr=False)
     since_refactor: int = field(default=0, compare=False, repr=False)
-    # the read-only reduced costs of ``costs`` at that basis and inverse,
-    # from the optimum's last pricing; both None after a refactor
+    # the read-only reduced costs of the relaxation ``priced`` at that basis
+    # and inverse, from the optimum's last pricing; both None after a refactor
     reduced_costs: np.ndarray | None = field(default=None, compare=False, repr=False)
-    costs: np.ndarray | None = field(default=None, compare=False, repr=False)
+    priced: LpRelaxation | None = field(default=None, compare=False, repr=False)
+
+
+# a basis of no rows: the rows appended since are every row, so its start is the slack basis
+_SLACK_START = LpResult(LP_OPTIMAL, basis=np.arange(0), pos=np.arange(0), binv=np.eye(0))
 
 
 def build_relaxation(model: MipModel | LpRelaxation) -> LpRelaxation:
@@ -137,9 +142,10 @@ def solve_relaxation(
     if np.count_nonzero(lo > up + 1e-12):
         return LpResult(LP_INFEASIBLE)
 
+    c_full = np.concatenate([relax.c, np.zeros(relax.b.shape[0])])
     lower_full = np.concatenate([lo, relax.slack_lower])
     upper_full = np.concatenate([up, relax.slack_upper])
-    system = (relax.A, relax.b, relax.c_full, lower_full, upper_full)
+    system = (relax, c_full, lower_full, upper_full)
 
     iterations = 0
     for start in ([] if warm is None else [warm]) + [None]:
@@ -177,7 +183,7 @@ def solve_relaxation(
         binv=tab.binv,
         since_refactor=tab.since_refactor,
         reduced_costs=tab.d,
-        costs=None if tab.d is None else relax.c_full,
+        priced=None if tab.d is None else relax,
     )
 
 
@@ -313,57 +319,50 @@ def _extended_inverse(binv, basis, appended):
 
 
 def _solve_from(system, stop, warm):
-    """Solve ``system`` = (A, b, c, lower, upper), ``c`` and the bounds over
-    ``[A, I]``, from a start basis; returns (status, tableau), status None as
-    in ``_dual_optimize`` or when the start basis is singular.
+    """Solve ``system`` = (relax, c, lower, upper), ``c`` and the bounds over
+    ``relax``'s ``[A, I]``, from a start basis; returns (status, tableau),
+    status None as in ``_dual_optimize`` or when the start basis is singular.
 
-    The start basis is the basis of ``warm``, an optimal ``LpResult``,
-    extended by the slacks of the rows appended since (the last slack
-    columns), or the all-slack basis when ``warm`` is None. Its inverse is
-    ``warm.binv``, which has taken ``warm.since_refactor`` pivots, extended
-    by ``_extended_inverse``; only a ``warm`` without ``binv`` is inverted.
-    Each nonbasic column sits at the bound its reduced cost prefers. Where
-    that bound is infinite the column sits at its other bound (a free column
-    at zero) and its cost is shifted so that its reduced cost is zero, which
-    makes the basis dual feasible. A dual simplex on the shifted costs
-    reaches a primal feasible basis, and a primal simplex on the true costs
-    takes it to an optimum.
+    The start basis is the basis of ``warm``, an optimal ``LpResult`` or
+    ``_SLACK_START`` when None, extended by the slacks of the rows appended
+    since (the last slack columns). Its inverse is ``warm.binv``, which has
+    taken ``warm.since_refactor`` pivots, extended by ``_extended_inverse``;
+    only a ``warm`` without ``binv`` is inverted. Its reduced costs are
+    ``warm``'s if it priced ``relax``. Each nonbasic column sits at the
+    bound its reduced cost prefers. Where that bound is infinite the column
+    sits at its other bound (a free column at zero) and its cost is shifted
+    so that its reduced cost is zero, which makes the basis dual feasible. A
+    dual simplex on the shifted costs reaches a primal feasible basis, and a
+    primal simplex on the true costs takes it to an optimum.
     """
-    A, b, c, lower, upper = system
-    tab = _Tableau(A, b, lower, upper, stop)
+    warm = _SLACK_START if warm is None else warm
+    relax, c, lower, upper = system
+    tab = _Tableau(relax.A, relax.b, lower, upper, stop)
     n_cols = tab.n_cols
-    kept = 0 if warm is None else len(warm.basis)
+    kept = len(warm.basis)
     appended = tab.m - kept
     if appended < 0:
         return None, tab
-    slacks = np.arange(n_cols - appended, n_cols)
-    if warm is None:
-        tab.basis = slacks
-        tab.binv = np.eye(appended)
+    tab.basis = np.concatenate([warm.basis, np.arange(n_cols - appended, n_cols)])
+    if warm.binv is None:
+        try:
+            tab.binv = _invert(relax.A, tab.basis)
+        except np.linalg.LinAlgError:
+            return None, tab
+        if not np.isfinite(tab.binv).all():
+            return None, tab
     else:
-        tab.basis = np.concatenate([warm.basis, slacks])
-        if warm.binv is None:
-            try:
-                tab.binv = _invert(A, tab.basis)
-            except np.linalg.LinAlgError:
-                return None, tab
-            if not np.isfinite(tab.binv).all():
-                return None, tab
-        else:
-            tab.binv = _extended_inverse(warm.binv, warm.basis, A[kept:])
-            tab.since_refactor = warm.since_refactor
-    if warm is not None and warm.binv is not None and warm.costs is c:
+        tab.binv = _extended_inverse(warm.binv, warm.basis, relax.A[kept:])
+        tab.since_refactor = warm.since_refactor
+    if warm.binv is not None and warm.priced is relax:
         d = warm.reduced_costs.copy()  # priced at this basis and inverse
     else:
         d = c - tab.price(c[tab.basis] @ tab.binv)
 
     # a zero reduced cost keeps the earlier bound while that bound is finite
-    keep = lower == -INF
-    if warm is not None:
-        was_upper = warm.pos == _AT_UPPER
-        if appended:
-            was_upper = np.concatenate([was_upper, np.zeros(appended, dtype=bool)])
-        keep |= was_upper & (upper < INF)
+    was_upper = np.zeros(n_cols, dtype=bool)
+    was_upper[: len(warm.pos)] = warm.pos == _AT_UPPER
+    keep = (lower == -INF) | (was_upper & (upper < INF))
     at_upper = np.where(np.abs(d) <= _COST_TOL, keep, d < 0)
     bound = np.where(at_upper, upper, lower)
     shifted = np.isinf(bound)

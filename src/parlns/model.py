@@ -11,15 +11,14 @@ relation exists only in the records that ``make_model`` takes and
 objectives stated as maximization are negated once and un-negated only at
 reporting boundaries (see :meth:`MipModel.to_external_objective`).
 ``evaluate`` and the LP read the arrays, and only the LP knows the rows'
-slack columns. A sub-problem is only its arrays: a :class:`NeighborhoodSpec`
-states new bounds, appended ``<=`` rows and a new objective in the model's
-arrays, ``apply_neighborhood`` checks them in whole-array operations and
-puts them in place of the model's, and an ``LpRelaxation``'s ``relaxation``
-is itself, so both take either.
+slack columns and their zero costs. A sub-problem is only its arrays: a
+:class:`NeighborhoodSpec` states new bounds, appended ``<=`` rows and a new
+objective in the model's arrays, ``apply_neighborhood`` checks them in
+whole-array operations and puts them in place of the model's, and an
+``LpRelaxation``'s ``relaxation`` is itself, so both take either.
 """
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -124,7 +123,7 @@ class LpRelaxation:
 
     def __reduce__(self):
         """Pickle as a constructor call, so that a copy's arrays are
-        read-only too and it carries no cached ``c_full``."""
+        read-only too."""
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
@@ -136,12 +135,11 @@ class LpRelaxation:
     def n_structural(self) -> int:
         return self.A.shape[1]
 
-    @cached_property
-    def c_full(self) -> np.ndarray:
-        """The costs of the structural columns, then the slacks' zero costs."""
-        c_full = np.concatenate([self.c, np.zeros(self.b.shape[0])])
-        c_full.flags.writeable = False
-        return c_full
+    @property
+    def binary(self) -> np.ndarray:
+        """Mask of the binaries, which ``build_model`` leaves as exactly the
+        integer columns with bounds inside [0, 1]."""
+        return self.integer & (self.lower >= 0.0) & (self.upper <= 1.0)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: models compare by identity
@@ -316,7 +314,8 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
     """Score a full assignment on a model's or a sub-problem's arrays:
     objective, feasibility, integrality.
 
-    Never raises on an infeasible point; only the vector length is enforced.
+    A value that is not finite makes the point infeasible. Never raises on
+    an infeasible point; only the vector length is enforced.
     """
     relax = model.relaxation
     if len(values) != relax.n_structural:
@@ -324,7 +323,7 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
     x = np.array(values, dtype=float)
     activity = relax.A @ x  # in [b - slack_upper, b - slack_lower]
     feasible = not (
-        np.count_nonzero((x < relax.lower - BOUND_TOL) | (x > relax.upper + BOUND_TOL))
+        np.count_nonzero(~np.isfinite(x) | (x < relax.lower - BOUND_TOL) | (x > relax.upper + BOUND_TOL))
         or np.count_nonzero((activity > relax.b - relax.slack_lower + FEASIBILITY_TOL)
                             | (activity < relax.b - relax.slack_upper - FEASIBILITY_TOL))
     )

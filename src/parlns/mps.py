@@ -310,10 +310,10 @@ def write_mps(model: MipModel) -> str:
         lines.append("RANGES")
         lines.extend(f"    RNG1  {row}  {_fmt(r)}" for row, r in ranges)
     lines.append("BOUNDS")
-    for col, is_integer, lower, upper in zip(
-        model.column_names, integer, relax.lower.tolist(), relax.upper.tolist()
+    for col, binary, lower, upper in zip(
+        model.column_names, relax.binary.tolist(), relax.lower.tolist(), relax.upper.tolist()
     ):
-        lines.extend(_bound_lines(col, is_integer and lower >= 0.0 and upper <= 1.0, lower, upper))
+        lines.extend(_bound_lines(col, binary, lower, upper))
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 

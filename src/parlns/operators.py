@@ -183,9 +183,8 @@ def _proximity(percentage, ctx, relax):
 
 
 def _binaries(relax, search):
-    """Mask of the binaries, which ``make_model`` leaves as exactly the
-    integer columns with bounds inside [0, 1]; ``search`` needs one."""
-    binary = relax.integer & (relax.lower >= 0.0) & (relax.upper <= 1.0)
+    """Mask of the binaries (``LpRelaxation.binary``); ``search`` needs one."""
+    binary = relax.binary
     if not np.count_nonzero(binary):
         raise EmptyNeighborhood(f"{search} needs binary variables")
     return binary

@@ -525,6 +525,17 @@ def test_simulate_on_an_oversized_field_names_the_file(tmp_path, capsys, line):
     assert f"{bad}, line {line}: field larger than field limit" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_simulate_horizon_that_is_not_positive_and_finite_is_usage_error(tmp_path, capsys, value):
+    # it exited 3 and blamed the first trace file for the flag
+    root = _trace_dir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--traces", str(root), "--n", "2", f"--horizon={value}",
+              "--out", str(tmp_path / "r.json")])
+    assert err.value.code == 2
+    assert "--horizon must be positive and finite" in capsys.readouterr().err
+
+
 def test_simulate_n_larger_than_pool_is_usage_error(tmp_path):
     root = _trace_dir(tmp_path)
     with pytest.raises(SystemExit) as err:

@@ -13,7 +13,10 @@ fresh one, for appended rows too, and for being left intact by a sibling.
 A warm start that fails is followed by the slack start within one solve, and
 a model without rows solves to its closed-form box optimum, cold and warm.
 A warm optimum's reduced costs equal a fresh pricing bit for bit, and a
-child over the same costs and inverse starts from them without pricing.
+child over the same relaxation and inverse starts from them without pricing,
+while a start over another relaxation prices again. The slack start is the
+warm start from a basis of no rows, and its inverse is the identity bit for
+bit.
 """
 
 import math
@@ -631,9 +634,17 @@ def test_solving_a_child_leaves_the_shared_inverse_unchanged():
 
 def _fresh_reduced_costs(relax, res):
     """``c - price(c_B @ binv)`` at a result's basis and inverse."""
-    c = relax.c_full
+    c = np.concatenate([relax.c, np.zeros(relax.b.shape[0])])
     y = c[res.basis] @ res.binv
     return c - np.concatenate([y @ relax.A, y])
+
+
+def _counting_prices(monkeypatch):
+    """The list each ``_Tableau.price`` call appends its ``y`` to."""
+    prices = []
+    price = lp._Tableau.price
+    monkeypatch.setattr(lp._Tableau, "price", lambda tab, y: prices.append(y) or price(tab, y))
+    return prices
 
 
 def test_a_warm_optimum_carries_its_reduced_costs_and_a_child_reuses_them(monkeypatch):
@@ -648,16 +659,61 @@ def test_a_warm_optimum_carries_its_reduced_costs_and_a_child_reuses_them(monkey
         upper[j] = 0.0
         child = solve_relaxation(relax, lower, upper, warm=parent)
         assert child.status == LP_OPTIMAL
-        assert not child.reduced_costs.flags.writeable and child.costs is relax.c_full
+        assert not child.reduced_costs.flags.writeable and child.priced is relax
         assert child.reduced_costs.tobytes() == _fresh_reduced_costs(relax, child).tobytes()
         parent = child
     assert parent is not root
 
-    prices = []
-    price = lp._Tableau.price
-    monkeypatch.setattr(lp._Tableau, "price", lambda tab, y: prices.append(y) or price(tab, y))
+    prices = _counting_prices(monkeypatch)
     again = solve_relaxation(relax, lower, upper, warm=parent)
     assert (again.iterations, prices) == (0, [])  # priced by the parent
     assert again.reduced_costs.tobytes() == parent.reduced_costs.tobytes()
     solve_relaxation(relax, lower, upper, warm=replace(parent, binv=None))
     assert len(prices) == 1  # a refactored inverse prices afresh
+
+
+def test_a_warm_start_prices_again_over_another_relaxation(monkeypatch):
+    relax = build_relaxation(independent_set(30, 0.2, seed=5))
+    root = solve_relaxation(relax)
+    j = next(j for j, v in enumerate(root.values) if abs(v - round(v)) > 1e-6)
+    upper = relax.upper.copy()
+    upper[j] = 0.0
+    child = solve_relaxation(relax, upper=upper, warm=root)
+    assert child.status == LP_OPTIMAL and child.priced is relax
+    # the same costs and rows, but another relaxation object
+    other = replace(relax, upper=upper)
+    assert other.c is relax.c and other.A is relax.A
+
+    prices = _counting_prices(monkeypatch)
+    grandchild = solve_relaxation(relax, upper=upper, warm=child)
+    assert (grandchild.iterations, len(prices)) == (0, 0)  # copies the child's
+    again = solve_relaxation(other, warm=child)
+    assert (again.iterations, len(prices)) == (0, 1)  # priced afresh, once
+    assert again.priced is other and again.objective == child.objective
+
+
+def _rowless(n):
+    variables = [Variable(f"x{j}", CONTINUOUS, -1.0, 2.0) for j in range(n)]
+    return make_model("rowless", MINIMIZE, variables, [], {j: (-1.0) ** j for j in range(n)})
+
+
+@pytest.mark.parametrize(
+    "model", [_rowless(3), set_cover(6, 8, seed=1), independent_set(30, 0.2, seed=5)],
+    ids=["rowless", "set_cover", "independent_set"],
+)
+def test_the_slack_start_is_the_identity_bit_for_bit(monkeypatch, model):
+    relax = build_relaxation(model)
+    n, m = relax.n_structural, relax.b.shape[0]
+    starts = []
+    start = lp._Tableau.start
+
+    def recording_start(tab, x):
+        starts.append((tab.basis.copy(), tab.binv.copy(), tab.since_refactor))
+        start(tab, x)
+
+    monkeypatch.setattr(lp._Tableau, "start", recording_start)
+    assert solve_relaxation(relax).status == LP_OPTIMAL
+    [(basis, binv, since_refactor)] = starts
+    assert basis.tolist() == list(range(n, n + m))
+    assert binv.shape == (m, m) and binv.tobytes() == np.eye(m).tobytes()
+    assert since_refactor == 0

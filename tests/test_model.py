@@ -49,6 +49,19 @@ def test_evaluate_fractional():
     assert not sol.integral
 
 
+def test_evaluate_calls_a_point_that_is_not_finite_infeasible():
+    from parlns.instances import knapsack
+
+    # both were feasible: a NaN fails no comparison, and +inf meets an
+    # infinite upper bound
+    assert not evaluate(knapsack(5, seed=1), [float("nan")] * 5).feasible
+    model = make_model("m", MINIMIZE, [Variable("x", BINARY), Variable("y", CONTINUOUS, -INF)], [], {1: 1.0})
+    for y in (INF, -INF):
+        sol = evaluate(model, (1.0, y))
+        assert sol.integral and sol.objective == y
+        assert not sol.feasible
+
+
 def test_evaluate_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         evaluate(tiny_cover_model(), (1.0,))
@@ -95,6 +108,15 @@ def test_binary_normalization():
     assert relax.integer.tolist() == [True, True, True]
     assert relax.lower.tolist() == [0.0, 0.0, 0.0]  # an integer inside [0, 1] is clamped
     assert relax.upper.tolist() == [1.0, 1.0, 2.0]  # a binary's upper clamped from +inf
+
+
+def test_binaries_are_the_integer_columns_inside_unit_bounds():
+    variables = [
+        Variable("b", BINARY), Variable("i", INTEGER, 0, 1), Variable("fixed", INTEGER, 1, 1),
+        Variable("wide", INTEGER, 0, 2), Variable("negative", INTEGER, -1, 0), Variable("x", CONTINUOUS, 0, 1),
+    ]
+    relax = make_model("m", MINIMIZE, variables, [], {}).relaxation
+    assert relax.binary.tolist() == [True, True, True, False, False, False]
 
 
 def test_validation_rejects_duplicates_and_bad_indices():

@@ -409,11 +409,9 @@ def test_unpickled_models_and_sub_problems_are_read_only_and_solve_alike():
     reduced = presolve(sub).relaxation
     assert reduced.A.shape[1] < n
     for original in (model, sub, reduced):
-        want = solve_lp(original)  # caches the original's c_full
-        assert "c_full" in vars(original.relaxation)
+        want = solve_lp(original)
         copy = pickle.loads(pickle.dumps(original))
         relax = copy.relaxation
-        assert "c_full" not in vars(relax)
         for f in dataclasses.fields(LpRelaxation):
             value = getattr(relax, f.name)
             if isinstance(value, np.ndarray):

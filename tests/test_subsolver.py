@@ -122,6 +122,21 @@ def test_zero_budget_returns_warm_start():
     assert res.nodes == 0
 
 
+def test_a_warm_start_that_is_not_finite_is_ignored():
+    # max x + y, x binary, y in [0, 3], x + y <= 4: -4 at (1, 3). A NaN warm
+    # start was taken as a feasible incumbent of objective NaN
+    model = make_model(
+        "m", MAXIMIZE, [Variable("x", BINARY), Variable("y", CONTINUOUS, 0.0, 3.0)],
+        [LinearConstraint("r", {0: 1.0, 1: 1.0}, LE, 4.0)], {0: 1.0, 1: 1.0},
+    )
+    nan = float("nan")
+    for warm in (None, Solution((1.0, nan), nan, True, True)):
+        res = solve_mip(model, warm_start=warm, budget=SolveBudget(wall_seconds=30.0))
+        assert res.status == OPTIMAL
+        assert res.incumbent.values == (1.0, 3.0) and res.incumbent.objective == -4.0
+        assert res.dual_bound == -4.0
+
+
 def test_never_worse_than_warm_start():
     model = knapsack(12, seed=5)
     optimum = binary_optimum(model)
