@@ -200,10 +200,7 @@ def run_worker(
         op = config.destroy_ops[arm]
         clock.charge_nodes()  # iteration overhead; guarantees progress on skips
         ctx = operators.OperatorContext(
-            incumbent=current,
-            archive=tuple(archive),
-            lp_values=root.values,
-            rng=rng,
+            incumbent=current, archive=tuple(archive), lp_values=root.values, rng=rng
         )
         try:
             spec = operators.build_neighborhood(op, ctx, model)

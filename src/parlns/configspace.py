@@ -20,16 +20,12 @@ from .bandit import (
     THOMPSON,
     RewardVector,
 )
-from .operators import OperatorSpec
+from .operators import FAMILIES, PERCENTAGE_POOL, OperatorSpec
 
-# destroy-arm dictionary, one entry per family
+# destroy-arm dictionary: each family's operator ids, crossover's one without a percentage
 DESTROY_CATEGORIES: dict[str, tuple[str, ...]] = {
-    "crossover": ("c",),
-    "mutation": ("m_10", "m_20", "m_30", "m_40", "m_50"),
-    "local_branch": ("lb_10", "lb_20", "lb_30", "lb_40", "lb_50"),
-    "proximity": ("p_05", "p_10", "p_15", "p_20", "p_30"),
-    "rens": ("r_10", "r_20", "r_30", "r_40", "r_50"),
-    "rins": ("ri_10", "ri_20", "ri_30", "ri_40", "ri_50"),
+    family: tuple(OperatorSpec(family, p).identifier for p in PERCENTAGE_POOL.get(family, (None,)))
+    for family in FAMILIES
 }
 ALL_OPERATOR_IDS = tuple(op for ops in DESTROY_CATEGORIES.values() for op in ops)
 

@@ -86,7 +86,7 @@ _MOVES = np.array([1.0, -1.0, 0.0, 0.0])
 @dataclass(frozen=True)
 class LpResult:
     status: str
-    values: tuple[float, ...] | None = None
+    values: np.ndarray | None = field(default=None, compare=False)  # an optimum's x[:n], read-only
     objective: float | None = None
     iterations: int = 0
     # an optimum's basis (column per row), column positions and read-only
@@ -170,12 +170,12 @@ def solve_relaxation(
     if status != LP_OPTIMAL:
         return LpResult(status or LP_ITERATION_LIMIT, iterations=iterations)
 
-    for shared in (tab.basis, tab.pos, tab.binv, tab.d):
+    for shared in (x, tab.basis, tab.pos, tab.binv, tab.d):
         if shared is not None:
-            shared.flags.writeable = False  # warm starts share them and copy them
+            shared.flags.writeable = False  # callers and warm starts share them
     return LpResult(
         LP_OPTIMAL,
-        values=tuple(x[:n].tolist()),
+        values=x[:n],
         objective=float(relax.c @ x[:n] + relax.offset),
         iterations=iterations,
         basis=tab.basis,

@@ -73,9 +73,9 @@ class LinearConstraint:
     rhs: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: solutions compare by identity
 class Solution:
-    values: tuple[float, ...]
+    values: np.ndarray  # read-only, one float per column
     objective: float
     feasible: bool
     integral: bool
@@ -170,10 +170,11 @@ class MipModel:
     def constraints(self) -> tuple[LinearConstraint, ...]:
         """The rows as records, built from the arrays on each call, each with
         its nonzero coefficients. A range is two records: the row as ``>=``
-        its least activity and ``<row>__rng`` as ``<=`` its greatest. It
-        stays until benchmark v2, whose reference test reads it."""
+        its least activity and, as ``<=`` its greatest, the first of
+        ``<row>__rng``, ``<row>__rng__rng``, ... that names no row or earlier
+        record. It stays until benchmark v2, whose reference test reads it."""
         relax = self.relaxation
-        records = []
+        records, taken = [], set(self.row_names)
         for name, row, b, lo, hi in zip(
             self.row_names, relax.A, relax.b.tolist(),
             relax.slack_lower.tolist(), relax.slack_upper.tolist(),
@@ -186,7 +187,10 @@ class MipModel:
             if hi < INF:
                 records.append(LinearConstraint(name, coefficients, GE, b - hi))
             if lo > -INF:
-                le_name = name + "__rng" if hi < INF else name
+                le_name = name
+                while hi < INF and le_name in taken:
+                    le_name += "__rng"
+                taken.add(le_name)
                 records.append(LinearConstraint(le_name, dict(coefficients), LE, b - lo))
         return tuple(records)
 
@@ -314,13 +318,15 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
     """Score a full assignment on a model's or a sub-problem's arrays:
     objective, feasibility, integrality.
 
-    A value that is not finite makes the point infeasible. Never raises on
-    an infeasible point; only the vector length is enforced.
+    A copy of ``values`` is the solution's read-only point. A value that is
+    not finite makes the point infeasible. Never raises on an infeasible
+    point; only the shape, one value per column, is enforced.
     """
     relax = model.relaxation
-    if len(values) != relax.n_structural:
-        raise DimensionMismatch(f"expected {relax.n_structural} values, got {len(values)}")
     x = np.array(values, dtype=float)
+    if x.shape != (relax.n_structural,):
+        raise DimensionMismatch(f"expected {relax.n_structural} values, got shape {x.shape}")
+    x.flags.writeable = False
     activity = relax.A @ x  # in [b - slack_upper, b - slack_lower]
     feasible = not (
         np.count_nonzero(~np.isfinite(x) | (x < relax.lower - BOUND_TOL) | (x > relax.upper + BOUND_TOL))
@@ -329,7 +335,7 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
     )
     discrete = x[relax.integer]
     integral = bool((np.abs(discrete - np.rint(discrete)) <= INTEGRALITY_TOL).all())
-    return Solution(tuple(x.tolist()), relax.offset + float(relax.c @ x), feasible, integral)
+    return Solution(x, relax.offset + float(relax.c @ x), feasible, integral)
 
 
 def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:

@@ -103,13 +103,13 @@ class OperatorSpec:
 class OperatorContext:
     """Worker-local inputs to a destroy operator.
 
-    ``lp_values`` is the relaxation of the original model (required by
+    ``lp_values`` is the original model's relaxation optimum (required by
     rens/rins); ``archive`` holds recently accepted solutions.
     """
 
     incumbent: Solution
     archive: tuple[Solution, ...] = ()
-    lp_values: tuple[float, ...] | None = None
+    lp_values: np.ndarray | None = None
     rng: object = None
 
 
@@ -153,7 +153,7 @@ def _mutation(percentage, ctx, relax, discrete, rng):
 
 def _crossover(ctx, relax, discrete, rng):
     incumbent = ctx.incumbent.values
-    partners = [s for s in ctx.archive if s.values != incumbent]
+    partners = [s for s in ctx.archive if np.count_nonzero(s.values != incumbent)]
     if not partners:
         # no second solution to cross with yet
         return _mutation(30, ctx, relax, discrete, rng)
@@ -211,7 +211,7 @@ def _cap_unfixed(percentage, relax, discrete, fix, rng):
 def _rens(percentage, ctx, relax, discrete, rng):
     if ctx.lp_values is None:
         raise MissingRelaxation("rens needs LP relaxation values")
-    lp = np.array(ctx.lp_values)
+    lp = ctx.lp_values
     nearest = _rounded(lp)
     fix = relax.integer & (np.abs(lp - nearest) <= INTEGRALITY_TOL)
     fractional = relax.integer & ~fix

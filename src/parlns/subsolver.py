@@ -107,7 +107,7 @@ def _presolve(relax: LpRelaxation, root_basis) -> Presolved | None:
     if not np.count_nonzero(lower == upper):
         return None
     if root_basis is not None:
-        x = np.array(root_basis.values)
+        x = root_basis.values
         if not np.count_nonzero((x < lower - BOUND_TOL) | (x > upper + BOUND_TOL)):
             return None
     return presolve(relax)
@@ -210,12 +210,12 @@ def solve_mip(
         if res.objective >= best_obj - _PRUNE_TOL:
             continue
 
-        point = np.array(res.values)
+        point = res.values
         branch_j = _most_fractional(point, relax.integer)
         if branch_j is None:
             candidate = evaluate(model, lift(np.where(relax.integer, np.round(point), point)))
             if not (candidate.feasible and candidate.integral):
-                candidate = evaluate(model, lift(res.values))
+                candidate = evaluate(model, lift(point))
             if candidate.feasible and candidate.integral and candidate.objective < best_obj:
                 if incumbent is None:
                     heapq.heapify(open_nodes)
@@ -225,7 +225,7 @@ def solve_mip(
                     break
             continue
 
-        x = res.values[branch_j]
+        x = point[branch_j]
         child_warm = res
         if (carried + 2) * res.binv.nbytes <= _OPEN_INVERSE_BYTES:
             carried += 2  # both children share the one read-only inverse

@@ -195,6 +195,14 @@ def evaluate_oracle(model: MipModel | DictModel, values) -> Solution:
     return Solution(values=values, objective=objective, feasible=feasible, integral=integral)
 
 
+def solution_fields(solution: Solution | None):
+    """A solution's fields with its point as a list, which compares value by
+    value as a tuple point did (``0.0 == -0.0``); None for no solution."""
+    if solution is None:
+        return None
+    return solution.values.tolist(), solution.objective, solution.feasible, solution.integral
+
+
 def apply_neighborhood_oracle(model: MipModel, spec: NeighborhoodSpec) -> DictModel:
     """``apply_neighborhood`` as a whole sub-model in record form, built one
     column and one row at a time: fixed and intersected ``Variable`` bounds,
@@ -311,7 +319,7 @@ def build_neighborhood_oracle(spec, ctx, model: MipModel) -> NeighborhoodSpec:
     model = dict_form(model)
     discrete = [j for j, v in enumerate(model.variables) if v.kind != CONTINUOUS]
     binaries = [j for j, v in enumerate(model.variables) if v.kind == BINARY]
-    incumbent = ctx.incumbent.values
+    incumbent = ctx.incumbent.values.tolist()
     rng, percentage = ctx.rng, spec.percentage
 
     def fix(j):
@@ -341,7 +349,7 @@ def build_neighborhood_oracle(spec, ctx, model: MipModel) -> NeighborhoodSpec:
     if spec.family == MUTATION:
         neighborhood = mutation(percentage)
     elif spec.family == CROSSOVER:
-        partners = [s for s in ctx.archive if s.values != incumbent]
+        partners = [s for s in ctx.archive if s.values.tolist() != incumbent]
         if not partners:
             neighborhood = mutation(30)
         else:
@@ -375,7 +383,7 @@ def build_neighborhood_oracle(spec, ctx, model: MipModel) -> NeighborhoodSpec:
     else:
         if ctx.lp_values is None:
             raise MissingRelaxation(f"{spec.family} needs LP relaxation values")
-        lp = ctx.lp_values
+        lp = ctx.lp_values.tolist()
         if spec.family == RENS:
             fixings, overrides = {}, {}
             for j in discrete:

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import parlns.alns
@@ -30,10 +31,11 @@ from parlns.model import (
     MINIMIZE,
     LinearConstraint,
     Variable,
+    evaluate,
     make_model,
 )
 from parlns.operators import OperatorSpec
-from parlns.subsolver import Backend, get_backend
+from parlns.subsolver import Backend, SolveBudget, get_backend, solve_mip
 
 from support import binary_optimum, tiny_cover_model
 
@@ -231,8 +233,22 @@ def test_model_without_columns_skips_every_iteration():
     model = make_model("empty", MAXIMIZE, [], [], {}, offset=2.5)
     result = run_worker(model, DEFAULT_CONFIG, 1.0, seed=1, clock=SimulatedClock(0.01))
     assert result.status == STATUS_OK
-    assert result.best.values == () and model.to_external_objective(result.best.objective) == 2.5
+    assert result.best.values.tolist() == [] and model.to_external_objective(result.best.objective) == 2.5
     assert result.iterations == 0 and result.skipped > 0
+
+
+def test_every_producer_gives_a_read_only_point():
+    # the LP optimum, a scored point, a sub-MIP incumbent and a worker's best
+    model = knapsack(12, seed=3)
+    points = (
+        parlns.lp.solve_relaxation(model.relaxation).values,
+        evaluate(model, [0.0] * model.n_vars).values,
+        solve_mip(model, None, SolveBudget(node_limit=50)).incumbent.values,
+        run_worker(model, DEFAULT_CONFIG, 1.0, seed=1, clock=SimulatedClock(0.01)).best.values,
+    )
+    for point in points:
+        assert type(point) is np.ndarray and point.dtype == np.float64
+        assert point.shape == (model.n_vars,) and not point.flags.writeable
 
 
 def test_root_lp_is_solved_once_per_worker(monkeypatch):

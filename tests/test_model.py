@@ -63,8 +63,25 @@ def test_evaluate_calls_a_point_that_is_not_finite_infeasible():
 
 
 def test_evaluate_dimension_mismatch():
+    from parlns.instances import knapsack
+
     with pytest.raises(DimensionMismatch):
         evaluate(tiny_cover_model(), (1.0,))
+    # five rows of one value each: a 2-D point, not five values
+    with pytest.raises(DimensionMismatch, match=r"expected 5 values, got shape \(5, 1\)"):
+        evaluate(knapsack(5, seed=1), [[0.0]] * 5)
+    with pytest.raises(DimensionMismatch):
+        evaluate(tiny_cover_model(), 1.0)
+
+
+def test_evaluate_keeps_its_own_read_only_copy_of_the_point():
+    point = np.array([1.0, 0.0])
+    sol = evaluate(tiny_cover_model(), point)
+    point[:] = (0.0, 1.0)
+    assert sol.values.tolist() == [1.0, 0.0]
+    assert sol.values.dtype == np.float64 and sol.values.shape == (2,)
+    with pytest.raises(ValueError, match="read-only"):
+        sol.values[0] = 2.0
 
 
 def test_objective_matches_dot_product():

@@ -156,6 +156,32 @@ ENDATA
     assert by_name["ce__rng"].relation == LE and by_name["ce__rng"].rhs == 5.0
 
 
+def test_a_range_record_takes_the_first_name_no_row_or_record_uses():
+    # row c is ranged next to a row c__rng, so the range's <= record is c__rng__rng
+    text = """NAME clash
+ROWS
+ N  OBJ
+ L  c
+ L  c__rng
+COLUMNS
+    x  OBJ  1.0  c  1.0
+    x  c__rng  1.0
+RHS
+    RHS  c  10.0  c__rng  8.0
+RANGES
+    RNG  c  4.0
+ENDATA
+"""
+    records = [(c.name, c.relation, c.rhs) for c in parse_mps(text).constraints]
+    assert records == [("c", GE, 6.0), ("c__rng__rng", LE, 10.0), ("c__rng", LE, 8.0)]
+    # with a row c__rng__rng too, c's record skips it, and a ranged c__rng skips c's record
+    text = text.replace(" L  c__rng\n", " L  c__rng\n G  c__rng__rng\n").replace(
+        "    x  c__rng  1.0\n", "    x  c__rng  1.0  c__rng__rng  1.0\n").replace(
+        "RNG  c  4.0", "RNG  c  4.0  c__rng  2.0")
+    names = [c.name for c in parse_mps(text).constraints]
+    assert names == ["c", "c__rng__rng__rng", "c__rng", "c__rng__rng__rng__rng", "c__rng__rng"]
+
+
 RANGED = (Path(__file__).parent / "data" / "ranged.mps").read_text()
 
 

@@ -29,6 +29,7 @@ from parlns.instances import knapsack, set_cover
 from parlns.operators import (
     CROSSOVER,
     FAMILIES,
+    MUTATION,
     PERCENTAGE_POOL,
     RENS,
     EmptyNeighborhood,
@@ -147,6 +148,19 @@ def test_crossover_without_partner_falls_back_to_mutation_30():
         mutation_counts[len(_fixings(spec2))] += 1
     assert crossover_counts == mutation_counts
     assert set(crossover_counts) == {10 - math.ceil(0.3 * 10)}
+
+
+def test_crossover_takes_no_partner_equal_up_to_the_sign_of_a_zero():
+    # a partner that agrees on every column would leave nothing to search
+    model = knapsack(10, seed=3)
+    incumbent = _incumbent(model, [0.0] * model.n_vars)
+    twin = _incumbent(model, [-0.0] * model.n_vars)
+    assert np.signbit(twin.values).all()
+    for seed in range(20):
+        with_twin = OperatorContext(incumbent, (twin,), None, random.Random(seed))
+        alone = OperatorContext(incumbent, (), None, random.Random(seed))
+        _assert_same_spec(build_neighborhood(OperatorSpec(CROSSOVER), with_twin, model),
+                          build_neighborhood(OperatorSpec(MUTATION, 30), alone, model))
 
 
 def test_local_branching_radius_and_slack():
@@ -332,6 +346,13 @@ _KIND_BOUNDS = {
 }
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only point, the form ``evaluate`` and the LP give."""
+    x = np.array(values, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
 @st.composite
 def _operator_cases(draw):
     """A model with binary, general-integer and continuous columns, an
@@ -352,7 +373,7 @@ def _operator_cases(draw):
     objective = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from((0.0, 1.0, -2.0, 0.5))))
     model = make_model("m", draw(st.sampled_from((MINIMIZE, MAXIMIZE))), variables, constraints,
                        objective, float(draw(st.integers(-2, 2))))
-    point = st.tuples(*[st.sampled_from(_VALUES)] * n)
+    point = st.tuples(*[st.sampled_from(_VALUES)] * n).map(_frozen)
     objective_value = draw(st.sampled_from((-10.0, -0.5, 0.0, 0.3, 7.0)))
     incumbent = Solution(draw(point), objective_value, True, True)
     archive = tuple(
@@ -397,7 +418,7 @@ def _assert_same_spec(got, want):
                                   Variable("b", INTEGER, -2.0, -0.0), Variable("c", BINARY)],
                [], {2: 1.0}),
     OperatorSpec(RENS, 50),
-    (Solution((0.0, 0.0, 0.0), 0.0, True, True), (), (0.0, -0.0, 0.5)),
+    (Solution(_frozen((0.0, 0.0, 0.0)), 0.0, True, True), (), _frozen((0.0, -0.0, 0.5))),
     0,
 ))
 def test_array_operators_match_the_dict_form_oracle(case):
