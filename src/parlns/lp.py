@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .model import INF, LpRelaxation, MipModel
+from .model import INF, LpRelaxation, MipModel, ReadOnly
 
 LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
@@ -84,7 +84,7 @@ _MOVES = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
-class LpResult:
+class LpResult(ReadOnly):  # its arrays are shared by callers and warm starts
     status: str
     values: np.ndarray | None = field(default=None, compare=False)  # an optimum's x[:n], read-only
     objective: float | None = None
@@ -170,9 +170,6 @@ def solve_relaxation(
     if status != LP_OPTIMAL:
         return LpResult(status or LP_ITERATION_LIMIT, iterations=iterations)
 
-    for shared in (x, tab.basis, tab.pos, tab.binv, tab.d):
-        if shared is not None:
-            shared.flags.writeable = False  # callers and warm starts share them
     return LpResult(
         LP_OPTIMAL,
         values=x[:n],

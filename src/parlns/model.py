@@ -73,8 +73,23 @@ class LinearConstraint:
     rhs: float
 
 
+class ReadOnly:
+    """Base of the frozen dataclasses whose arrays are shared without
+    copying: every ndarray field is made read-only on construction, and a
+    pickled copy is built through the constructor, so its arrays are
+    read-only too, in another process as in this one."""
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                value.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: solutions compare by identity
-class Solution:
+class Solution(ReadOnly):
     values: np.ndarray  # read-only, one float per column
     objective: float
     feasible: bool
@@ -99,8 +114,8 @@ class NeighborhoodSpec:
     objective: tuple[np.ndarray, float] | None = None
 
 
-@dataclass(frozen=True)
-class LpRelaxation:
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compared by identity
+class LpRelaxation(ReadOnly):
     """A model's dense arrays, its LP relaxation plus an integer mask, all
     read-only so that sub-problems and solves share them without copying.
     Row i is ``A[i] @ x + s_i = b[i]``, its slack ``s_i`` implicit and bounded
@@ -115,16 +130,6 @@ class LpRelaxation:
     slack_lower: np.ndarray
     slack_upper: np.ndarray
     integer: np.ndarray
-
-    def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray) and value.flags.writeable:
-                value.flags.writeable = False
-
-    def __reduce__(self):
-        """Pickle as a constructor call, so that a copy's arrays are
-        read-only too."""
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def relaxation(self) -> "LpRelaxation":
@@ -320,13 +325,15 @@ def evaluate(model: MipModel | LpRelaxation, values) -> Solution:
 
     A copy of ``values`` is the solution's read-only point. A value that is
     not finite makes the point infeasible. Never raises on an infeasible
-    point; only the shape, one value per column, is enforced.
+    point; only the form, one number per column, is enforced: a point of
+    another shape, a ragged one among them, raises
+    :class:`DimensionMismatch`, and one with a value that is no number
+    :class:`ModelError`.
     """
     relax = model.relaxation
-    x = np.array(values, dtype=float)
+    x = _float_array("point", values)
     if x.shape != (relax.n_structural,):
         raise DimensionMismatch(f"expected {relax.n_structural} values, got shape {x.shape}")
-    x.flags.writeable = False
     activity = relax.A @ x  # in [b - slack_upper, b - slack_lower]
     feasible = not (
         np.count_nonzero(~np.isfinite(x) | (x < relax.lower - BOUND_TOL) | (x > relax.upper + BOUND_TOL))
@@ -348,14 +355,15 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
     Pure: the model is never modified. Raises :class:`ConflictingFixing` when
     a fixed value is not a finite value within the model's bounds, or is
     fractional on an integer column, or intersected bounds leave an empty
-    range; and :class:`ModelError` for a spec array of the wrong shape, a NaN
-    bound, a non-finite row, rhs or cost, or a row without a nonzero entry.
-    Each error names the first offending variable or row.
+    range; and :class:`ModelError` for a spec array that is no array of
+    numbers or has the wrong shape, a NaN bound, a non-finite row, rhs or
+    cost, or a row without a nonzero entry. Each error names the spec field
+    or the first offending variable or row.
     """
     base, names, n = model.relaxation, model.column_names, model.n_vars
     arrays = {}
     if spec.bounds is not None:
-        lower, upper = _arrays("bounds", spec.bounds, ((n,), (n,)))
+        lower, upper = _arrays("bounds", spec.bounds, lambda _: ((n,), (n,)))
         _refuse(np.isnan(lower) | np.isnan(upper), ModelError,
                 lambda i: f"bounds of {names[i]!r} are [{lower[i]}, {upper[i]}]")
         fixed = lower == upper
@@ -374,8 +382,10 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
         np.copyto(lower, upper, where=lower > upper)
         arrays.update(lower=lower, upper=upper)
     if spec.rows is not None:
-        k = np.size(spec.rows[1])
-        rows, rhs = _arrays("rows", spec.rows, ((k, n), (k,)))
+        # as many rows as rhs entries
+        rows, rhs = _arrays(
+            "rows", spec.rows, lambda parts: ((parts[-1].size, n), (parts[-1].size,)))
+        k = rhs.size
         _refuse(~np.isfinite(rows).ravel(), ModelError, lambda f: (
             f"row {f // n}: coefficient of {names[f % n]!r} is {rows.flat[f]}"))
         _refuse(~np.isfinite(rhs), ModelError, lambda i: f"row {i}: rhs is {rhs[i]}")
@@ -388,7 +398,7 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
             slack_upper=np.concatenate([base.slack_upper, np.full(k, slack_upper)]),
         )
     if spec.objective is not None:
-        costs, offset = _arrays("objective", spec.objective, ((n,), ()))
+        costs, offset = _arrays("objective", spec.objective, lambda _: ((n,), ()))
         _refuse(~np.isfinite(costs), ModelError,
                 lambda i: f"objective: cost of {names[i]!r} is {costs[i]}")
         if not np.isfinite(offset):
@@ -398,11 +408,25 @@ def apply_neighborhood(model: MipModel, spec: NeighborhoodSpec) -> LpRelaxation:
 
 
 def _arrays(what: str, parts, shapes) -> list[np.ndarray]:
-    """A spec field's parts as float arrays, copied; each must have its shape."""
-    arrays = [np.array(part, dtype=float) for part in parts]
-    if tuple(a.shape for a in arrays) != shapes:
-        raise ModelError(f"{what}: shapes {[a.shape for a in arrays]}, expected {list(shapes)}")
+    """A spec field's parts as float arrays, copied; each must have its
+    shape, which ``shapes`` gives from the arrays."""
+    arrays = [_float_array(what, part) for part in parts]
+    want = shapes(arrays)
+    if tuple(a.shape for a in arrays) != want:
+        raise ModelError(f"{what}: shapes {[a.shape for a in arrays]}, expected {list(want)}")
     return arrays
+
+
+def _float_array(what: str, value) -> np.ndarray:
+    """``value`` as a new float array; a ``ModelError`` naming ``what`` when
+    it holds something that is not a number, a ``DimensionMismatch`` when
+    it nests sequences of unequal lengths (a ragged array)."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        entries = np.array(value, dtype=object).ravel().tolist()
+        ragged = any(isinstance(e, (list, tuple, np.ndarray)) for e in entries)
+        raise (DimensionMismatch if ragged else ModelError)(f"{what}: {err}") from None
 
 
 def _refuse(mask: np.ndarray, error: type, message) -> None:
@@ -411,8 +435,8 @@ def _refuse(mask: np.ndarray, error: type, message) -> None:
         raise error(message(int(mask.argmax())))
 
 
-@dataclass(frozen=True)
-class Presolved:
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compared by identity
+class Presolved(ReadOnly):
     """A sub-problem reduced to the columns its presolve left free:
     ``relaxation`` holds their arrays, ``free`` their indices in the full
     problem, and ``point`` the full problem's values of the columns it fixed,

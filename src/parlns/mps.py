@@ -10,10 +10,12 @@ Each ROWS entry is one row under its own name, stated by its slack bounds
 and an E row's (0, 0). A RANGES entry R makes them (0, |R|) on an L row,
 (-|R|, 0) on a G row, and (-R, 0) or (0, -R) on an E row as R is positive
 or negative; a later entry for a row replaces an earlier one. The reader
-collects a model's entries as coordinate triples and per-row and per-column
-lists, and ``model.build_model`` makes, normalizes and checks the arrays;
-the writer reads the arrays, each row's kind and range from its slack
-bounds.
+takes the text one section at a time, each section's lines through that
+section's own loop, and raises the first error in file order, with its line
+number. It collects a model's entries as coordinate triples and per-row and
+per-column lists, and ``model.build_model`` makes, normalizes and checks the
+arrays; the writer reads the arrays, each row's kind and range from its
+slack bounds.
 """
 
 import numpy as np
@@ -56,6 +58,10 @@ class DanglingReference(MpsParseError):
     """Data entry references an undeclared row or column."""
 
 
+# a data row's place in the model: a constraint row's index, or one of these
+_OBJECTIVE, _FREE = -1, -2
+
+
 def _to_float(token: str, line_no: int) -> float:
     try:
         return float(token)
@@ -65,63 +71,99 @@ def _to_float(token: str, line_no: int) -> float:
 
 def parse_mps(text: str) -> MipModel:
     """Parse free-format MPS text into a validated model; an entry repeated
-    for one row and column adds to the earlier ones, in file order."""
-    name = ""
-    sense = MINIMIZE
-    obj_row: str | None = None
-    free_rows: set[str] = set()  # the N rows, the objective row among them
-    row_index: dict[str, int] = {}
-    row_kinds: list[str] = []
-    rhs: list[float] = []
-    ranges: dict[int, float] = {}
-    col_index: dict[str, int] = {}
-    kinds: list[str] = []
-    lower: list[float] = []
-    upper: list[float] = []
-    entry_rows: list[int] = []
-    entry_cols: list[int] = []
-    entry_values: list[float] = []
-    cost_cols: list[int] = []
-    cost_values: list[float] = []
-    offset = 0.0
+    for one row and column adds to the earlier ones, in file order.
 
-    section = None
-    in_integer_block = False
-    expect_objsense_value = False
+    The text is read one section at a time. A header starts in the first
+    column of its line, so the header lines are found first; then the lines
+    from one header to the next, ``ENDATA`` or the end of the text go to
+    their section's own loop, and only after it is the next header checked,
+    so the first error in the file is the one raised. Each loop splits its
+    lines and skips a blank or comment line by its tokens: none, or a first
+    one that starts with "*"."""
+    lines = text.splitlines()
+    heads = [i for i, raw in enumerate(lines) if raw and not raw[0].isspace() and raw[0] != "*"]
+    heads.append(len(lines))
+    reader = _Reader()
+    read, start = _refuse("data before any section header"), 0
+    for head in heads:
+        read(enumerate(map(str.split, lines[start:head]), start + 1))
+        if head == len(lines):
+            break
+        tokens = lines[head].split()
+        header = tokens[0].upper()
+        if header not in _SECTIONS:
+            raise MalformedSection(f"unknown section header {tokens[0]!r}", head + 1)
+        if header == "ENDATA":
+            break
+        read, start = reader.header(header, tokens, head + 1), head + 1
+    return reader.model()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        is_header = not raw[0].isspace()
-        tokens = raw.split()
 
-        if is_header:
-            header = tokens[0].upper()
-            if header not in _SECTIONS:
-                raise MalformedSection(f"unknown section header {tokens[0]!r}", line_no)
-            section = header
-            expect_objsense_value = False
-            if header == "NAME":
-                name = tokens[1] if len(tokens) > 1 else ""
-            elif header == "OBJSENSE":
-                if len(tokens) > 1:
-                    sense = _parse_sense(tokens[1], line_no)
-                else:
-                    expect_objsense_value = True
-            elif header == "ENDATA":
-                break
-            continue
+def _data(lines) -> list[tuple[int, list[str]]]:
+    """A section's ``(line_no, tokens)`` pairs without its blank and comment lines."""
+    return [(line_no, tokens) for line_no, tokens in lines if tokens and tokens[0][0] != "*"]
 
-        if section is None:
-            raise MalformedSection("data before any section header", line_no)
 
-        if section == "OBJSENSE":
-            if not expect_objsense_value:
-                raise MalformedSection("unexpected extra OBJSENSE data", line_no)
-            sense = _parse_sense(tokens[0], line_no)
-            expect_objsense_value = False
+def _refuse(message: str):
+    """The loop of a section that takes no data: it refuses the first data line."""
 
-        elif section == "ROWS":
+    def read(lines):
+        data = _data(lines)
+        if data:
+            raise MalformedSection(message, data[0][0])
+
+    return read
+
+
+class _Reader:
+    """A model's entries as ``parse_mps`` collects them: coordinate triples
+    and per-row and per-column lists. Each ``read_*`` method is one
+    section's loop over that section's ``(line_no, tokens)`` pairs."""
+
+    def __init__(self):
+        self.name = ""
+        self.sense = MINIMIZE
+        self.obj_row: str | None = None
+        self.free_rows: set[str] = set()  # the N rows, the objective row among them
+        self.row_index: dict[str, int] = {}
+        self.row_kinds: list[str] = []
+        self.rhs: list[float] = []
+        self.ranges: dict[int, float] = {}
+        self.col_index: dict[str, int] = {}
+        self.kinds: list[str] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.entry_rows: list[int] = []
+        self.entry_cols: list[int] = []
+        self.entry_values: list[float] = []
+        self.cost_cols: list[int] = []
+        self.cost_values: list[float] = []
+        self.offset = 0.0
+        self.in_integer_block = False
+
+    def header(self, header: str, tokens: list[str], line_no: int):
+        """Read a section header's own tokens; returns its section's loop."""
+        if header == "NAME":
+            self.name = tokens[1] if len(tokens) > 1 else ""
+            return _refuse("data in unsupported section 'NAME'")
+        if header == "OBJSENSE" and len(tokens) > 1:
+            self.sense = _parse_sense(tokens[1], line_no)
+            return _refuse("unexpected extra OBJSENSE data")
+        return getattr(self, "read_" + header.lower())
+
+    def read_objsense(self, lines):
+        """The sense of an OBJSENSE header that states none, on the next line."""
+        data = _data(lines)
+        if data:
+            line_no, tokens = data[0]
+            self.sense = _parse_sense(tokens[0], line_no)
+            _refuse("unexpected extra OBJSENSE data")(data[1:])
+
+    def read_rows(self, lines):
+        row_index, row_kinds, free_rows = self.row_index, self.row_kinds, self.free_rows
+        for line_no, tokens in lines:
+            if not tokens or tokens[0][0] == "*":
+                continue
             if len(tokens) != 2:
                 raise MalformedSection("ROWS entries are 'kind name'", line_no)
             kind, row = tokens[0].upper(), tokens[1]
@@ -130,60 +172,100 @@ def parse_mps(text: str) -> MipModel:
             if row in row_index or row in free_rows:
                 raise DuplicateName(f"row {row!r} declared twice", line_no)
             if kind == "N":
-                if obj_row is None:
-                    obj_row = row
+                if self.obj_row is None:
+                    self.obj_row = row
                 # additional free rows are declared but their entries are dropped
                 free_rows.add(row)
             else:
                 row_index[row] = len(row_kinds)
                 row_kinds.append(kind)
-                rhs.append(0.0)
+                self.rhs.append(0.0)
 
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+    def _places(self) -> dict[str, int]:
+        """Each declared row's place: its index, ``_OBJECTIVE`` or ``_FREE``."""
+        places = dict.fromkeys(self.free_rows, _FREE)
+        if self.obj_row is not None:
+            places[self.obj_row] = _OBJECTIVE
+        places.update(self.row_index)
+        return places
+
+    def read_columns(self, lines):
+        places, col_index, kinds = self._places(), self.col_index, self.kinds
+        entry_rows, entry_cols, entry_values = self.entry_rows, self.entry_cols, self.entry_values
+        col, j = None, -1
+        for line_no, tokens in lines:
+            if not tokens or tokens[0][0] == "*":
+                continue
+            size = len(tokens)
+            if size >= 3 and tokens[1] == "'MARKER'":
                 marker = tokens[-1]
                 if marker == "'INTORG'":
-                    in_integer_block = True
+                    self.in_integer_block = True
                 elif marker == "'INTEND'":
-                    in_integer_block = False
+                    self.in_integer_block = False
                 else:
                     raise MalformedSection(f"unknown marker {marker!r}", line_no)
                 continue
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
+            if size < 3 or size % 2 == 0:
                 raise MalformedSection("COLUMNS entries are 'col row value [row value]'", line_no)
-            col = tokens[0]
-            j = col_index.get(col)
-            if j is None:
-                j = col_index[col] = len(kinds)
-                kinds.append(INTEGER if in_integer_block else CONTINUOUS)
-                lower.append(0.0)
-                upper.append(INF)
-            for k in range(1, len(tokens), 2):
-                row, value = tokens[k], _to_float(tokens[k + 1], line_no)
-                if row == obj_row:
-                    cost_cols.append(j)
-                    cost_values.append(value)
-                elif row in row_index:
-                    entry_rows.append(row_index[row])
+            if tokens[0] != col:  # a column's lines come in a run: look it up once
+                col = tokens[0]
+                j = col_index.get(col)
+                if j is None:
+                    j = col_index[col] = len(kinds)
+                    kinds.append(INTEGER if self.in_integer_block else CONTINUOUS)
+                    self.lower.append(0.0)
+                    self.upper.append(INF)
+            k = 1
+            while k < size:  # cheaper than a range per line, as is float() in place
+                try:
+                    value = float(tokens[k + 1])
+                except ValueError:
+                    raise MalformedSection(
+                        f"expected a number, got {tokens[k + 1]!r}", line_no) from None
+                i = places.get(tokens[k])
+                if i is None:
+                    raise DanglingReference(
+                        f"COLUMNS entry for unknown row {tokens[k]!r}", line_no)
+                if i >= 0:
+                    entry_rows.append(i)
                     entry_cols.append(j)
                     entry_values.append(value)
-                elif row not in free_rows:
-                    raise DanglingReference(f"COLUMNS entry for unknown row {row!r}", line_no)
+                elif i == _OBJECTIVE:
+                    self.cost_cols.append(j)
+                    self.cost_values.append(value)
+                k += 2
 
-        elif section == "RHS":
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
+    def read_rhs(self, lines):
+        places, rhs = self._places(), self.rhs
+        for line_no, tokens in lines:
+            if not tokens or tokens[0][0] == "*":
+                continue
+            size = len(tokens)
+            if size < 3 or size % 2 == 0:
                 raise MalformedSection("RHS entries are 'set row value [row value]'", line_no)
-            for k in range(1, len(tokens), 2):
-                row, value = tokens[k], _to_float(tokens[k + 1], line_no)
-                if row == obj_row:
+            k = 1
+            while k < size:
+                try:
+                    value = float(tokens[k + 1])
+                except ValueError:
+                    raise MalformedSection(
+                        f"expected a number, got {tokens[k + 1]!r}", line_no) from None
+                i = places.get(tokens[k])
+                if i is None:
+                    raise DanglingReference(f"RHS entry for unknown row {tokens[k]!r}", line_no)
+                if i >= 0:
+                    rhs[i] = value
+                elif i == _OBJECTIVE:
                     # RHS on the objective row is the negated constant term
-                    offset = -value
-                elif row in row_index:
-                    rhs[row_index[row]] = value
-                elif row not in free_rows:
-                    raise DanglingReference(f"RHS entry for unknown row {row!r}", line_no)
+                    self.offset = -value
+                k += 2
 
-        elif section == "RANGES":
+    def read_ranges(self, lines):
+        row_index, ranges = self.row_index, self.ranges
+        for line_no, tokens in lines:
+            if not tokens or tokens[0][0] == "*":
+                continue
             if len(tokens) < 3 or len(tokens) % 2 == 0:
                 raise MalformedSection("RANGES entries are 'set row value [row value]'", line_no)
             for k in range(1, len(tokens), 2):
@@ -192,7 +274,11 @@ def parse_mps(text: str) -> MipModel:
                     raise DanglingReference(f"RANGES entry for unknown row {row!r}", line_no)
                 ranges[row_index[row]] = value
 
-        elif section == "BOUNDS":
+    def read_bounds(self, lines):
+        col_index, kinds, lower, upper = self.col_index, self.kinds, self.lower, self.upper
+        for line_no, tokens in lines:
+            if not tokens or tokens[0][0] == "*":
+                continue
             kind = tokens[0].upper()
             needs_value = kind in {"UP", "LO", "FX", "UI", "LI"}
             expected = 4 if needs_value else 3
@@ -222,26 +308,28 @@ def parse_mps(text: str) -> MipModel:
             else:
                 raise MalformedSection(f"unknown bound kind {tokens[0]!r}", line_no)
 
-        else:
-            raise MalformedSection(f"data in unsupported section {section!r}", line_no)
-
-    A = np.zeros((len(row_kinds), len(kinds)))
-    np.add.at(A, (entry_rows, entry_cols), entry_values)
-    c = np.zeros(len(kinds))
-    np.add.at(c, cost_cols, cost_values)
-    rows = list(row_index)
-    slack = np.array([_SLACK[kind] for kind in row_kinds]).reshape(-1, 2)
-    for i, r in ranges.items():
-        if not np.isfinite(r):  # an infinite range would leave a one-sided row
-            raise ModelError(f"constraint {rows[i]!r}: range is {r}")
-        if row_kinds[i] == "L" or (row_kinds[i] == "E" and r < 0.0):
-            slack[i, 1] = abs(r)
-        else:
-            slack[i, 0] = -abs(r)
-    return build_model(
-        name, sense, list(col_index), rows, kinds=kinds, lower=lower, upper=upper,
-        slack_lower=slack[:, 0], slack_upper=slack[:, 1], A=A, b=rhs, c=c, offset=offset,
-    )
+    def model(self) -> MipModel:
+        """The arrays of the entries read, through ``build_model``."""
+        row_kinds, kinds = self.row_kinds, self.kinds
+        A = np.zeros((len(row_kinds), len(kinds)))
+        np.add.at(A, (self.entry_rows, self.entry_cols), self.entry_values)
+        c = np.zeros(len(kinds))
+        np.add.at(c, self.cost_cols, self.cost_values)
+        rows = list(self.row_index)
+        slack_lower = [_SLACK[kind][0] for kind in row_kinds]
+        slack_upper = [_SLACK[kind][1] for kind in row_kinds]
+        for i, r in self.ranges.items():
+            if not np.isfinite(r):  # an infinite range would leave a one-sided row
+                raise ModelError(f"constraint {rows[i]!r}: range is {r}")
+            if row_kinds[i] == "L" or (row_kinds[i] == "E" and r < 0.0):
+                slack_upper[i] = abs(r)
+            else:
+                slack_lower[i] = -abs(r)
+        return build_model(
+            self.name, self.sense, list(self.col_index), rows, kinds=kinds, lower=self.lower,
+            upper=self.upper, slack_lower=slack_lower, slack_upper=slack_upper, A=A,
+            b=self.rhs, c=c, offset=self.offset,
+        )
 
 
 def _parse_sense(token: str, line_no: int) -> str:

@@ -72,6 +72,20 @@ def test_evaluate_dimension_mismatch():
         evaluate(knapsack(5, seed=1), [[0.0]] * 5)
     with pytest.raises(DimensionMismatch):
         evaluate(tiny_cover_model(), 1.0)
+    # ragged points: numpy's own ValueError escaped before
+    for point in ([[0.0], [0.0, 1.0]], [0.0, [1.0, 0.0]]):
+        with pytest.raises(DimensionMismatch, match="point: .*sequence"):
+            evaluate(knapsack(2, seed=1), point)
+
+
+def test_evaluate_refuses_a_non_numeric_point_as_a_model_error():
+    from parlns.instances import knapsack
+
+    # numpy's own ValueError and TypeError escaped before
+    for point, match in ((["a", "b"], "could not convert string to float: 'a'"), ([{0.0}, 1.0], "")):
+        with pytest.raises(ModelError, match=f"point: {match}") as err:
+            evaluate(knapsack(2, seed=1), point)
+        assert not isinstance(err.value, DimensionMismatch)
 
 
 def test_evaluate_keeps_its_own_read_only_copy_of_the_point():
@@ -212,6 +226,13 @@ def test_apply_neighborhood_rejects_malformed_rows_and_objective():
         (NeighborhoodSpec(objective=([1.0, 1.0, 1.0], 0.0)), "shape"),
         (NeighborhoodSpec(objective=([nan, 1.0], 0.0)), "'x'"),
         (NeighborhoodSpec(objective=([1.0, 1.0], INF)), "offset"),
+        # a field that is no array of numbers: numpy's ValueError escaped before
+        (NeighborhoodSpec(bounds=([0.0, [0.0, 1.0]], [1.0, 1.0])), "bounds: "),
+        (NeighborhoodSpec(bounds=([0.0, 0.0], ["a", 1.0])), "bounds: could not convert"),
+        (NeighborhoodSpec(rows=([[1.0, 1.0], [1.0]], [1.0, 1.0])), "rows: "),
+        (NeighborhoodSpec(rows=([[1.0, 1.0]], [[1.0], [1.0, 2.0]])), "rows: "),
+        (NeighborhoodSpec(objective="ab"), "objective: could not convert string to float: 'a'"),
+        (NeighborhoodSpec(objective=(["a", 1.0], 0.0)), "objective: could not convert"),
     )
     for spec, match in malformed:
         with pytest.raises(ModelError, match=match):

@@ -5,10 +5,12 @@ oracle, and sub-models whose arrays come from their parent's."""
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import pickle
 import random
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from parlns.alns import run_worker
 from parlns.clock import SimulatedClock
 from parlns.configspace import DEFAULT_CONFIG
 from parlns.instances import independent_set, knapsack
-from parlns.lp import solve_lp
+from parlns.lp import LpResult, solve_lp, solve_relaxation
 from parlns.model import (
     BINARY,
     BOUND_TOL,
@@ -38,6 +40,9 @@ from parlns.model import (
     LinearConstraint,
     LpRelaxation,
     ModelError,
+    NeighborhoodSpec,
+    Presolved,
+    Solution,
     Variable,
     apply_neighborhood,
     evaluate,
@@ -419,6 +424,65 @@ def test_unpickled_models_and_sub_problems_are_read_only_and_solve_alike():
                 assert not value.flags.writeable, f.name
         assert_same_arrays(relax, original.relaxation)
         assert solve_lp(copy) == want
+
+
+def _assert_read_only_copy(copy, original):
+    """Every ndarray field of ``copy``, and of any result or relaxation it
+    holds, is read-only and has the bytes of ``original``'s."""
+    assert type(copy) is type(original)
+    arrays = 0
+    for f in dataclasses.fields(copy):
+        value, want = getattr(copy, f.name), getattr(original, f.name)
+        if isinstance(value, np.ndarray):
+            arrays += 1
+            assert not value.flags.writeable, (type(copy).__name__, f.name)
+            assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), f.name
+        elif isinstance(value, (LpRelaxation, LpResult, Solution, Presolved)):
+            _assert_read_only_copy(value, want)
+    assert arrays, type(copy).__name__
+
+
+def test_every_producers_output_is_read_only_after_a_pickle_round_trip():
+    model = independent_set(60, 0.1, seed=7)
+    relax = model.relaxation
+    root = solve_lp(model)
+    # a branch-and-bound child: the root's first fractional column rounded
+    # down, warm from the root, carries its last pricing
+    j = int(np.flatnonzero(np.abs(root.values - np.rint(root.values)) > 1e-6)[0])
+    upper = relax.upper.copy()
+    upper[j] = 0.0
+    child = solve_relaxation(relax, upper=upper, warm=root)
+    assert child.reduced_costs is not None and child.priced is relax
+    upper[:10] = 0.0
+    sub = apply_neighborhood(model, NeighborhoodSpec(bounds=(relax.lower, upper)))
+    outputs = (root, child, evaluate(model, root.values), presolve(sub), sub)
+    assert [type(out) for out in outputs] == [LpResult, LpResult, Solution, Presolved, LpRelaxation]
+    for original in outputs:
+        _assert_read_only_copy(pickle.loads(pickle.dumps(original)), original)
+
+
+def test_arrays_compare_by_identity_and_an_lp_result_by_value():
+    model = knapsack(8, seed=2)
+    relax = model.relaxation
+    copy = pickle.loads(pickle.dumps(relax))
+    # both raised before: numpy's ambiguous truth value and an unhashable array
+    assert relax == relax and relax != copy and len({relax, copy, relax}) == 2
+    reduced = presolve(relax)
+    again = pickle.loads(pickle.dumps(reduced))
+    assert reduced == reduced and reduced != again and len({reduced, again}) == 2
+    assert solve_lp(model) == solve_lp(pickle.loads(pickle.dumps(model)))
+
+
+def test_a_spawned_worker_returns_what_an_in_process_one_does():
+    model = independent_set(60, 0.1, seed=7)
+    args = (model, DEFAULT_CONFIG, 1.0, 3)
+    want = run_worker(*args, SimulatedClock(0.05))
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        got = pool.submit(run_worker, *args, SimulatedClock(0.05)).result(timeout=120)
+    assert (got.iterations, got.pulls, got.raw_points, got.trace) == (
+        want.iterations, want.pulls, want.raw_points, want.trace)
+    assert got.best.values.tobytes() == want.best.values.tobytes()
+    assert not got.best.values.flags.writeable
 
 
 def test_worker_builds_base_arrays_once_and_only_appended_rows(monkeypatch):

@@ -400,3 +400,48 @@ def test_non_finite_data_is_refused(old, new, match):
     parse_mps(_TWO_COLUMNS)
     with pytest.raises(ModelError, match=match):
         parse_mps(_TWO_COLUMNS.replace(old, new))
+
+
+def test_a_bad_value_ahead_of_an_unknown_header_is_the_error_raised():
+    # the first error in file order is raised, not the header's after it
+    text = "NAME e\nROWS\n N  OBJ\n L  c1\nCOLUMNS\n    x  c1  one\nBOGUS\n"
+    with pytest.raises(MalformedSection, match="expected a number, got 'one'") as err:
+        parse_mps(text)
+    assert err.value.line_no == 6
+
+
+def test_data_under_name_is_refused_on_its_line():
+    with pytest.raises(MalformedSection, match="data in unsupported section 'NAME'") as err:
+        parse_mps("NAME n\n* a comment\n    stray  data\nROWS\n N  OBJ\n")
+    assert err.value.line_no == 3
+    with pytest.raises(MalformedSection, match="data before any section header") as err:
+        parse_mps("\n    x  c1  1.0\nNAME n\n")
+    assert err.value.line_no == 2
+
+
+def test_objsense_is_read_from_its_header_or_the_next_line():
+    body = "ROWS\n N  OBJ\n L  c1\nCOLUMNS\n    x  OBJ  2.0  c1  1.0\nENDATA\n"
+    assert parse_mps("NAME s\nOBJSENSE\n\n    MAXIMIZE\n" + body).sense == MAXIMIZE
+    assert parse_mps("NAME s\nOBJSENSE MAX\n" + body).sense == MAXIMIZE
+    assert parse_mps("NAME s\nOBJSENSE\n    MIN\n" + body).sense == MINIMIZE
+    for head, line_no in (("OBJSENSE MAX\n    MAX\n", 3), ("OBJSENSE\n    MAX\n    MIN\n", 4)):
+        with pytest.raises(MalformedSection, match="unexpected extra OBJSENSE data") as err:
+            parse_mps("NAME s\n" + head + body)
+        assert err.value.line_no == line_no
+    with pytest.raises(MalformedSection, match="unknown objective sense") as err:
+        parse_mps("NAME s\nOBJSENSE\n    UP\n" + body)
+    assert err.value.line_no == 3
+
+
+def test_comment_and_blank_lines_are_skipped_where_indented_too():
+    text = TINY_COVER.replace("COLUMNS\n", "COLUMNS\n   * an indented comment\n\t\n*x  COST  5.0\n")
+    assert_same_model(parse_mps(text), parse_mps(TINY_COVER))
+    # a comment ends no section: the data after it is the same section's
+    text = TINY_COVER.replace(" G  c1\n", "* between\n G  c1\n")
+    assert_same_model(parse_mps(text), parse_mps(TINY_COVER))
+
+
+def test_a_tab_separated_file_parses():
+    text = "\n".join("\t".join(line.split(" ")) for line in write_mps(parse_mps(RANGED)).splitlines())
+    assert "\t" in text and "  " not in text
+    assert_same_model(parse_mps(text), parse_mps(RANGED))
