@@ -11,8 +11,9 @@ updated. The configured acceptance criterion is read-only; simulated
 annealing's temperature is the loop's own float, starting at 1 and cooled by
 each acceptance decision. Every new global best appends a trace point, and
 the gap trace is built from those points once the loop ends, against the
-given reference or else the worker's own best; a worker that finds no
-initial solution returns an empty trace. The root LP's optimal
+worker's own best; a caller with a reference objective rebuilds it from the
+points with ``build_trace``. A worker that finds no initial solution returns
+an empty trace. The root LP's optimal
 ``LpResult`` is the warm start of every sub-MIP's root LP, its basis
 inverse extended by the sub-MIP's appended rows. A root LP the worker
 solves itself, like every sub-MIP, stops once the worker is cancelled or
@@ -140,26 +141,22 @@ def run_worker(
     seed: int,
     clock=None,
     *,
-    reference_objective: float | None = None,
     backend: Backend | None = None,
     cancel=None,
     root: LpResult | None = None,
 ) -> WorkerResult:
     """Run one configured worker until its wall budget is spent.
 
-    ``reference_objective`` is in internal (minimization) scale; when absent
-    the worker's own final best is used for gap reporting. The trace is
-    built from ``raw_points`` against that reference; a worker without an
-    initial solution returns an empty trace over ``wall_seconds``. ``root``
-    is ``solve_lp(model)``'s result when the caller has solved it, as
-    ``run_portfolio`` does once for all its workers; without it the worker
-    solves its own. Either way the root LP is charged as one node.
-    ``wall_seconds`` must be positive and finite, and a reference finite.
+    The trace is built from ``raw_points`` against the worker's own final
+    best; a caller with a reference rebuilds it with ``build_trace``. A
+    worker without an initial solution returns an empty trace over
+    ``wall_seconds``. ``root`` is ``solve_lp(model)``'s result when the
+    caller has solved it, as ``run_portfolio`` does once for all its
+    workers; without it the worker solves its own. Either way the root LP is
+    charged as one node. ``wall_seconds`` must be positive and finite.
     """
     if not (math.isfinite(wall_seconds) and wall_seconds > 0):
         raise ValueError(f"wall_seconds must be positive and finite, got {wall_seconds!r}")
-    if reference_objective is not None and not math.isfinite(reference_objective):
-        raise ValueError(f"reference_objective must be finite, got {reference_objective!r}")
     clock = clock or WallClock()
     backend = backend or get_backend()
     rng = random.Random(seed)
@@ -254,7 +251,7 @@ def run_worker(
     return WorkerResult(
         status=STATUS_NO_FEASIBLE if best is None else STATUS_OK,
         best=best,
-        trace=build_trace(model, raw_points, reference_objective, wall_seconds),
+        trace=build_trace(model, raw_points, None, wall_seconds),
         iterations=iterations,
         skipped=skipped,
         pulls=tuple(pulls),

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import configspace, instances, metrics, orchestrator, simulator
-from .alns import STATUS_OK, run_worker
+from .alns import STATUS_OK, build_trace, run_worker
 from .clock import SimulatedClock
 from .configspace import DEFAULT_CONFIG, PoolExhausted
 from .model import MipModel
@@ -120,15 +120,13 @@ def cmd_solve(args) -> int:
     model = _load_instance(args.instance)
     config = _resolve_config(args)
     clock = SimulatedClock(args.node_seconds) if args.clock == "simulated" else None
-    reference = (
-        model.to_internal_objective(args.reference) if args.reference is not None else None
-    )
-    result = run_worker(
-        model, config, args.seconds, args.seed, clock, reference_objective=reference
-    )
+    result = run_worker(model, config, args.seconds, args.seed, clock)
+    # the worker's trace is against its own best; a reference rebuilds it
+    reference = None if args.reference is None else model.to_internal_objective(args.reference)
+    trace = build_trace(model, result.raw_points, reference, args.seconds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_trace_csv(result.trace, out_dir / "trace.csv")
+    metrics.write_trace_csv(trace, out_dir / "trace.csv")
     summary = {
         "instance": args.instance,
         "config_id": config.id,
@@ -138,7 +136,7 @@ def cmd_solve(args) -> int:
         "objective": (
             model.to_external_objective(result.best.objective) if result.best else None
         ),
-        "final_gap": result.trace.final_gap(),
+        "final_gap": trace.final_gap(),
         "iterations": result.iterations,
         "skipped": result.skipped,
         "pulls": list(result.pulls),

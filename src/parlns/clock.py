@@ -23,7 +23,17 @@ class WallClock:
 
 
 class SimulatedClock:
-    """Virtual time advanced only by explicit charges."""
+    """Virtual time advanced only by explicit charges.
+
+    A reading is the float sum of every charge so far, so it depends on the
+    clock's history: a worker stamps its points ``now() - start``, and on a
+    clock that an earlier run advanced the same search gets other last bits
+    (``0.20000000000000018`` in place of ``0.2``). A worker must start on a
+    fresh clock, as ``run_portfolio`` gives each of its workers. Counting
+    whole charges instead would move the search path, since the deadline
+    test reads the sum: 50 charges of 0.05 s sum to just under 2.5 s, where
+    ``50 * 0.05`` is 2.5.
+    """
 
     def __init__(self, node_seconds: float = 0.001):
         # NaN fails the check; an infinite step would make every reading inf

@@ -142,7 +142,8 @@ def trace_to_csv(trace: GapTrace) -> str:
 
 
 def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
-    """The (t, objective, gap) rows of a trace CSV, not yet validated.
+    """The (t, objective, gap) rows of a trace CSV, not yet validated: a CSV
+    carries no horizon, so the caller makes them a ``GapTrace`` with one.
 
     The file is read with one call and decoded as UTF-8, and ``csv`` parses
     its rows from memory, split into lines as in a file opened with
@@ -166,10 +167,3 @@ def read_trace_points(path) -> tuple[tuple[float, float, float], ...]:
         return tuple([(float(t), float(obj), float(gap)) for t, obj, gap in reader])
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-
-
-def read_trace_csv(path, horizon: float | None = None) -> GapTrace:
-    points = read_trace_points(path)
-    if horizon is None:
-        horizon = points[-1][0] if points else 0.0
-    return GapTrace(points=points, horizon=horizon)

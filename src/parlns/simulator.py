@@ -26,7 +26,6 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +49,9 @@ class TraceDb:
     """config id -> instance id -> GapTrace, rectangular: every config has a
     trace for every instance (``build_trace_db`` checks it).
 
-    The traces' points are also kept as arrays (``point_arrays``), and each
-    instance's horizon (``horizons``), both built once on first use, so that
-    each grid only checks its window and places the points for it. Each
-    window's grid is built on first use too, and kept (``grid``): it is
-    derived from the traces alone, like the arrays, and no part of equality.
+    Each window's grid is built on first use and kept (``grid``): it is
+    derived from the traces alone, and no part of equality. It is the db's
+    one cache; ``horizons`` is computed when read.
     """
 
     traces: dict[str, dict[str, GapTrace]]
@@ -62,30 +59,13 @@ class TraceDb:
     instance_ids: tuple[str, ...]
     _window_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def horizons(self) -> tuple[float, ...]:
-        """Per instance, the latest horizon of its traces, computed on first use."""
+        """Per instance, the latest horizon of its traces."""
         return tuple(
             max(self.traces[c][instance].horizon for c in self.config_ids)
             for instance in self.instance_ids
         )
-
-    @cached_property
-    def point_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per instance, every config's points as arrays, built on first use:
-        times, gaps and owning config index in time order (ties in config
-        order), and the distinct event times."""
-        arrays = []
-        for instance in self.instance_ids:
-            traces = [self.traces[c][instance].points for c in self.config_ids]
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.chain.from_iterable(traces)), float
-            ).reshape(-1, 3)
-            owner = np.repeat(np.arange(len(traces)), [len(pts) for pts in traces])
-            order = np.argsort(flat[:, 0], kind="stable")
-            times = flat[order, 0]
-            arrays.append((times, flat[order, 2], owner[order], np.unique(times)))
-        return tuple(arrays)
 
     def grid(self, window) -> "_Grid":
         """The window's grid, built on its first use and kept; a bad window
@@ -186,8 +166,8 @@ class _Grid:
 
 
 def _grids(db: TraceDb, window) -> _Grid:
-    """The window's grid, from the db's point arrays: per instance, the
-    opening entries and then the points at or before t1, in time order."""
+    """The window's grid: per instance, the opening entries and then every
+    config's points at or before t1, in time order (ties in config order)."""
     t0, t1 = window
     if not 0 <= t0 <= t1:
         raise ValueError(f"bad window [{t0}, {t1}]")
@@ -197,7 +177,15 @@ def _grids(db: TraceDb, window) -> _Grid:
     configs = len(db.config_ids)
     spans, owners, columns, gaps, ends = [], [], [], [], []
     lo = entries = 0
-    for times, values, owner, events in db.point_arrays:
+    for instance in db.instance_ids:
+        traces = [db.traces[c][instance].points for c in db.config_ids]
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(traces)), float
+        ).reshape(-1, 3)
+        order = np.argsort(flat[:, 0], kind="stable")
+        times, values = flat[order, 0], flat[order, 2]
+        owner = np.repeat(np.arange(configs), [len(pts) for pts in traces])[order]
+        events = np.unique(times)
         inside = events[np.searchsorted(events, t0, "right") : np.searchsorted(events, t1, "left")]
         edges = np.concatenate(([t0], inside, [t1]))
         # points are in time order, so the ones at or before t1 come first

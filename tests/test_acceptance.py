@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from parlns.alns import run_worker
+from parlns.alns import build_trace, run_worker
 from parlns.clock import SimulatedClock
 from parlns.configspace import (
     DEFAULT_CONFIG,
@@ -338,13 +338,13 @@ def desk_runs(tmp_path_factory):
             4 * WALL,  # same total budget as the four workers combined
             worker_seed(MASTER_SEED, "default"),
             SimulatedClock(TICK),
-            reference_objective=proof.incumbent.objective,
         )
         assert single.status == "ok"
+        single_trace = build_trace(model, single.raw_points, proof.incumbent.objective, 4 * WALL)
         artifacts[model.name] = {
             "manifest": manifest_path,
             "out_dir": out_dir,
-            "single_gap": single.trace.final_gap(),
+            "single_gap": single_trace.final_gap(),
             "pool_ids": [c.id for c in pool],
         }
     artifacts["elapsed"] = time.perf_counter() - started

@@ -4,11 +4,15 @@ import pytest
 
 import parlns.cli
 import parlns.orchestrator
+from parlns.alns import build_trace, run_worker
 from parlns.cli import EXIT_DATA, EXIT_EMPTY, EXIT_OK, main
+from parlns.clock import SimulatedClock
+from parlns.configspace import DEFAULT_CONFIG
 from parlns.instances import knapsack
+from parlns.metrics import trace_to_csv
 from parlns.mps import write_mps
 
-from support import grid_builds, tiny_cover_model
+from support import binary_optimum, grid_builds, tiny_cover_model
 
 
 def _search_started(*args, **kwargs):
@@ -64,8 +68,6 @@ def test_solve_writes_trace_and_summary(tmp_path):
     assert summary["status"] == "ok"
     assert summary["config_id"] == "default"
     assert (out_dir / "trace.csv").read_text().startswith("t_seconds,objective,gap")
-
-    from support import binary_optimum
 
     optimum = model.to_external_objective(binary_optimum(model))
     assert summary["objective"] == optimum  # small instance solves to optimality
@@ -127,6 +129,23 @@ def test_solve_budget_that_cannot_end_is_usage_error(tmp_path, capsys, monkeypat
         main(args)
     assert err.value.code == 2
     assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+def test_solve_reference_rebuilds_the_worker_trace(tmp_path):
+    # the worker's own trace is against its best; --reference rebuilds it
+    model = knapsack(12, seed=21)
+    reference = 1.1 * model.to_external_objective(binary_optimum(model))
+    instance = _write_instance(tmp_path, model)
+    out_dir = tmp_path / "run"
+    args = ["solve", "--instance", str(instance), "--seconds", "1.0", "--seed", "4"]
+    args += ["--clock", "simulated", "--reference", repr(reference), "--out-dir", str(out_dir)]
+    assert main(args) == EXIT_OK
+    worker = run_worker(model, DEFAULT_CONFIG, 1.0, 4, SimulatedClock(0.001))
+    trace = build_trace(model, worker.raw_points, model.to_internal_objective(reference), 1.0)
+    assert (out_dir / "trace.csv").read_text() == trace_to_csv(trace)
+    assert trace != worker.trace
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["final_gap"] == trace.final_gap() > 0.0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

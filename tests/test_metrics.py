@@ -13,7 +13,6 @@ from parlns.metrics import (
     pi_percent_minutes,
     primal_gap,
     primal_integral,
-    read_trace_csv,
     read_trace_points,
     trace_to_csv,
     write_trace_csv,
@@ -195,7 +194,7 @@ def test_trace_csv_round_trip(tmp_path):
     trace = random_step_trace(rng)
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path)
-    again = read_trace_csv(path, horizon=trace.horizon)
+    again = GapTrace(read_trace_points(path), trace.horizon)
     assert again == trace
     text = trace_to_csv(trace)
     assert text.splitlines()[0] == "t_seconds,objective,gap"
@@ -205,17 +204,17 @@ def test_trace_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,obj,gap\n")
     with pytest.raises(ValueError):
-        read_trace_csv(path)
+        read_trace_points(path)
 
 
 def test_trace_csv_row_error_names_file_and_line(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("t_seconds,objective,gap\n1.0,5.0,0.5\n2.0,4.0\n")
     with pytest.raises(ValueError, match=r"short\.csv, line 3: not enough values"):
-        read_trace_csv(path)
+        read_trace_points(path)
     path.write_text("t_seconds,objective,gap\n1.0,5.0,half\n")
     with pytest.raises(ValueError, match=r"short\.csv, line 2: could not convert"):
-        read_trace_csv(path)
+        read_trace_points(path)
 
 
 # --- the in-memory reader against a csv.reader over the open file ----------

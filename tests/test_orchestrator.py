@@ -6,7 +6,7 @@ import pytest
 
 import parlns.alns
 import parlns.orchestrator
-from parlns.alns import STATUS_OK, run_worker
+from parlns.alns import STATUS_OK, build_trace, run_worker
 from parlns.clock import SimulatedClock
 from parlns.configspace import DEFAULT_CONFIG, generate_pool
 from parlns.instances import independent_set, knapsack
@@ -247,11 +247,11 @@ def test_simulated_portfolio_workers_equal_workers_run_alone(monkeypatch):
             plan.wall_seconds,
             worker_seed(plan.master_seed, config.id),
             SimulatedClock(0.01),
-            reference_objective=reference,
         )
+        trace = build_trace(model, alone.raw_points, reference, plan.wall_seconds)
         worker = result.workers[config.id]
         assert solution_fields(worker.best) == solution_fields(alone.best)
-        assert replace(worker, best=None) == replace(alone, best=None)
+        assert replace(worker, best=None) == replace(alone, best=None, trace=trace)
     assert len(roots) == 1 + len(pool)  # each lone worker solved its own
 
 
