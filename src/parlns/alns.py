@@ -39,6 +39,7 @@ MIN_TEMPERATURE = 1e-6
 
 HILL_CLIMBING = "hill_climbing"
 SIMULATED_ANNEALING = "simulated_annealing"
+STEP_RANGE = (0.01, 1.0)  # simulated annealing's cooling factor per decision
 
 STATUS_OK = "ok"
 STATUS_NO_FEASIBLE = "no_feasible_solution"
@@ -46,15 +47,21 @@ STATUS_NO_FEASIBLE = "no_feasible_solution"
 
 @dataclass(frozen=True)
 class AcceptanceCriterion:
+    """An acceptance kind and the parameter it takes: simulated annealing its
+    ``step`` in ``STEP_RANGE``, hill climbing none."""
+
     kind: str
     step: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (HILL_CLIMBING, SIMULATED_ANNEALING):
-            raise ValueError(f"unknown acceptance kind {self.kind!r}")
         if self.kind == SIMULATED_ANNEALING:
-            if self.step is None or not 0.01 <= self.step <= 1.0:
-                raise ValueError("simulated annealing step must be in [0.01, 1]")
+            lo, hi = STEP_RANGE
+            if self.step is None or not lo <= self.step <= hi:
+                raise ValueError(f"simulated annealing step must be in [{lo}, {hi}]")
+        elif self.kind != HILL_CLIMBING:
+            raise ValueError(f"unknown acceptance kind {self.kind!r}")
+        elif self.step is not None:
+            raise ValueError("hill climbing takes no step")
 
 
 def accept(
@@ -91,14 +98,6 @@ class WorkerResult:
     pulls: tuple[int, ...]
     outcome_counts: tuple[dict, ...]
     raw_points: tuple[tuple[float, float], ...]  # (t, internal objective)
-
-
-def _make_policy(descriptor, n_arms: int):
-    if descriptor.kind == bandit.EPSILON_GREEDY:
-        return bandit.EpsilonGreedy(n_arms, descriptor.epsilon)
-    if descriptor.kind == bandit.SOFTMAX:
-        return bandit.Softmax(n_arms, descriptor.tau)
-    return bandit.ThompsonSampling(n_arms)
 
 
 def _per_iteration_seconds(wall_seconds: float) -> float:
@@ -184,7 +183,7 @@ def run_worker(
     current = best = first.incumbent
     raw_points = [] if best is None else [(clock.now() - start, best.objective)]
 
-    policy = _make_policy(config.policy, n_arms)
+    policy = config.policy.new_policy(n_arms)
     temperature = INITIAL_TEMPERATURE
     archive: deque[Solution] = deque((best,), maxlen=ARCHIVE_CAPACITY)
     per_iter = _per_iteration_seconds(wall_seconds)

@@ -46,11 +46,6 @@ class RewardVector:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.best, self.better, self.accept, self.reject)
 
-    @classmethod
-    def from_sequence(cls, seq) -> "RewardVector":
-        b, bt, a, r = (float(v) for v in seq)
-        return cls(b, bt, a, r)
-
 
 REWARD_POOL = tuple(
     RewardVector(*v)

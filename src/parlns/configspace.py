@@ -4,14 +4,18 @@ A configuration draws each parameter independently from its pool while
 respecting the dependency rules: Thompson sampling restricts rewards to the
 binary vectors, and proximity percentages come from their own pool. Destroy
 sets contain 4 to 16 distinct operators and, from size 6 up, at least one
-operator from each of the six families.
+operator from each of the six families. An acceptance criterion or policy
+descriptor refuses an unknown kind and a parameter its kind does not take or
+takes out of range; each range is stated once, for that check and
+``sample_config`` both.
 """
 
 import json
 import random
 from dataclasses import dataclass
 
-from .alns import HILL_CLIMBING, SIMULATED_ANNEALING, AcceptanceCriterion
+from . import bandit
+from .alns import HILL_CLIMBING, SIMULATED_ANNEALING, STEP_RANGE, AcceptanceCriterion
 from .bandit import (
     BINARY_REWARD_POOL,
     EPSILON_GREEDY,
@@ -43,11 +47,48 @@ class PoolExhausted(RuntimeError):
     """Could not draw enough distinct configurations."""
 
 
+# the parameters each policy kind takes, with their ranges
+POLICY_PARAMETERS: dict[str, dict[str, tuple[float, float]]] = {
+    EPSILON_GREEDY: {"epsilon": (0.0, 0.5)},
+    SOFTMAX: {"tau": (1.0, 3.0)},
+    THOMPSON: {},
+}
+
+
 @dataclass(frozen=True)
 class PolicyDescriptor:
+    """A bandit policy kind and the parameters ``POLICY_PARAMETERS`` gives it."""
+
     kind: str
     epsilon: float | None = None
     tau: float | None = None
+
+    def __post_init__(self):
+        taken = POLICY_PARAMETERS.get(self.kind)
+        if taken is None:
+            raise ConfigError(f"unknown policy kind {self.kind!r}")
+        for name, value in (("epsilon", self.epsilon), ("tau", self.tau)):
+            bounds = taken.get(name)
+            if bounds is None:
+                if value is not None:
+                    raise ConfigError(f"{self.kind} takes no {name}")
+            elif value is None or not bounds[0] <= value <= bounds[1]:
+                raise ConfigError(f"{name} outside {list(bounds)}")
+
+    def new_policy(self, n_arms: int):
+        """A fresh policy of this kind; its class is looked up on ``bandit``
+        at each call, where perfbench's tracer swaps it."""
+        if self.kind == EPSILON_GREEDY:
+            return bandit.EpsilonGreedy(n_arms, self.epsilon)
+        if self.kind == SOFTMAX:
+            return bandit.Softmax(n_arms, self.tau)
+        return bandit.ThompsonSampling(n_arms)
+
+
+def _set_fields(part) -> dict:
+    """An acceptance criterion's or policy descriptor's set fields: its kind
+    and the parameters that kind takes."""
+    return {name: value for name, value in vars(part).items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -64,23 +105,23 @@ class Configuration:
     def structural_key(self) -> tuple:
         """Uniqueness key: sorted operator ids plus hyperparameters rounded
         to 6 decimals (exact float collisions are measure-zero)."""
-        hyper = []
-        if self.acceptance.step is not None:
-            hyper.append(round(self.acceptance.step, 6))
-        if self.policy.epsilon is not None:
-            hyper.append(round(self.policy.epsilon, 6))
-        if self.policy.tau is not None:
-            hyper.append(round(self.policy.tau, 6))
         return (
             tuple(sorted(self.operator_ids())),
             self.acceptance.kind,
             self.policy.kind,
-            tuple(hyper),
+            tuple([
+                round(value, 6)
+                for part in (self.acceptance, self.policy)
+                for name, value in vars(part).items()
+                if value is not None and name != "kind"
+            ]),
             self.rewards.as_tuple(),
         )
 
 
 def validate_configuration(config: Configuration) -> None:
+    """The paper's space, whose rules a single-arm worker input breaks: 4 to
+    16 distinct operators, all families from 6 up, and pool rewards."""
     ops = config.operator_ids()
     if not MIN_OPERATORS <= len(ops) <= MAX_OPERATORS:
         raise ConfigError(f"{config.id}: {len(ops)} operators outside [4, 16]")
@@ -89,18 +130,8 @@ def validate_configuration(config: Configuration) -> None:
     families = {op.family for op in config.destroy_ops}
     if len(ops) >= len(DESTROY_CATEGORIES) and len(families) != len(DESTROY_CATEGORIES):
         raise ConfigError(f"{config.id}: sets of size >= 6 must cover all families")
-    policy = config.policy
-    if policy.kind == EPSILON_GREEDY:
-        if policy.epsilon is None or not 0.0 <= policy.epsilon <= 0.5:
-            raise ConfigError(f"{config.id}: epsilon outside [0, 0.5]")
-    elif policy.kind == SOFTMAX:
-        if policy.tau is None or not 1.0 <= policy.tau <= 3.0:
-            raise ConfigError(f"{config.id}: tau outside [1, 3]")
-    elif policy.kind == THOMPSON:
-        if config.rewards not in BINARY_REWARD_POOL:
-            raise ConfigError(f"{config.id}: Thompson sampling requires binary rewards")
-    else:
-        raise ConfigError(f"{config.id}: unknown policy kind {policy.kind!r}")
+    if config.policy.kind == THOMPSON and config.rewards not in BINARY_REWARD_POOL:
+        raise ConfigError(f"{config.id}: Thompson sampling requires binary rewards")
     if config.rewards not in REWARD_POOL:
         raise ConfigError(f"{config.id}: rewards outside the fixed pool")
 
@@ -131,14 +162,10 @@ def sample_config(rng: random.Random, config_id: str = "cfg") -> Configuration:
     if rng.random() < 0.5:
         acceptance = AcceptanceCriterion(HILL_CLIMBING)
     else:
-        acceptance = AcceptanceCriterion(SIMULATED_ANNEALING, step=rng.uniform(0.01, 1.0))
-    kind = rng.choice((EPSILON_GREEDY, SOFTMAX, THOMPSON))
-    if kind == EPSILON_GREEDY:
-        policy = PolicyDescriptor(kind, epsilon=rng.uniform(0.0, 0.5))
-    elif kind == SOFTMAX:
-        policy = PolicyDescriptor(kind, tau=rng.uniform(1.0, 3.0))
-    else:
-        policy = PolicyDescriptor(kind)
+        acceptance = AcceptanceCriterion(SIMULATED_ANNEALING, step=rng.uniform(*STEP_RANGE))
+    kind = rng.choice(tuple(POLICY_PARAMETERS))
+    taken = POLICY_PARAMETERS[kind]
+    policy = PolicyDescriptor(kind, **{name: rng.uniform(lo, hi) for name, (lo, hi) in taken.items()})
     rewards = rng.choice(REWARD_POOL)
     if kind == THOMPSON:
         rewards = rng.choice(BINARY_REWARD_POOL)
@@ -189,43 +216,31 @@ DEFAULT_CONFIG = Configuration(
 
 
 def config_to_dict(config: Configuration) -> dict:
-    out = {
+    return {
         "id": config.id,
         "destroy_ops": list(config.operator_ids()),
-        "acceptance": {"kind": config.acceptance.kind},
-        "policy": {"kind": config.policy.kind},
+        "acceptance": _set_fields(config.acceptance),
+        "policy": _set_fields(config.policy),
         "rewards": list(config.rewards.as_tuple()),
     }
-    if config.acceptance.step is not None:
-        out["acceptance"]["step"] = config.acceptance.step
-    if config.policy.epsilon is not None:
-        out["policy"]["epsilon"] = config.policy.epsilon
-    if config.policy.tau is not None:
-        out["policy"]["tau"] = config.policy.tau
-    return out
 
 
 def config_from_dict(data: dict) -> Configuration:
+    record_id = data.get("id") if isinstance(data, dict) else None
     try:
-        acceptance = AcceptanceCriterion(
-            data["acceptance"]["kind"], step=data["acceptance"].get("step")
-        )
-        policy = PolicyDescriptor(
-            data["policy"]["kind"],
-            epsilon=data["policy"].get("epsilon"),
-            tau=data["policy"].get("tau"),
-        )
         config = Configuration(
             id=data["id"],
             destroy_ops=tuple(
                 OperatorSpec.from_identifier(token) for token in data["destroy_ops"]
             ),
-            acceptance=acceptance,
-            policy=policy,
-            rewards=RewardVector.from_sequence(data["rewards"]),
+            acceptance=AcceptanceCriterion(**data["acceptance"]),
+            policy=PolicyDescriptor(**data["policy"]),
+            # the pool member the record's rewards equal, so a pool file reads
+            # back as written; validate_configuration refuses None
+            rewards=next((r for r in REWARD_POOL if r.as_tuple() == tuple(data["rewards"])), None),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration record: {exc}") from exc
+        raise ConfigError(f"{record_id}: bad configuration record: {exc}") from exc
     validate_configuration(config)
     return config
 

@@ -1,13 +1,15 @@
 """Run N configured workers under a core cap and aggregate their gap traces.
 
 Total parallelism is the product of worker count and per-worker solver
-threads and must stay within the core cap. A portfolio solves its model's
-root LP once and hands the result to every worker, each of which still
-charges it as one node. Under the wall clock, workers run on a thread pool
-and share one cancellation event, set when the wall budget runs out or a
-worker raises; the root LP runs after the wall timer has started and stops
-on that event. Under the simulated clock the workers run one after another
-in config order, which makes whole portfolio runs reproducible bit for bit.
+threads and must stay within the core cap, which a ``PortfolioPlan`` checks
+on construction. A portfolio solves its model's root LP once and hands the
+result to every worker, each of which still charges it as one node. Workers
+start through one thread pool and share one cancellation event, set when a
+worker raises. Under the wall clock the pool has a thread per worker and a
+timer sets the event when the budget runs out; the root LP runs after the
+timer has started and stops on the event. Under the simulated clock the pool
+has one thread and no timer starts, so the workers run one after another in
+config order, which makes whole portfolio runs reproducible bit for bit.
 The CLI's ``portfolio`` and ``repro`` commands both launch their workers
 here.
 """
@@ -40,34 +42,36 @@ class AllWorkersInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class PortfolioPlan:
+    """N distinct configurations, T threads reserved per worker with N x T
+    within the core cap, and a positive, finite wall budget."""
+
     configs: tuple[Configuration, ...]
     threads_per_worker: int
     core_cap: int
     wall_seconds: float
     master_seed: int = 0
 
+    def __post_init__(self):
+        n = len(self.configs)
+        if n < 1:
+            raise PlanInvalid("plan needs at least one configuration")
+        if self.threads_per_worker < 1:
+            raise PlanInvalid("threads_per_worker must be >= 1")
+        if n * self.threads_per_worker > self.core_cap:
+            raise PlanInvalid(
+                f"{n} workers x {self.threads_per_worker} threads exceed core cap "
+                f"{self.core_cap}"
+            )
+        if not (math.isfinite(self.wall_seconds) and self.wall_seconds > 0):
+            # the wall timer and the trace horizon need a finite budget
+            raise PlanInvalid(f"wall_seconds must be positive and finite, got {self.wall_seconds!r}")
+        ids = [c.id for c in self.configs]
+        if len(set(ids)) != len(ids):
+            raise PlanInvalid("duplicate configuration ids in plan")
+
     @property
     def n_workers(self) -> int:
         return len(self.configs)
-
-
-def validate_plan(plan: PortfolioPlan) -> None:
-    n = plan.n_workers
-    if n < 1:
-        raise PlanInvalid("plan needs at least one configuration")
-    if plan.threads_per_worker < 1:
-        raise PlanInvalid("threads_per_worker must be >= 1")
-    if n * plan.threads_per_worker > plan.core_cap:
-        raise PlanInvalid(
-            f"{n} workers x {plan.threads_per_worker} threads exceed core cap "
-            f"{plan.core_cap}"
-        )
-    if not (math.isfinite(plan.wall_seconds) and plan.wall_seconds > 0):
-        # the wall timer and the trace horizon need a finite budget
-        raise PlanInvalid(f"wall_seconds must be positive and finite, got {plan.wall_seconds!r}")
-    ids = [c.id for c in plan.configs]
-    if len(set(ids)) != len(ids):
-        raise PlanInvalid("duplicate configuration ids in plan")
 
 
 def worker_seed(master_seed: int, config_id: str) -> int:
@@ -108,14 +112,12 @@ def plan_for_threads(
     n = min(core_cap // threads_per_worker, len(ordered))
     if n < 1:
         raise PlanInvalid(f"core cap {core_cap} admits no {threads_per_worker}-thread worker")
-    plan = PortfolioPlan(
+    return PortfolioPlan(
         configs=tuple(ordered[:n]),
         threads_per_worker=threads_per_worker,
         core_cap=core_cap,
         wall_seconds=3600.0,
     )
-    validate_plan(plan)
-    return plan
 
 
 def run_portfolio(
@@ -133,7 +135,6 @@ def run_portfolio(
     sense, finite; when absent, the portfolio's own best is used for gap
     reporting.
     """
-    validate_plan(plan)
     if clock_mode not in (WALL, SIMULATED):
         raise ValueError(f"unknown clock mode {clock_mode!r}")
     if reference_objective is not None and not math.isfinite(reference_objective):
@@ -144,54 +145,41 @@ def run_portfolio(
         else None
     )
 
+    wall = clock_mode == WALL
     # every worker owns its clock, made before any work starts
-    clocks = {
-        config.id: SimulatedClock(node_seconds) if clock_mode == SIMULATED else None
-        for config in plan.configs
-    }
+    clocks = {config.id: None if wall else SimulatedClock(node_seconds) for config in plan.configs}
+    cancel = threading.Event()
 
-    def launch(config: Configuration, root, cancel) -> WorkerResult:
-        return run_worker(
-            model,
-            config,
-            plan.wall_seconds,
-            worker_seed(plan.master_seed, config.id),
-            clocks[config.id],
-            backend=backend,
-            cancel=cancel,
-            root=root,
-        )
-
-    results: dict[str, WorkerResult] = {}
-    if clock_mode == SIMULATED:
-        # a simulated worker's root LP never runs out of time: nothing stops it
-        root = alns.solve_lp(model)
-        for config in plan.configs:
-            results[config.id] = launch(config, root, None)
-    else:
-        cancel = threading.Event()
-        timer = threading.Timer(plan.wall_seconds, cancel.set)
-        timer.daemon = True
-        timer.start()
-
-        def stop_on_error(future):
-            # the error surfaces once every worker is done: stop the others
-            if future.exception() is not None:
-                cancel.set()
-
+    def launch(config: Configuration, root) -> WorkerResult:
         try:
-            root = alns.solve_lp(model, stop=cancel.is_set)
-            with ThreadPoolExecutor(max_workers=plan.n_workers) as pool:
-                futures = {
-                    config.id: pool.submit(launch, config, root, cancel)
-                    for config in plan.configs
-                }
-                for future in futures.values():
-                    future.add_done_callback(stop_on_error)
-                for config_id, future in futures.items():
-                    results[config_id] = future.result()
-        finally:
-            timer.cancel()
+            return run_worker(
+                model,
+                config,
+                plan.wall_seconds,
+                worker_seed(plan.master_seed, config.id),
+                clocks[config.id],
+                backend=backend,
+                cancel=cancel,
+                root=root,
+            )
+        except BaseException:
+            # stop the others before this worker's thread starts another
+            cancel.set()
+            raise
+
+    timer = threading.Timer(plan.wall_seconds, cancel.set)
+    timer.daemon = True
+    if wall:
+        timer.start()
+    try:
+        root = alns.solve_lp(model, stop=cancel.is_set)
+        # simulated workers take turns on one thread: their clocks fix their
+        # search, and under the interpreter lock two threads do less than one
+        with ThreadPoolExecutor(max_workers=plan.n_workers if wall else 1) as pool:
+            futures = {config.id: pool.submit(launch, config, root) for config in plan.configs}
+            results = {config_id: future.result() for config_id, future in futures.items()}
+    finally:
+        timer.cancel()
 
     ok_ids = [c.id for c in plan.configs if results[c.id].status == STATUS_OK]
     if not ok_ids:

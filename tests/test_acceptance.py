@@ -29,7 +29,7 @@ from parlns.lp import LP_INFEASIBLE, LP_OPTIMAL, solve_lp
 from parlns.metrics import GapTrace, aggregate_min, primal_gap, primal_integral
 from parlns.mps import write_mps
 from parlns.operators import FAMILIES
-from parlns.orchestrator import PlanInvalid, PortfolioPlan, plan_for_threads, validate_plan, worker_seed
+from parlns.orchestrator import PlanInvalid, PortfolioPlan, plan_for_threads, worker_seed
 from parlns.simulator import build_trace_db, exhaustive, simulate
 from parlns.subsolver import OPTIMAL, SolveBudget, solve_mip
 
@@ -110,13 +110,11 @@ def test_criterion_03_pool_and_plan_constants():
     assert plan8.n_workers == 20
 
     with pytest.raises(PlanInvalid):
-        validate_plan(
-            PortfolioPlan(
-                configs=tuple(pool[:20]),
-                threads_per_worker=10,
-                core_cap=192,
-                wall_seconds=1.0,
-            )
+        PortfolioPlan(
+            configs=tuple(pool[:20]),
+            threads_per_worker=10,
+            core_cap=192,
+            wall_seconds=1.0,
         )
     _report(3, "pool of 180 unique/deterministic; N=45 (T=4) and N=20 (T=8); cap enforced")
 

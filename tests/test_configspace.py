@@ -4,13 +4,14 @@ from collections import Counter
 
 import pytest
 
-from parlns.alns import SIMULATED_ANNEALING
-from parlns.bandit import BINARY_REWARD_POOL, THOMPSON
+from parlns.alns import HILL_CLIMBING, SIMULATED_ANNEALING, AcceptanceCriterion
+from parlns.bandit import BINARY_REWARD_POOL, EPSILON_GREEDY, SOFTMAX, THOMPSON
 from parlns.configspace import (
     ALL_OPERATOR_IDS,
     DEFAULT_CONFIG,
     DESTROY_CATEGORIES,
     ConfigError,
+    PolicyDescriptor,
     PoolExhausted,
     config_from_dict,
     config_to_dict,
@@ -192,3 +193,34 @@ def test_a_record_with_an_sa_step_outside_its_range_is_refused(step):
     record["acceptance"]["step"] = step
     with pytest.raises(ConfigError, match="simulated annealing step"):
         config_from_dict(record)
+
+
+def test_a_pool_file_reads_back_as_written(tmp_path):
+    # a record's rewards are the pool member they equal, so [8, 4, 2, 1] is
+    # not rewritten as [8.0, 4.0, 2.0, 1.0]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_pool(generate_pool(180, seed=7), first)
+    write_pool(read_pool(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "part, record, match",
+    [
+        (PolicyDescriptor, {"kind": "softmx", "tau": 2.0}, "unknown policy kind"),
+        (PolicyDescriptor, {"kind": EPSILON_GREEDY}, "epsilon outside"),
+        (PolicyDescriptor, {"kind": SOFTMAX, "tau": 2.0, "epsilon": 0.1}, "takes no epsilon"),
+        (PolicyDescriptor, {"kind": THOMPSON, "tau": 2.0}, "takes no tau"),
+        (PolicyDescriptor, {"kind": EPSILON_GREEDY, "epsilon": 0.9}, "epsilon outside"),
+        (PolicyDescriptor, {"kind": SOFTMAX, "tau": 0.5}, "tau outside"),
+        (AcceptanceCriterion, {"kind": HILL_CLIMBING, "step": 0.5}, "takes no step"),
+    ],
+)
+def test_a_part_refuses_what_its_kind_does_not_take(part, record, match):
+    with pytest.raises(ValueError, match=match):
+        part(**record)
+    # a pool record holding it is refused too, by the record's id
+    data = config_to_dict(DEFAULT_CONFIG)
+    data["policy" if part is PolicyDescriptor else "acceptance"] = record
+    with pytest.raises(ConfigError, match=f"^default: bad configuration record: .*{match}"):
+        config_from_dict(data)

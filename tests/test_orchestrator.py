@@ -20,7 +20,6 @@ from parlns.orchestrator import (
     PortfolioResult,
     plan_for_threads,
     run_portfolio,
-    validate_plan,
     worker_seed,
 )
 from parlns.subsolver import Backend, get_backend
@@ -40,14 +39,13 @@ def _plan(pool, wall=1.0, threads=1, cap=None, seed=0):
 
 def test_plan_validation_rejects_cap_violation():
     pool = generate_pool(20, seed=1)
-    plan = _plan(pool, threads=10, cap=192)
     with pytest.raises(PlanInvalid):
-        validate_plan(plan)  # 20 * 10 = 200 > 192
+        _plan(pool, threads=10, cap=192)  # 20 * 10 = 200 > 192
 
 
 def test_plan_validation_passes_at_cap():
     pool = generate_pool(4, seed=1)
-    validate_plan(_plan(pool, threads=1, cap=4))
+    assert _plan(pool, threads=1, cap=4).n_workers == 4
 
 
 def test_plan_for_threads_reproduces_paper_counts():
@@ -161,7 +159,8 @@ def test_wall_clock_mode_runs_threads():
     )
 
 
-def test_a_failing_worker_stops_its_siblings():
+@pytest.mark.parametrize("clock_mode", ["simulated", "wall"])
+def test_a_failing_worker_stops_its_siblings(clock_mode):
     # the first repair of either worker raises; the other worker must stop
     # at its next cancellation check, not spend the wall budget
     reference = get_backend()
@@ -176,15 +175,19 @@ def test_a_failing_worker_stops_its_siblings():
     plan = _plan(generate_pool(2, seed=7), wall=6.0, seed=1)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="backend failed"):
-        run_portfolio(knapsack(40, seed=7), plan, clock_mode="wall", backend=backend)
+        run_portfolio(knapsack(40, seed=7), plan, clock_mode=clock_mode, backend=backend)
     assert time.perf_counter() - start < plan.wall_seconds / 4
+    if clock_mode == "simulated":
+        # the workers take turns, and the second starts cancelled: the one
+        # solve_mip call is the failing one
+        assert next(calls) == 1
 
 
 @pytest.mark.parametrize("wall", [float("nan"), float("inf"), 0.0, -1.0])
 def test_plan_validation_rejects_a_budget_that_is_not_positive_and_finite(wall):
     # a NaN budget used to pass and never end the wall timer or a worker
     with pytest.raises(PlanInvalid, match="wall_seconds"):
-        validate_plan(_plan(generate_pool(2, seed=1), wall=wall))
+        _plan(generate_pool(2, seed=1), wall=wall)
 
 
 def test_portfolio_rejects_a_nan_node_seconds_before_any_work(monkeypatch):
